@@ -12,7 +12,6 @@ at the embedded point.
 from .classifier import LocalModel, classify, cone_membership, parse_display, projective_corollary
 from .coeffmodules import (
     CoefficientModule,
-    Pairing,
     SlDecomposition,
     adjoint_module,
     contragredient,
@@ -20,7 +19,6 @@ from .coeffmodules import (
     sl_basis,
     sl_coords,
     sl_matrix,
-    standard_module,
     trivial_module,
     twist_by_character,
 )
@@ -63,13 +61,12 @@ from .presentation import (
     presentation_of,
 )
 from .reps import (
+    EMBEDDINGS,
     BuildError,
     Representation,
     build_representation,
     burnside_irreducible,
-    embed_orientable,
-    embed_standard,
-    embed_type_preserving,
+    embed,
     half_mirrored_disc,
     load_representation,
     polygon_group,

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reps import EMBEDDINGS
+
 __all__ = [
     "ClassifierError",
     "LINK_KINDS",
-    "EMBED_CHOICES",
+    "EMBEDDINGS",
     "LocalModel",
     "classify",
     "cone_membership",
@@ -38,8 +40,6 @@ LINK_KINDS = (
     "unit_tangent_sphere",
     "unit_tangent_projective",
 )
-
-EMBED_CHOICES = ("standard", "orientable_embed", "type_preserving")
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def classify(
 ) -> LocalModel:
     if topology not in ("closed", "boundary"):
         raise ClassifierError(f"unknown topology {topology!r}")
-    if embedding not in EMBED_CHOICES:
+    if embedding not in EMBEDDINGS:
         raise ClassifierError(f"unknown embedding {embedding!r}")
     if min(p, d, b) < 0:
         raise ClassifierError("dimensions must be non-negative")
@@ -165,7 +165,7 @@ def classify(
     elif orientable:
         link = "spheres_product" if even else "spheres_product_mod"
         row = f"orientable-boundary-{'even' if even else 'odd'}"
-    elif embedding == "orientable_embed":
+    elif embedding == "orientable":
         link = "spheres_product" if even else "spheres_product_mod"
         row = f"nonorientable-oe-{'even' if even else 'odd'}"
     else:

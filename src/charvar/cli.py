@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: analyze (full report), dims (dimension summary), verify
-(cross-check ledger), examples (the four worked fixtures).  Exit codes:
+(cross-check ledger), examples (the six worked fixtures).  Exit codes:
 0 success, 2 a hypothesis or cross-check failed (the output names it),
 1 usage or IO errors.
 """

@@ -1,14 +1,14 @@
 """Group modules over a finitely presented group.
 
 A CoefficientModule is an action of the group on R^N given by one
-invertible matrix per generator.  Besides the standard, trivial,
-contragredient and adjoint constructions, this module carries the
-block decomposition of the traceless (n+1) x (n+1) matrices under a
-representation embedded in the top-left n x n corner: the adjoint
-block g0, the last-column block m_c, the last-row block m_r and the
-line d spanned by diag(1, ..., 1, -n).  m_c transforms like the
-defining representation (twisted by the determinant character under
-the orientable embedding), m_r like its contragredient, d trivially.
+invertible matrix per generator.  Besides the trivial, contragredient
+and adjoint constructions, this module carries the block decomposition
+of the traceless (n+1) x (n+1) matrices under a representation embedded
+as diag(A, c): the adjoint block g0, the last-column block m_c, the
+last-row block m_r and the line d spanned by diag(1, ..., 1, -n).  m_c
+transforms like c A (the defining representation, twisted by the
+determinant character under the orientable embedding), m_r like its
+contragredient, d trivially.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .reps import Representation, embed
+
 __all__ = [
     "CoeffModuleError",
-    "Pairing",
     "CoefficientModule",
     "SlDecomposition",
     "module_from_matrices",
-    "standard_module",
     "trivial_module",
     "contragredient",
     "twist_by_character",
@@ -35,11 +35,20 @@ __all__ = [
     "sl_basis",
     "sl_coords",
     "sl_matrix",
-    "relator_residual",
-    "module_to_json",
 ]
 
-MODULE_LABELS = ("g0", "m_c", "m_r", "d", "full_g", "standard", "trivial", "custom")
+MODULE_LABELS = ("g0", "m_c", "m_r", "d", "full_g", "trivial", "custom")
+
+# Error model of SlDecomposition.block_equivariance.  Both sides of the
+# check are adjoint actions M B M^-1 of the same generators, built from
+# separately rounded inverses.  An inverse carries relative error
+# ~ eps * kappa(M), kappa(M) = |M| |M^-1|, so an entry of M B M^-1 is off
+# by ~ eps * kappa(M)^2.  The action scale s = max(1, max|full_g|) is of
+# order kappa(M), so the defect divided by s is ~ eps * s; the constant
+# leaves room for the dimension factors of the matrix products.  A block
+# that is not a submodule, such as m_c carrying the other embedding's
+# twist, is off by O(1) instead.
+EQUIVARIANCE_ULPS = 64
 
 
 class CoeffModuleError(ValueError):
@@ -47,23 +56,9 @@ class CoeffModuleError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Pairing:
-    """Bilinear form u, v -> u @ matrix @ v, with v taken from the module
-    labelled partner_label (the module itself for self-pairings)."""
-
-    matrix: np.ndarray
-    symmetry: str  # symmetric | skew | none
-    partner_label: str
-
-    def value(self, u, v) -> float:
-        return float(np.asarray(u) @ self.matrix @ np.asarray(v))
-
-
-@dataclass(frozen=True, eq=False)
 class CoefficientModule:
     label: str
     action: tuple[np.ndarray, ...]
-    pairing: Pairing | None = None
 
     def __post_init__(self):
         if self.label not in MODULE_LABELS:
@@ -121,33 +116,8 @@ def alpha_signs(rep_or_matrices) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def relator_residual(pres, module: CoefficientModule) -> float:
-    """Largest sup-norm deviation of a relator action from the identity."""
-    worst = 0.0
-    eye = np.eye(module.dim)
-    for r in pres.relators:
-        worst = max(worst, float(np.abs(module.evaluate_word(r) - eye).max()))
-    return worst
-
-
-def _check_relators(pres, module: CoefficientModule, tol: float):
-    res = relator_residual(pres, module)
-    if res > tol:
-        raise CoeffModuleError(
-            f"relators act with residual {res:.3e} > {tol:.1e} on {module.label} module"
-        )
-
-
-def module_from_matrices(label, matrices, pairing=None) -> CoefficientModule:
-    return CoefficientModule(label, tuple(matrices), pairing)
-
-
-def standard_module(rep, tol: float = 1e-7) -> CoefficientModule:
-    mod = CoefficientModule("standard", _matrices_of(rep))
-    pres = getattr(rep, "presentation", None)
-    if pres is not None:
-        _check_relators(pres, mod, tol)
-    return mod
+def module_from_matrices(label, matrices) -> CoefficientModule:
+    return CoefficientModule(label, tuple(matrices))
 
 
 def trivial_module(num_generators: int, dim: int = 1) -> CoefficientModule:
@@ -157,7 +127,7 @@ def trivial_module(num_generators: int, dim: int = 1) -> CoefficientModule:
 
 def contragredient(m: CoefficientModule, label: str = "custom") -> CoefficientModule:
     mats = tuple(np.linalg.inv(a).T for a in m.action)
-    return CoefficientModule(label, mats, m.pairing)
+    return CoefficientModule(label, mats)
 
 
 def twist_by_character(m: CoefficientModule, signs, label: str | None = None) -> CoefficientModule:
@@ -165,7 +135,7 @@ def twist_by_character(m: CoefficientModule, signs, label: str | None = None) ->
     if len(signs) != m.num_generators or any(s not in (1, -1) for s in signs):
         raise CoeffModuleError("character must give +1 or -1 per generator")
     mats = tuple(s * a for s, a in zip(signs, m.action))
-    return CoefficientModule(label or m.label, mats, m.pairing)
+    return CoefficientModule(label or m.label, mats)
 
 
 def sl_basis(m: int) -> list[np.ndarray]:
@@ -211,23 +181,8 @@ def sl_matrix(v, m: int) -> np.ndarray:
     return X
 
 
-def _killing_pairing(m: int, multiplier: float, label: str) -> Pairing:
-    basis = sl_basis(m)
-    k = len(basis)
-    mat = np.empty((k, k))
-    for a in range(k):
-        for b in range(k):
-            mat[a, b] = multiplier * np.trace(basis[a] @ basis[b])
-    return Pairing(mat, "symmetric", label)
-
-
-def adjoint_module(
-    rep_or_matrices,
-    label: str = "custom",
-    trace_multiplier: float | None = None,
-) -> CoefficientModule:
-    """Conjugation action on traceless matrices, with the invariant form
-    trace_multiplier * tr(XY) attached (defaults to the Killing form 2m tr)."""
+def adjoint_module(rep_or_matrices, label: str = "custom") -> CoefficientModule:
+    """Conjugation action on traceless matrices, in sl_basis coordinates."""
     mats = _matrices_of(rep_or_matrices)
     m = mats[0].shape[0]
     basis = sl_basis(m)
@@ -236,29 +191,32 @@ def adjoint_module(
         Minv = np.linalg.inv(M)
         cols = [sl_coords(M @ B @ Minv) for B in basis]
         action.append(np.column_stack(cols))
-    mult = 2.0 * m if trace_multiplier is None else trace_multiplier
-    return CoefficientModule(label, tuple(action), _killing_pairing(m, mult, label))
+    return CoefficientModule(label, tuple(action))
 
 
 @dataclass(frozen=True, eq=False)
 class SlDecomposition:
     """Block decomposition of the ambient traceless algebra.
 
-    hat_matrices are the images of the generators in the ambient group:
-    diag(A, det A) for the orientable embedding, diag(A, 1) otherwise.
-    Projections and inclusions work on plain (n+1) x (n+1) matrices;
-    pi_d is measured in units of D = diag(1, ..., 1, -n).
+    embedded is the representation in the ambient group, built by
+    reps.embed: diag(A, det A) for the orientable embedding, diag(A, 1)
+    otherwise.  Projections and inclusions work on plain (n+1) x (n+1)
+    matrices; pi_d is measured in units of D = diag(1, ..., 1, -n).
     """
 
     n: int
     embedding: str
-    hat_matrices: tuple[np.ndarray, ...]
+    embedded: Representation
     g0: CoefficientModule
     m_c: CoefficientModule
     m_r: CoefficientModule
     d: CoefficientModule
     full_g: CoefficientModule
     killing_multiplier: float
+
+    @property
+    def hat_matrices(self) -> tuple[np.ndarray, ...]:
+        return self.embedded.matrices
 
     @property
     def ambient_dim(self) -> int:
@@ -312,62 +270,47 @@ class SlDecomposition:
         """Killing form of include_r(y) against include_c(x)."""
         return self.killing_multiplier * float(np.dot(y_row, x_col))
 
+    @cached_property
+    def inclusions(self) -> dict[str, np.ndarray]:
+        """Inc_b for each block b: the ambient coordinates of the block's
+        basis vectors, one column each."""
+        lifts = {
+            "g0": lambda v: self.include_g0(sl_matrix(v, self.n)),
+            "m_c": self.include_c,
+            "m_r": self.include_r,
+            "d": lambda v: self.include_d(v[0]),
+        }
+        return {
+            label: np.column_stack([sl_coords(lift(e)) for e in np.eye(getattr(self, label).dim)])
+            for label, lift in lifts.items()
+        }
 
-EMBEDDINGS = ("standard", "orientable", "type_preserving")
+    def block_equivariance(self) -> tuple[float, float]:
+        """How far each block is from a submodule of full_g: the largest
+        |full_g(g) Inc_b - Inc_b b(g)| over generators g and blocks b,
+        divided by max(1, max|full_g|), and the bound it is held to."""
+        scale = max(1.0, max(float(np.abs(a).max()) for a in self.full_g.action))
+        worst = 0.0
+        for label, inc in self.inclusions.items():
+            for amb, act in zip(self.full_g.action, getattr(self, label).action):
+                worst = max(worst, float(np.abs(amb @ inc - inc @ act).max()))
+        return worst / scale, EQUIVARIANCE_ULPS * float(np.finfo(float).eps) * scale
 
 
-def decompose_sl(rep, embedding: str = "standard") -> SlDecomposition:
-    if embedding not in EMBEDDINGS:
-        raise CoeffModuleError(f"unknown embedding {embedding!r}")
-    mats = _matrices_of(rep)
-    n = mats[0].shape[0]
-    signs = alpha_signs(mats)
-    if embedding == "standard" and any(s != 1 for s in signs):
-        raise CoeffModuleError("standard embedding needs determinant +1 on every generator")
-
-    twist = signs if embedding == "orientable" else (1,) * len(mats)
-    hat = []
-    for M, s in zip(mats, signs):
-        H = np.zeros((n + 1, n + 1))
-        H[:n, :n] = M
-        H[n, n] = s if embedding == "orientable" else 1.0
-        hat.append(H)
-    hat = tuple(hat)
-
-    mult = 2.0 * (n + 1)
-    cross = Pairing(mult * np.eye(n), "none", "m_r")
-    m_c = CoefficientModule("m_c", tuple(t * M for t, M in zip(twist, mats)), cross)
-    m_r = CoefficientModule(
-        "m_r",
-        tuple(np.linalg.inv(a).T for a in m_c.action),
-        Pairing(mult * np.eye(n), "none", "m_c"),
-    )
-    g0 = adjoint_module(mats, label="g0", trace_multiplier=mult)
-    d = trivial_module(len(mats), 1)
-    full_g = adjoint_module(hat, label="full_g", trace_multiplier=mult)
+def decompose_sl(rep: Representation, embedding: str = "standard") -> SlDecomposition:
+    """Embed rep as diag(A, c) (reps.embed) and split the ambient algebra:
+    m_c is acted on by c A, m_r by its contragredient."""
+    embedded = embed(rep, embedding)
+    n = rep.n
+    m_c = CoefficientModule("m_c", tuple(H[n, n] * H[:n, :n] for H in embedded.matrices))
     return SlDecomposition(
         n=n,
         embedding=embedding,
-        hat_matrices=hat,
-        g0=g0,
+        embedded=embedded,
+        g0=adjoint_module(rep, label="g0"),
         m_c=m_c,
-        m_r=m_r,
-        d=CoefficientModule("d", d.action),
-        full_g=full_g,
-        killing_multiplier=mult,
+        m_r=contragredient(m_c, label="m_r"),
+        d=CoefficientModule("d", trivial_module(rep.num_generators).action),
+        full_g=adjoint_module(embedded, label="full_g"),
+        killing_multiplier=2.0 * (n + 1),
     )
-
-
-def module_to_json(m: CoefficientModule) -> dict:
-    out = {
-        "label": m.label,
-        "dim": m.dim,
-        "action": [a.tolist() for a in m.action],
-    }
-    if m.pairing is not None:
-        out["pairing"] = {
-            "matrix": m.pairing.matrix.tolist(),
-            "symmetry": m.pairing.symmetry,
-            "partner": m.pairing.partner_label,
-        }
-    return out

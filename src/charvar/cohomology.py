@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coeffmodules import CoefficientModule, Pairing, contragredient, twist_by_character
+from .coeffmodules import CoefficientModule, contragredient, twist_by_character
 from .linalg import RankPolicy, image_basis, kernel_basis, rank_report
 from .presentation import GroupPresentation, Word
 
@@ -261,12 +261,9 @@ class TwoCocycle:
 
 
 def _as_form(phi, dim1: int, dim2: int) -> Callable[[np.ndarray, np.ndarray], float]:
-    if isinstance(phi, Pairing):
-        mat = phi.matrix
-    elif callable(phi):
+    if callable(phi):
         return lambda u, v: float(phi(u, v))
-    else:
-        mat = np.asarray(phi, dtype=float)
+    mat = np.asarray(phi, dtype=float)
     if mat.shape != (dim1, dim2):
         raise CohomologyError(f"form shape {mat.shape} does not pair R^{dim1} with R^{dim2}")
     return lambda u, v: float(u @ mat @ v)

@@ -1,15 +1,13 @@
 """Rank, kernel and image with an explicit tolerance policy.
 
-Two scalar tracks share one interface: float (and complex) matrices go
-through the SVD, matrices of Fractions go through exact Gaussian
-elimination.  Every numeric rank decision is made against a RankPolicy
-threaded in by the caller; there is no module-level tolerance state.
+Float (and complex) matrices go through the SVD.  Every numeric rank
+decision is made against a RankPolicy threaded in by the caller; there
+is no module-level tolerance state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,10 +19,6 @@ __all__ = [
     "rank_report",
     "kernel_basis",
     "image_basis",
-    "exact_rank",
-    "exact_kernel",
-    "to_exact",
-    "is_exact",
 ]
 
 
@@ -62,36 +56,11 @@ def _as_float_array(m) -> np.ndarray:
     if a.ndim != 2:
         raise LinalgError(f"expected a 2d matrix, got shape {a.shape}")
     if a.dtype == object:
-        raise LinalgError("exact matrices must go through the exact_* functions")
+        raise LinalgError("object arrays are not supported; pass a float or complex matrix")
     return a
 
 
-def is_exact(m) -> bool:
-    """True when m is a matrix of Fractions/ints (nested lists or object array)."""
-    if isinstance(m, np.ndarray):
-        return m.dtype == object
-    if isinstance(m, (list, tuple)):
-        for row in m:
-            for x in row:
-                if not isinstance(x, (Fraction, int)):
-                    return False
-        return True
-    return False
-
-
-def to_exact(m) -> list[list[Fraction]]:
-    """Promote entries to Fractions. Floats convert exactly (binary value)."""
-    a = np.asarray(m, dtype=object) if not isinstance(m, np.ndarray) else m
-    out = []
-    for row in np.atleast_2d(a):
-        out.append([Fraction(x) for x in row])
-    return out
-
-
 def rank_report(m, policy: RankPolicy) -> RankReport:
-    if is_exact(m):
-        r = exact_rank(m)
-        return RankReport(rank=r, gap=float("inf"), singular_values=())
     a = _as_float_array(m)
     if a.size == 0:
         return RankReport(rank=0, gap=float("inf"), singular_values=())
@@ -101,10 +70,7 @@ def rank_report(m, policy: RankPolicy) -> RankReport:
         return RankReport(rank=0, gap=float("inf"), singular_values=tuple(s.tolist()))
     thr = policy.threshold(s_max)
     r = int(np.sum(s > thr))
-    if r == 0:
-        gap = float("inf") if s_max == 0.0 else float(thr / s_max)
-        gap = float("inf")
-    elif r == len(s) or s[r] == 0.0:
+    if r == 0 or r == len(s) or s[r] == 0.0:
         gap = float("inf")
     else:
         gap = float(s[r - 1] / s[r])
@@ -117,9 +83,6 @@ def rank(m, policy: RankPolicy) -> int:
 
 def kernel_basis(m, policy: RankPolicy) -> np.ndarray:
     """Columns form an orthonormal basis of the (right) null space."""
-    if is_exact(m):
-        ker = exact_kernel(m)
-        return np.array(ker, dtype=object).T if ker else np.zeros((len(m[0]), 0), dtype=object)
     a = _as_float_array(m)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=a.dtype)
@@ -140,57 +103,3 @@ def image_basis(m, policy: RankPolicy) -> np.ndarray:
     thr = policy.threshold(s_max) if s_max > 0 else 0.0
     r = int(np.sum(s > thr)) if len(s) else 0
     return u[:, :r]
-
-
-def exact_rank(m) -> int:
-    rows = [list(map(Fraction, row)) for row in m]
-    return len(_row_echelon(rows)[0])
-
-
-def exact_kernel(m) -> list[list[Fraction]]:
-    """Basis of the right null space over the rationals (list of vectors)."""
-    rows = [list(map(Fraction, row)) for row in m]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    echelon, pivots = _row_echelon(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        # back-substitute pivot coordinates
-        for row, p in zip(reversed(echelon), reversed(pivots)):
-            s = sum((row[j] * v[j] for j in range(p + 1, ncols)), Fraction(0))
-            v[p] = -s / row[p]
-        basis.append(v)
-    return basis
-
-
-def _row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    if not rows:
-        return [], []
-    nrows, ncols = len(rows), len(rows[0])
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    work = [row[:] for row in rows]
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(r + 1, nrows):
-            if work[i][c] != 0:
-                f = work[i][c] / work[r][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        echelon.append(work[r])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return echelon, pivots

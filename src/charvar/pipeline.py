@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier import LocalModel, classify
-from .coeffmodules import decompose_sl, sl_matrix
+from .coeffmodules import decompose_sl, sl_matrix, twist_by_character
 from .cohomology import (
     Cocycle,
     CohomologyReport,
-    TwoCocycle,
     coboundary_matrix,
     cocycle_from_stack,
     cohomology_report,
@@ -47,13 +46,11 @@ from .presentation import (
     presentation_of,
 )
 from .reps import (
+    EMBEDDINGS,
     BuildError,
     Representation,
     build_representation,
     burnside_irreducible,
-    embed_orientable,
-    embed_standard,
-    embed_type_preserving,
     half_mirrored_disc,
     half_mirrored_disc_presentation,
     load_representation,
@@ -72,7 +69,6 @@ __all__ = [
     "analyze",
     "verify_suite",
     "include_cocycle",
-    "killing_cup",
     "report_to_json",
     "ledger_to_json",
     "example_requests",
@@ -212,28 +208,13 @@ def _resolve_embedding(req: AnalysisRequest, pres: GroupPresentation) -> str:
             "(orientable or type_preserving)"
         )
     emb = emb.replace("-", "_")
-    if emb == "orientable_embed":
-        emb = "orientable"
-    if emb not in ("standard", "orientable", "type_preserving"):
+    if emb not in EMBEDDINGS:
         raise PipelineError(f"unknown embedding {req.embedding!r}")
     if pres.orientable and emb != "standard":
         raise PipelineError("orientable input uses the standard embedding")
     if not pres.orientable and emb == "standard":
         raise PipelineError("non-orientable input cannot use the standard embedding")
     return emb
-
-
-_EMBED_FN = {
-    "standard": embed_standard,
-    "orientable": embed_orientable,
-    "type_preserving": embed_type_preserving,
-}
-
-_CLASSIFIER_EMBED = {
-    "standard": "standard",
-    "orientable": "orientable_embed",
-    "type_preserving": "type_preserving",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +239,6 @@ def include_cocycle(z: Cocycle, sd) -> Cocycle:
         raise PipelineError(f"no ambient inclusion for module label {label!r}")
     vals = tuple(sd.to_coords(lift(v)) for v in z.values)
     return Cocycle(sd.full_g, vals)
-
-
-def killing_cup(z: Cocycle, sd) -> TwoCocycle:
-    """c(a, b) = B(z(a), Ad_a z(b)) for an ambient-coordinate cocycle."""
-    full = sd.full_g
-
-    def evaluate(a, b):
-        za = sd.to_matrix(z.on_word(a))
-        zb = sd.to_matrix(full.evaluate_word(a) @ z.on_word(b))
-        return sd.killing(za, zb)
-
-    return TwoCocycle(evaluate, "killing")
 
 
 def _combo(basis, module, coeffs) -> Cocycle:
@@ -398,7 +367,8 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
             entries,
         )
 
-    embedded = _EMBED_FN[emb](rep)
+    sd = decompose_sl(rep, emb)
+    embedded = sd.embedded
     res_emb = embedded.relator_residual
     check("relator-residual-embedded", res_emb <= embedded.residual_bound, res_emb)
     emb_burn = burnside_irreducible(embedded.matrices, policy)
@@ -409,11 +379,8 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         "two blocks",
     )
 
-    sd = decompose_sl(rep, emb)
-    hat_dev = max(
-        float(np.abs(h - m).max()) for h, m in zip(sd.hat_matrices, embedded.matrices)
-    )
-    check("hat-consistency", hat_dev == 0.0, hat_dev)
+    equivariance, bound = sd.block_equivariance()
+    check("block-equivariance", equivariance <= bound, equivariance, f"bound {bound:.1e}")
 
     table = cohomology_report(
         pres, [(label, getattr(sd, label)) for label in MODULE_ORDER], policy
@@ -445,8 +412,9 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         dims = {"p": p, "d": d_here, "b": b}
         d_model = d_here
     else:
-        other = "type_preserving" if emb == "orientable" else "orientable"
-        d_other = h_dims(pres, decompose_sl(rep, other).m_c, policy).h1
+        # the other embedding's column block differs by the orientation twist
+        other_m_c = twist_by_character(sd.m_c, pres.orientation_character)
+        d_other = h_dims(pres, other_m_c, policy).h1
         d_oe = d_here if emb == "orientable" else d_other
         d_tp = d_here if emb == "type_preserving" else d_other
         f = pres.full_boundary_count
@@ -470,19 +438,11 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     elif orientable:
         obstruction = {"boundary_case": True, "ratios": [], "c_n": None}
 
-    model = classify(
-        topology,
-        orientable,
-        _CLASSIFIER_EMBED[emb],
-        rep.n + 1,
-        p,
-        d_model,
-        b,
-    )
+    model = classify(topology, orientable, emb, rep.n + 1, p, d_model, b)
     flags.extend(model.flags)
 
     if "all" in req.checks:
-        entries.extend(_extra_checks(pres, rep, embedded, sd, table, policy, req.seed))
+        entries.extend(_extra_checks(pres, rep, sd, table, policy, req.seed))
 
     group_info = {
         "description": pres.describe(),
@@ -514,7 +474,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 # the extra cross-checks behind verify
 
 
-def _extra_checks(pres, rep, embedded, sd, table, policy, seed) -> list[LedgerEntry]:
+def _extra_checks(pres, rep, sd, table, policy, seed) -> list[LedgerEntry]:
     entries: list[LedgerEntry] = []
     rng = np.random.default_rng(seed + 23)
 
@@ -543,7 +503,7 @@ def _extra_checks(pres, rep, embedded, sd, table, policy, seed) -> list[LedgerEn
     slopes = []
     for z in bases["full_g"]:
         zmats = [sd.to_matrix(v) for v in z.values]
-        slope, _ = weil_slope(embedded.matrices, pres.relators, zmats)
+        slope, _ = weil_slope(sd.hat_matrices, pres.relators, zmats)
         slopes.append(slope)
     if slopes:
         dev = max(abs(s - 2.0) for s in slopes)

@@ -45,9 +45,8 @@ __all__ = [
     "build_representation",
     "half_mirrored_disc_presentation",
     "half_mirrored_disc",
-    "embed_standard",
-    "embed_orientable",
-    "embed_type_preserving",
+    "EMBEDDINGS",
+    "embed",
     "twist_rep_by_character",
     "contragredient_rep",
     "burnside_irreducible",
@@ -133,14 +132,11 @@ class Representation:
 
     group_tag "SL" requires determinant +1 throughout; "SLpm" requires the
     determinant sign to equal the orientation character (type preserving).
-    scalar_mode records whether matrices are honest ("matrix") or only
-    defined up to sign ("projective"); all builders use "matrix".
     """
 
     presentation: GroupPresentation
     matrices: tuple[np.ndarray, ...]
     group_tag: str = "SL"
-    scalar_mode: str = "matrix"
     lineage: tuple[str, ...] = ()
     residual_bound: float = 1e-8
     build_info: dict = field(default_factory=dict, compare=False)
@@ -213,17 +209,6 @@ class Representation:
             for k in range(1, order):
                 if float(np.abs(np.linalg.matrix_power(m, k) - eye).max()) < 1e-3:
                     raise RepError(f"generator {g} has order dividing {k} < {order}")
-
-    def with_lineage(self, *tags: str) -> "Representation":
-        return Representation(
-            self.presentation,
-            self.matrices,
-            self.group_tag,
-            self.scalar_mode,
-            self.lineage + tags,
-            self.residual_bound,
-            dict(self.build_info),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -695,48 +680,32 @@ def build_representation(sig: OrbifoldSignature, seed: int = 0) -> Representatio
 # transforms
 
 
-def embed_standard(rep: Representation) -> Representation:
-    if rep.group_tag != "SL":
-        raise RepError("standard embedding needs an SL representation")
+# the embeddings of SL_n / SL±_n into rank n + 1, named once for the package
+EMBEDDINGS = ("standard", "orientable", "type_preserving")
+
+
+def embed(rep: Representation, kind: str) -> Representation:
+    """A -> diag(A, c) in rank n + 1.  The corner c is the orientation
+    character (= det A) for the orientable embedding, which lands in SL,
+    and 1 otherwise.  "standard" takes an SL representation; the other
+    two take a type-preserving SLpm one."""
+    if kind not in EMBEDDINGS:
+        raise RepError(f"unknown embedding {kind!r}")
+    want = "SL" if kind == "standard" else "SLpm"
+    if rep.group_tag != want:
+        raise RepError(f"{kind} embedding needs an {want} representation, got {rep.group_tag}")
+    corners = (1,) * rep.num_generators
+    if kind == "orientable":
+        corners = rep.presentation.orientation_character
     mats = []
-    for m in rep.matrices:
+    for m, c in zip(rep.matrices, corners):
         big = np.zeros((rep.n + 1, rep.n + 1))
         big[: rep.n, : rep.n] = m
-        big[rep.n, rep.n] = 1.0
+        big[rep.n, rep.n] = float(c)
         mats.append(big)
     return Representation(
-        rep.presentation, tuple(mats), "SL", rep.scalar_mode,
-        rep.lineage + ("embed:standard",), rep.residual_bound,
-    )
-
-
-def embed_orientable(rep: Representation) -> Representation:
-    if rep.group_tag != "SLpm":
-        raise RepError("orientable embedding applies to type-preserving representations")
-    mats = []
-    for m, a in zip(rep.matrices, rep.presentation.orientation_character):
-        big = np.zeros((rep.n + 1, rep.n + 1))
-        big[: rep.n, : rep.n] = m
-        big[rep.n, rep.n] = float(a)
-        mats.append(big)
-    return Representation(
-        rep.presentation, tuple(mats), "SL", rep.scalar_mode,
-        rep.lineage + ("embed:orientable",), rep.residual_bound,
-    )
-
-
-def embed_type_preserving(rep: Representation) -> Representation:
-    if rep.group_tag != "SLpm":
-        raise RepError("type-preserving embedding applies to type-preserving representations")
-    mats = []
-    for m in rep.matrices:
-        big = np.zeros((rep.n + 1, rep.n + 1))
-        big[: rep.n, : rep.n] = m
-        big[rep.n, rep.n] = 1.0
-        mats.append(big)
-    return Representation(
-        rep.presentation, tuple(mats), "SLpm", rep.scalar_mode,
-        rep.lineage + ("embed:type_preserving",), rep.residual_bound,
+        rep.presentation, tuple(mats), "SLpm" if kind == "type_preserving" else "SL",
+        rep.lineage + (f"embed:{kind}",), rep.residual_bound,
     )
 
 
@@ -764,16 +733,14 @@ def twist_rep_by_character(rep: Representation, chars) -> Representation:
         else:
             raise RepError("twist produces determinant signs matching neither convention")
     return Representation(
-        rep.presentation, mats, tag, rep.scalar_mode,
-        rep.lineage + ("twist",), rep.residual_bound,
+        rep.presentation, mats, tag, rep.lineage + ("twist",), rep.residual_bound,
     )
 
 
 def contragredient_rep(rep: Representation) -> Representation:
     mats = tuple(np.linalg.inv(m).T for m in rep.matrices)
     return Representation(
-        rep.presentation, mats, rep.group_tag, rep.scalar_mode,
-        rep.lineage + ("contragredient",), rep.residual_bound,
+        rep.presentation, mats, rep.group_tag, rep.lineage + ("contragredient",), rep.residual_bound,
     )
 
 
@@ -785,7 +752,6 @@ def representation_to_json(rep: Representation) -> dict:
     pres = rep.presentation
     out = {
         "group_tag": rep.group_tag,
-        "scalar_mode": rep.scalar_mode,
         "lineage": list(rep.lineage),
         "matrices": [[f"{x:.17g}" for x in m.ravel()] for m in rep.matrices],
         "n": rep.n,
@@ -831,7 +797,6 @@ def representation_from_json(data: dict, pres: GroupPresentation | None = None) 
         pres,
         tuple(mats),
         data.get("group_tag", "SL"),
-        data.get("scalar_mode", "matrix"),
         tuple(data.get("lineage", ())),
         float(data.get("residual_bound", 1e-8)),
     )

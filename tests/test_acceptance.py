@@ -28,7 +28,7 @@ from charvar.cohomology import (
 )
 from charvar.linalg import RankPolicy, kernel_basis
 from charvar.presentation import parse_signature
-from charvar.reps import burnside_irreducible, embed_standard, triangle_group
+from charvar.reps import burnside_irreducible, embed, triangle_group
 
 POLICY = RankPolicy()
 
@@ -267,7 +267,7 @@ def test_criterion_10_irreducibility_verdicts(triangle334):
     tri = burnside_irreducible(triangle334)
     assert tri.irreducible_over_C and tri.algebra_dim == 9
 
-    embedded = embed_standard(triangle334)
+    embedded = embed(triangle334, "standard")
     emb = burnside_irreducible(embedded)
     assert not emb.irreducible_over_C
     assert emb.commutant_dim == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charvar.classifier import (
-    EMBED_CHOICES,
+    EMBEDDINGS,
     LINK_KINDS,
     ClassifierError,
     LocalModel,
@@ -24,8 +24,8 @@ from charvar.classifier import (
         ("closed", True, "standard", 5, "unit_tangent_projective"),
         ("boundary", True, "standard", 4, "spheres_product"),
         ("boundary", True, "standard", 5, "spheres_product_mod"),
-        ("closed", False, "orientable_embed", 4, "spheres_product"),
-        ("closed", False, "orientable_embed", 5, "spheres_product_mod"),
+        ("closed", False, "orientable", 4, "spheres_product"),
+        ("closed", False, "orientable", 5, "spheres_product_mod"),
         ("closed", False, "type_preserving", 4, "spheres_product_mod"),
         ("closed", False, "type_preserving", 5, "spheres_product_mod"),
         ("boundary", False, "type_preserving", 4, "spheres_product_mod"),
@@ -154,4 +154,4 @@ def test_cone_membership_validation():
 
 
 def test_embed_choices_frozen():
-    assert EMBED_CHOICES == ("standard", "orientable_embed", "type_preserving")
+    assert EMBEDDINGS == ("standard", "orientable", "type_preserving")

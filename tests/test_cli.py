@@ -7,7 +7,7 @@ import json
 import pytest
 
 from charvar.cli import main
-from charvar.reps import embed_standard, representation_to_json
+from charvar.reps import embed, representation_to_json
 
 
 def run(argv, capsys):
@@ -22,7 +22,7 @@ def run(argv, capsys):
 @pytest.fixture(scope="module")
 def reducible_rep_file(tmp_path_factory, triangle334):
     path = tmp_path_factory.mktemp("cli") / "embedded.json"
-    path.write_text(json.dumps(representation_to_json(embed_standard(triangle334))))
+    path.write_text(json.dumps(representation_to_json(embed(triangle334, "standard"))))
     return str(path)
 
 

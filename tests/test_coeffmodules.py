@@ -3,6 +3,8 @@ actions built on it."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,8 @@ from charvar.coeffmodules import (
     trivial_module,
     twist_by_character,
 )
-from charvar.reps import embed_type_preserving
+from charvar.presentation import parse_signature
+from charvar.reps import build_representation, embed, half_mirrored_disc
 
 short_words = st.lists(
     st.integers(-3, 3).filter(lambda x: x != 0), min_size=0, max_size=6
@@ -167,7 +170,7 @@ def test_module_from_matrices_validates():
 
 
 def test_hat_matrices_match_type_preserving_embedding(mirrored):
-    embedded = embed_type_preserving(mirrored.rep)
+    embedded = embed(mirrored.rep, "type_preserving")
     for hat, emb in zip(mirrored.sd.hat_matrices, embedded.matrices):
         assert np.array_equal(hat, emb)
 
@@ -182,3 +185,67 @@ def test_decompose_sl_twist_for_orientable_model(setups):
         np.testing.assert_allclose(
             oe.sd.m_c.action[i], s * tp.sd.m_c.action[i], atol=1e-12
         )
+
+
+# every input of `charvar examples` and of the benchmark workloads
+ORIENTABLE_INPUTS = (
+    "S2(2,3,7)",
+    "S2(3,3,3,3)",
+    "S2(3,3,3,3,3)",
+    "S2(3,3,3,3,3,3,3)",
+    "O(g=2)",
+    "O(g=1;cone=[3])",
+    "O(g=2;b=2;cone=[3,5])",
+    "D2(3,3)",
+)
+NONORIENTABLE_INPUTS = ("D(3,3;mirror)", "D(3,3,3;mirror)", "N(k=2;b=1;cone=[3])", "HD(3)", "HD(5)")
+
+
+@pytest.fixture(scope="module")
+def reps_by_text():
+    cache = {}
+
+    def get(text):
+        if text not in cache:
+            if text.startswith("HD("):
+                cache[text] = half_mirrored_disc(int(text[3:-1]))
+            else:
+                cache[text] = build_representation(parse_signature(text), seed=0)
+        return cache[text]
+
+    return get
+
+
+@pytest.mark.parametrize(
+    "text, embedding",
+    [(t, "standard") for t in ORIENTABLE_INPUTS]
+    + [(t, e) for t in NONORIENTABLE_INPUTS for e in ("orientable", "type_preserving")],
+)
+def test_block_equivariance_holds_on_every_input(reps_by_text, text, embedding):
+    sd = decompose_sl(reps_by_text(text), embedding)
+    value, bound = sd.block_equivariance()
+    assert value <= bound
+    assert bound < 1e-9
+
+
+@pytest.mark.parametrize("text", NONORIENTABLE_INPUTS)
+@pytest.mark.parametrize("embedding, other", [("orientable", "type_preserving"), ("type_preserving", "orientable")])
+def test_block_equivariance_catches_the_wrong_twist(reps_by_text, text, embedding, other):
+    """m_c of the other embedding is not a submodule of this full_g."""
+    rep = reps_by_text(text)
+    wrong = replace(decompose_sl(rep, embedding), m_c=decompose_sl(rep, other).m_c)
+    value, bound = wrong.block_equivariance()
+    assert value > 1e3 * bound
+
+
+def test_block_inclusions_match_the_include_maps(sd):
+    """Inc_b maps block coordinates to the ambient coordinates of include_b."""
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal(3)
+    np.testing.assert_allclose(sd.inclusions["m_c"] @ v, sd.to_coords(sd.include_c(v)), atol=1e-14)
+    np.testing.assert_allclose(sd.inclusions["m_r"] @ v, sd.to_coords(sd.include_r(v)), atol=1e-14)
+    np.testing.assert_allclose(sd.inclusions["d"] @ [0.7], sd.to_coords(sd.include_d(0.7)), atol=1e-14)
+    a = rng.standard_normal(8)
+    np.testing.assert_allclose(
+        sd.inclusions["g0"] @ a, sd.to_coords(sd.include_g0(sl_matrix(a, 3))), atol=1e-13
+    )

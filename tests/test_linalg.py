@@ -10,14 +10,10 @@ from hypothesis import given, strategies as st
 
 from charvar.linalg import (
     RankPolicy,
-    exact_kernel,
-    exact_rank,
     image_basis,
-    is_exact,
     kernel_basis,
     rank,
     rank_report,
-    to_exact,
 )
 
 POLICY = RankPolicy()
@@ -75,6 +71,9 @@ def test_rank_matches_exact_oracle(rows):
 def test_rank_report_gap_is_infinite_without_a_cut():
     assert rank_report(np.eye(3), POLICY).gap == np.inf
     assert rank_report(np.zeros((2, 2)), POLICY).gap == np.inf
+    # a threshold above s_max drops everything: rank 0, nothing kept
+    everything_dropped = rank_report(np.eye(2), RankPolicy(relative=2.0))
+    assert everything_dropped.rank == 0 and everything_dropped.gap == np.inf
 
 
 def test_rank_report_gap_across_a_cut():
@@ -108,19 +107,3 @@ def test_image_basis_contract():
     # every column of mat lies in the span of b
     resid = mat - b @ (b.T @ mat)
     assert np.abs(resid).max() < 1e-12
-
-
-def test_exact_path():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    mat = to_exact(rows)
-    assert is_exact(mat)
-    assert exact_rank(mat) == 1
-    kern = exact_kernel(mat)
-    assert len(kern) == 1
-    v = kern[0]
-    assert all(sum(row[j] * v[j] for j in range(2)) == 0 for row in rows)
-
-
-@given(int_matrices)
-def test_exact_rank_matches_oracle(rows):
-    assert exact_rank(to_exact(rows)) == rank_by_elimination(rows)

@@ -17,12 +17,12 @@ from charvar.pipeline import (
     request_from_text,
     verify_suite,
 )
-from charvar.reps import embed_standard, representation_to_json, triangle_group
+from charvar.reps import embed, representation_to_json, triangle_group
 
 
 @pytest.fixture(scope="module")
 def reducible_rep_file(tmp_path_factory, triangle334):
-    emb = embed_standard(triangle334)
+    emb = embed(triangle334, "standard")
     path = tmp_path_factory.mktemp("reps") / "embedded.json"
     path.write_text(json.dumps(representation_to_json(emb)))
     return str(path)
@@ -44,6 +44,19 @@ def test_embedding_resolution():
         analyze(request_from_text("D(3,3;mirror)"))
     with pytest.raises(PipelineError):
         analyze(request_from_text("S2(2,3,7)", embedding="type_preserving"))
+
+
+def test_analyze_decomposes_once(monkeypatch):
+    """The other embedding's column block is a twist of this one, so a
+    non-orientable analysis needs a single decomposition."""
+    import charvar.pipeline as pipeline
+
+    calls = []
+    real = pipeline.decompose_sl
+    monkeypatch.setattr(pipeline, "decompose_sl", lambda *args: calls.append(args) or real(*args))
+    report = analyze(request_from_text("D(3,3;mirror)", embedding="orientable"))
+    assert report.dims["d_oe"] == report.dims["d_tp"] == 1
+    assert len(calls) == 1
 
 
 def test_embedding_spelling_normalization(analyses):

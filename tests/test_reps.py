@@ -13,9 +13,7 @@ from charvar.reps import (
     build_representation,
     burnside_irreducible,
     contragredient_rep,
-    embed_orientable,
-    embed_standard,
-    embed_type_preserving,
+    embed,
     half_mirrored_disc,
     load_representation,
     lorentz_residual,
@@ -104,7 +102,7 @@ def test_mirrored_disc_contract(mirrored):
 
 
 def test_embed_standard(triangle334):
-    emb = embed_standard(triangle334)
+    emb = embed(triangle334, "standard")
     assert emb.group_tag == "SL"
     for big, small in zip(emb.matrices, triangle334.matrices):
         assert big.shape == (4, 4)
@@ -117,7 +115,7 @@ def test_embed_standard(triangle334):
 
 
 def test_embed_orientable_carries_determinant_sign(mirrored):
-    emb = embed_orientable(mirrored.rep)
+    emb = embed(mirrored.rep, "orientable")
     assert emb.group_tag == "SL"
     alpha = mirrored.rep.presentation.orientation_character
     for big, s in zip(emb.matrices, alpha):
@@ -126,7 +124,7 @@ def test_embed_orientable_carries_determinant_sign(mirrored):
 
 
 def test_embed_type_preserving_keeps_corner_one(mirrored):
-    emb = embed_type_preserving(mirrored.rep)
+    emb = embed(mirrored.rep, "type_preserving")
     assert emb.group_tag == "SLpm"
     alpha = mirrored.rep.presentation.orientation_character
     for big, s in zip(emb.matrices, alpha):
@@ -134,9 +132,24 @@ def test_embed_type_preserving_keeps_corner_one(mirrored):
         assert abs(np.linalg.det(big) - s) < 1e-9
 
 
-def test_embed_orientable_requires_a_sign_to_carry(triangle334):
+@pytest.mark.parametrize(
+    "kind, group_tag",
+    [
+        ("standard", "SLpm"),
+        ("orientable", "SL"),
+        ("type_preserving", "SL"),
+        # the classifier's retired spelling is not a kind
+        ("orientable_embed", "SL"),
+        ("orientable_embed", "SLpm"),
+    ],
+)
+def test_embed_orientable_requires_a_sign_to_carry(kind, group_tag, triangle334, mirrored):
+    """Every embedding kind takes one group tag; any other pairing, or a
+    kind outside EMBEDDINGS, is rejected."""
+    rep = triangle334 if group_tag == "SL" else mirrored.rep
+    assert rep.group_tag == group_tag
     with pytest.raises(RepError):
-        embed_orientable(triangle334)
+        embed(rep, kind)
 
 
 def test_lorentz_residual_small_for_builtin_reps(triangle334, quad):
@@ -155,6 +168,16 @@ def test_twist_rep_by_character(mirrored):
     tw = twist_rep_by_character(mirrored.rep, alpha)
     for mat, orig, s in zip(tw.matrices, mirrored.rep.matrices, alpha):
         np.testing.assert_allclose(mat, s * orig, atol=1e-14)
+
+
+def test_json_loads_legacy_scalar_mode_key(triangle334):
+    """Files written before scalar_mode was dropped still load."""
+    data = representation_to_json(triangle334)
+    assert "scalar_mode" not in data
+    data["scalar_mode"] = "matrix"
+    back = representation_from_json(data)
+    for x, y in zip(back.matrices, triangle334.matrices):
+        assert np.array_equal(x, y)
 
 
 def test_json_round_trip(triangle334, tmp_path):
