@@ -23,6 +23,7 @@ from .coeffmodules import (
     twist_by_character,
 )
 from .cohomology import (
+    BlockComplex,
     Cocycle,
     CohomologyReport,
     HDims,
@@ -33,8 +34,6 @@ from .cohomology import (
     fox_matrix,
     fundamental_pairing_matrix,
     goldman_obstruction,
-    h1_basis,
-    h_dims,
     pair_fundamental_class,
     twisted_euler,
     weil_slope,

@@ -24,14 +24,11 @@ __all__ = [
     "CoeffModuleError",
     "CoefficientModule",
     "SlDecomposition",
-    "module_from_matrices",
     "trivial_module",
     "contragredient",
     "twist_by_character",
     "adjoint_module",
     "decompose_sl",
-    "evaluate_word",
-    "alpha_signs",
     "sl_basis",
     "sl_coords",
     "sl_matrix",
@@ -96,28 +93,9 @@ class CoefficientModule:
         return out
 
 
-def evaluate_word(m: CoefficientModule, w) -> np.ndarray:
-    return m.evaluate_word(w)
-
-
 def _matrices_of(rep_or_matrices) -> tuple[np.ndarray, ...]:
     mats = getattr(rep_or_matrices, "matrices", rep_or_matrices)
     return tuple(np.asarray(m, dtype=float) for m in mats)
-
-
-def alpha_signs(rep_or_matrices) -> tuple[int, ...]:
-    """Determinant character: +1 / -1 per generator."""
-    signs = []
-    for m in _matrices_of(rep_or_matrices):
-        d = np.linalg.det(m)
-        if abs(abs(d) - 1.0) > 1e-6:
-            raise CoeffModuleError(f"generator determinant {d} is not a unit")
-        signs.append(1 if d > 0 else -1)
-    return tuple(signs)
-
-
-def module_from_matrices(label, matrices) -> CoefficientModule:
-    return CoefficientModule(label, tuple(matrices))
 
 
 def trivial_module(num_generators: int, dim: int = 1) -> CoefficientModule:
@@ -200,8 +178,9 @@ class SlDecomposition:
 
     embedded is the representation in the ambient group, built by
     reps.embed: diag(A, det A) for the orientable embedding, diag(A, 1)
-    otherwise.  Projections and inclusions work on plain (n+1) x (n+1)
-    matrices; pi_d is measured in units of D = diag(1, ..., 1, -n).
+    otherwise.  Block coordinates reach the ambient algebra through
+    inclusions; pi_d reads a plain (n+1) x (n+1) matrix in units of
+    D = diag(1, ..., 1, -n).
     """
 
     n: int
@@ -222,68 +201,34 @@ class SlDecomposition:
     def ambient_dim(self) -> int:
         return (self.n + 1) ** 2 - 1
 
-    def pi_c(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float)[: self.n, self.n].copy()
-
-    def pi_r(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float)[self.n, : self.n].copy()
-
     def pi_d(self, X) -> float:
         return -float(np.asarray(X)[self.n, self.n]) / self.n
-
-    def pi_g0(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        top = X[: self.n, : self.n].copy()
-        top += (X[self.n, self.n] / self.n) * np.eye(self.n)
-        return top
-
-    def include_c(self, v) -> np.ndarray:
-        X = np.zeros((self.n + 1, self.n + 1))
-        X[: self.n, self.n] = v
-        return X
-
-    def include_r(self, v) -> np.ndarray:
-        X = np.zeros((self.n + 1, self.n + 1))
-        X[self.n, : self.n] = v
-        return X
-
-    def include_d(self, s: float) -> np.ndarray:
-        X = s * np.eye(self.n + 1)
-        X[self.n, self.n] = -s * self.n
-        return X
-
-    def include_g0(self, A) -> np.ndarray:
-        X = np.zeros((self.n + 1, self.n + 1))
-        X[: self.n, : self.n] = A
-        return X
-
-    def to_coords(self, X) -> np.ndarray:
-        return sl_coords(X)
 
     def to_matrix(self, v) -> np.ndarray:
         return sl_matrix(v, self.n + 1)
 
-    def killing(self, X, Y) -> float:
-        return self.killing_multiplier * float(np.trace(np.asarray(X) @ np.asarray(Y)))
-
-    def cross_pairing(self, y_row, x_col) -> float:
-        """Killing form of include_r(y) against include_c(x)."""
-        return self.killing_multiplier * float(np.dot(y_row, x_col))
-
     @cached_property
     def inclusions(self) -> dict[str, np.ndarray]:
         """Inc_b for each block b: the ambient coordinates of the block's
-        basis vectors, one column each."""
+        basis vectors, one column each.  g0 fills the top-left corner, m_c
+        the last column, m_r the last row, and d spans D."""
+        n = self.n
         lifts = {
-            "g0": lambda v: self.include_g0(sl_matrix(v, self.n)),
-            "m_c": self.include_c,
-            "m_r": self.include_r,
-            "d": lambda v: self.include_d(v[0]),
+            "g0": lambda v: np.pad(sl_matrix(v, n), (0, 1)),
+            "m_c": lambda v: np.pad(v[:, None], ((0, 1), (n, 0))),
+            "m_r": lambda v: np.pad(v[None, :], ((n, 0), (0, 1))),
+            "d": lambda v: v[0] * np.diag([1.0] * n + [-float(n)]),
         }
         return {
             label: np.column_stack([sl_coords(lift(e)) for e in np.eye(getattr(self, label).dim)])
             for label, lift in lifts.items()
         }
+
+    @cached_property
+    def cross_form(self) -> np.ndarray:
+        """The Killing form pairing m_r against m_c: the row y against the
+        column x gives killing_multiplier * (y . x)."""
+        return self.killing_multiplier * np.eye(self.n)
 
     def block_equivariance(self) -> tuple[float, float]:
         """How far each block is from a submodule of full_g: the largest

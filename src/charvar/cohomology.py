@@ -5,7 +5,10 @@ image of the coboundary map v -> (gv - v)_g, and H^0 the joint fixed
 space of the generators.  H^2 is never assembled from bar-resolution
 cochains: with a boundary it vanishes, and for closed groups it is the
 fixed space of the (orientation-twisted) contragredient module, by
-duality.
+duality.  A BlockComplex factors both matrices of one coefficient block
+once; dimensions, the H^1 basis and the verify checks all read it.  The
+ambient algebra full_g = g0 + m_c + m_r + d is a direct sum of modules,
+so its row of the table is the sum of the block rows.
 
 Evaluation of a 2-cocycle against the fundamental class transgresses
 the long relator r = l_1...l_L as sum of c(l_1...l_{t-1}, l_t), then
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .coeffmodules import CoefficientModule, contragredient, twist_by_character
-from .linalg import RankPolicy, image_basis, kernel_basis, rank_report
+from .linalg import RankPolicy, kernel_basis, rank_cut
 from .presentation import GroupPresentation, Word
 
 __all__ = [
@@ -36,21 +39,23 @@ __all__ = [
     "HDims",
     "fox_matrix",
     "coboundary_matrix",
-    "h0_dim",
-    "h_dims",
+    "BlockComplex",
     "twisted_euler",
     "cup",
     "pair_fundamental_class",
     "goldman_obstruction",
     "ObstructionResult",
-    "h1_basis",
     "cocycle_from_stack",
     "weil_slope",
     "fundamental_pairing_matrix",
     "ModuleCohomology",
     "CohomologyReport",
+    "BLOCKS",
     "cohomology_report",
 ]
+
+# the coefficient blocks of the ambient algebra, in table order
+BLOCKS = ("g0", "m_c", "m_r", "d")
 
 
 class CohomologyError(ValueError):
@@ -134,14 +139,6 @@ def coboundary_matrix(pres: GroupPresentation, m: CoefficientModule) -> np.ndarr
     return out
 
 
-def h0_dim(m: CoefficientModule, policy: RankPolicy | None = None) -> int:
-    policy = policy or RankPolicy()
-    if m.num_generators == 0:
-        return 0
-    stacked = np.vstack([m.act(i + 1) - np.eye(m.dim) for i in range(m.num_generators)])
-    return kernel_basis(stacked, policy).shape[1]
-
-
 @dataclass(frozen=True)
 class HDims:
     h0: int
@@ -165,40 +162,96 @@ def _alpha_contragredient(pres: GroupPresentation, m: CoefficientModule) -> Coef
     return twist_by_character(dual, pres.orientation_character)
 
 
-def h_dims(
-    pres: GroupPresentation, m: CoefficientModule, policy: RankPolicy | None = None
-) -> HDims:
-    """H^2 by cases: boundary -> 0; closed -> fixed vectors of the
-    contragredient, twisted by the orientation character when the group is
-    non-orientable."""
-    policy = policy or RankPolicy()
-    if m.num_generators == 0:
-        return HDims(0, 0, 0, 0, 0, {"all": "degenerate"}, degenerate=True)
-    gaps = []
+class BlockComplex:
+    """C^0 -> C^1 -> C^2 of one coefficient block in low degree, each map
+    built and factored once, on first use.
 
-    fox = fox_matrix(pres, m)
-    if fox.shape[0] == 0:
-        z1 = fox.shape[1]
-    else:
-        rep = rank_report(fox, policy)
-        gaps.append(rep.gap)
-        z1 = fox.shape[1] - rep.rank
-    cob = rank_report(coboundary_matrix(pres, m), policy)
-    gaps.append(cob.gap)
-    b1 = cob.rank
-    h0 = m.dim - b1
-    h1 = z1 - b1
-    methods = {"h0": "fox", "h1": "fox"}
+    The coboundary matrix (columns span B^1) goes through one thin SVD,
+    the Fox matrix (kernel Z^1) through one full SVD; dims, the H^1 basis
+    and the verify checks all read these two factorizations.  H^2 is 0
+    with a boundary and, for a closed group, h0 of the complex of the
+    alpha-contragredient module, by duality."""
 
-    if not pres.closed:
-        h2 = 0
-        methods["h2"] = "boundary_vanishing"
-    else:
-        h2 = h0_dim(_alpha_contragredient(pres, m), policy)
-        methods["h2"] = "duality"
-    if h1 < 0:
-        raise CohomologyError(f"negative h1 = {h1}; rank policy inconsistent")
-    return HDims(h0, h1, h2, z1, b1, methods, min(gaps) if gaps else float("inf"))
+    def __init__(
+        self, pres: GroupPresentation, module: CoefficientModule, policy: RankPolicy | None = None
+    ):
+        self.pres = pres
+        self.module = module
+        self.policy = policy or RankPolicy()
+
+    @cached_property
+    def fox(self) -> np.ndarray:
+        return fox_matrix(self.pres, self.module)
+
+    @cached_property
+    def cob(self) -> np.ndarray:
+        return coboundary_matrix(self.pres, self.module)
+
+    @cached_property
+    def _z1(self) -> tuple[np.ndarray, float]:
+        if self.fox.shape[0] == 0:
+            return np.eye(self.fox.shape[1]), float("inf")
+        _, s, vt = np.linalg.svd(self.fox, full_matrices=True)
+        r, gap = rank_cut(s, self.policy)
+        return vt[r:].T, gap
+
+    @cached_property
+    def _b1(self) -> tuple[np.ndarray, float]:
+        u, s, _ = np.linalg.svd(self.cob, full_matrices=False)
+        r, gap = rank_cut(s, self.policy)
+        return u[:, :r], gap
+
+    @property
+    def z_basis(self) -> np.ndarray:
+        """Orthonormal basis of Z^1, one stacked cocycle per column."""
+        return self._z1[0]
+
+    @property
+    def h0(self) -> int:
+        return self.module.dim - self._b1[0].shape[1]
+
+    @cached_property
+    def dims(self) -> HDims:
+        m = self.module
+        if m.num_generators == 0:
+            return HDims(0, 0, 0, 0, 0, {"all": "degenerate"}, degenerate=True)
+        z1 = self.z_basis.shape[1]
+        b1 = self._b1[0].shape[1]
+        if z1 < b1:
+            raise CohomologyError(f"negative h1 = {z1 - b1}; rank policy inconsistent")
+        if self.pres.closed:
+            h2 = BlockComplex(self.pres, _alpha_contragredient(self.pres, m), self.policy).h0
+            how = "duality"
+        else:
+            h2, how = 0, "boundary_vanishing"
+        methods = {"h0": "fox", "h1": "fox", "h2": how}
+        return HDims(self.h0, z1 - b1, h2, z1, b1, methods, min(self._z1[1], self._b1[1]))
+
+    @cached_property
+    def h1_cocycles(self) -> list[Cocycle]:
+        """Orthonormal spanning set of a complement of B^1 in Z^1
+        (Euclidean inner product on stacked generator values);
+        deterministic.
+
+        B^1 sits inside Z^1, so projecting it out of the orthonormal Z^1
+        basis leaves exactly z1 - b1 directions of unit singular value;
+        the count is taken from the dimension count, never from a rank cut
+        on the projected matrix, whose noise tail reflects only the
+        relator residual of the representation."""
+        if self.module.num_generators == 0:
+            return []
+        z_basis, b_basis = self.z_basis, self._b1[0]
+        h1 = z_basis.shape[1] - b_basis.shape[1]
+        if h1 <= 0:
+            return []
+        proj = z_basis - b_basis @ (b_basis.T @ z_basis)
+        u, s, _ = np.linalg.svd(proj, full_matrices=False)
+        if s[h1 - 1] < 0.5:
+            raise CohomologyError(
+                f"complement of B1 in Z1 is numerically degenerate: "
+                f"singular value {s[h1 - 1]:.3e} at position {h1}"
+            )
+        return [cocycle_from_stack(self.module, u[:, k]) for k in range(h1)]
 
 
 def _stabilizer_invariant_dim(
@@ -354,40 +407,6 @@ def goldman_obstruction(z: Cocycle, decomposition, pres: GroupPresentation) -> O
     return ObstructionResult(pair_fundamental_class(c, pres))
 
 
-# ---------------------------------------------------------------------------
-# bases and the tangent-space check
-
-
-def h1_basis(
-    pres: GroupPresentation, m: CoefficientModule, policy: RankPolicy | None = None
-) -> list[Cocycle]:
-    """Orthonormal spanning set of a complement of B^1 in Z^1 (Euclidean
-    inner product on stacked generator values); deterministic.
-
-    B^1 sits inside Z^1, so projecting it out of an orthonormal kernel
-    basis leaves exactly z1 - b1 directions of unit singular value; the
-    count is taken from the dimension count, never from a rank cut on
-    the projected matrix, whose noise tail reflects only the relator
-    residual of the representation."""
-    policy = policy or RankPolicy()
-    if m.num_generators == 0:
-        return []
-    fox = fox_matrix(pres, m)
-    z_basis = kernel_basis(fox, policy)
-    b_basis = image_basis(coboundary_matrix(pres, m), policy)
-    h1 = z_basis.shape[1] - b_basis.shape[1]
-    if h1 <= 0:
-        return []
-    proj = z_basis - b_basis @ (b_basis.T @ z_basis)
-    u, s, _ = np.linalg.svd(proj, full_matrices=False)
-    if s[h1 - 1] < 0.5:
-        raise CohomologyError(
-            f"complement of B1 in Z1 is numerically degenerate: "
-            f"singular value {s[h1 - 1]:.3e} at position {h1}"
-        )
-    return [cocycle_from_stack(m, u[:, k]) for k in range(h1)]
-
-
 @dataclass(frozen=True)
 class ModuleCohomology:
     label: str
@@ -403,7 +422,11 @@ class ModuleCohomology:
 
 @dataclass(frozen=True)
 class CohomologyReport:
+    """One row per block, then the full_g row; complexes holds the
+    factored complex of every block, for bases and checks."""
+
     modules: tuple[ModuleCohomology, ...]
+    complexes: dict[str, BlockComplex] = field(repr=False, compare=False)
 
     def module(self, label: str) -> ModuleCohomology:
         for m in self.modules:
@@ -420,18 +443,33 @@ class CohomologyReport:
         return all(m.euler_match is not False for m in self.modules)
 
 
+def _direct_sum(rows: list[ModuleCohomology]) -> ModuleCohomology:
+    """The full_g row: every dimension and the cellular Euler
+    characteristic add over the blocks; the smallest gap is the blocks'."""
+    dims = [r.dims for r in rows]
+    total = HDims(
+        *(sum(getattr(d, f) for d in dims) for f in ("h0", "h1", "h2", "z1", "b1")),
+        methods={"h0": "direct_sum", "h1": "direct_sum", "h2": "direct_sum"},
+        min_gap=min(d.min_gap for d in dims),
+        degenerate=any(d.degenerate for d in dims),
+    )
+    cells = [r.euler_cells for r in rows]
+    return ModuleCohomology("full_g", total, None if None in cells else sum(cells))
+
+
 def cohomology_report(
-    pres: GroupPresentation, modules, policy: RankPolicy | None = None
+    pres: GroupPresentation, decomposition, policy: RankPolicy | None = None
 ) -> CohomologyReport:
-    """modules: iterable of (label, CoefficientModule); twisted Euler is
-    filled in whenever the presentation carries cells."""
+    """The table of the blocks of an SlDecomposition, one factored
+    complex each, closed by the full_g row as their direct sum; twisted
+    Euler is filled in whenever the presentation carries cells."""
     policy = policy or RankPolicy()
-    out = []
-    for label, m in modules:
-        dims = h_dims(pres, m, policy)
-        euler = twisted_euler(pres, m, policy) if pres.cells else None
-        out.append(ModuleCohomology(label, dims, euler))
-    return CohomologyReport(tuple(out))
+    complexes = {label: BlockComplex(pres, getattr(decomposition, label), policy) for label in BLOCKS}
+    rows = [
+        ModuleCohomology(label, c.dims, twisted_euler(pres, c.module, policy) if pres.cells else None)
+        for label, c in complexes.items()
+    ]
+    return CohomologyReport((*rows, _direct_sum(rows)), complexes)
 
 
 def weil_slope(

@@ -1,4 +1,4 @@
-"""Rank, kernel and image with an explicit tolerance policy.
+"""Rank and kernel with an explicit tolerance policy.
 
 Float (and complex) matrices go through the SVD.  Every numeric rank
 decision is made against a RankPolicy threaded in by the caller; there
@@ -17,8 +17,8 @@ __all__ = [
     "LinalgError",
     "rank",
     "rank_report",
+    "rank_cut",
     "kernel_basis",
-    "image_basis",
 ]
 
 
@@ -60,20 +60,25 @@ def _as_float_array(m) -> np.ndarray:
     return a
 
 
+def rank_cut(s, policy: RankPolicy) -> tuple[int, float]:
+    """Rank and gap read off descending singular values s: the values
+    above policy.threshold(s_max) are kept.  One rule for every rank
+    decision of the package."""
+    s_max = float(s[0]) if len(s) else 0.0
+    if s_max == 0.0:
+        return 0, float("inf")
+    r = int(np.sum(s > policy.threshold(s_max)))
+    if r == 0 or r == len(s) or s[r] == 0.0:
+        return r, float("inf")
+    return r, float(s[r - 1] / s[r])
+
+
 def rank_report(m, policy: RankPolicy) -> RankReport:
     a = _as_float_array(m)
     if a.size == 0:
         return RankReport(rank=0, gap=float("inf"), singular_values=())
     s = np.linalg.svd(a, compute_uv=False)
-    s_max = float(s[0]) if len(s) else 0.0
-    if s_max == 0.0:
-        return RankReport(rank=0, gap=float("inf"), singular_values=tuple(s.tolist()))
-    thr = policy.threshold(s_max)
-    r = int(np.sum(s > thr))
-    if r == 0 or r == len(s) or s[r] == 0.0:
-        gap = float("inf")
-    else:
-        gap = float(s[r - 1] / s[r])
+    r, gap = rank_cut(s, policy)
     return RankReport(rank=r, gap=gap, singular_values=tuple(float(x) for x in s))
 
 
@@ -87,19 +92,5 @@ def kernel_basis(m, policy: RankPolicy) -> np.ndarray:
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=a.dtype)
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    s_max = float(s[0]) if len(s) else 0.0
-    thr = policy.threshold(s_max) if s_max > 0 else 0.0
-    r = int(np.sum(s > thr)) if len(s) else 0
+    r, _ = rank_cut(s, policy)
     return vt[r:].conj().T
-
-
-def image_basis(m, policy: RankPolicy) -> np.ndarray:
-    """Columns form an orthonormal basis of the column space."""
-    a = _as_float_array(m)
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=float)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    s_max = float(s[0]) if len(s) else 0.0
-    thr = policy.threshold(s_max) if s_max > 0 else 0.0
-    r = int(np.sum(s > thr)) if len(s) else 0
-    return u[:, :r]

@@ -21,23 +21,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier import LocalModel, classify
-from .coeffmodules import decompose_sl, sl_matrix, twist_by_character
+from .coeffmodules import decompose_sl, twist_by_character
 from .cohomology import (
+    BLOCKS,
+    BlockComplex,
     Cocycle,
     CohomologyReport,
-    coboundary_matrix,
     cocycle_from_stack,
     cohomology_report,
     cup,
-    fox_matrix,
     fundamental_pairing_matrix,
     goldman_obstruction,
-    h1_basis,
-    h_dims,
     pair_fundamental_class,
     weil_slope,
 )
-from .linalg import RankPolicy, kernel_basis
+from .linalg import RankPolicy
 from .presentation import (
     GroupPresentation,
     OrbifoldSignature,
@@ -51,6 +49,7 @@ from .reps import (
     Representation,
     build_representation,
     burnside_irreducible,
+    commutant_dim,
     half_mirrored_disc,
     half_mirrored_disc_presentation,
     load_representation,
@@ -79,7 +78,6 @@ __all__ = [
 SCHEMA = "charvar-report/1"
 
 REP_SOURCES = ("auto", "triangle", "polygon", "file")
-MODULE_ORDER = ("g0", "m_c", "m_r", "d", "full_g")
 
 
 class PipelineError(RuntimeError):
@@ -227,74 +225,51 @@ def include_cocycle(z: Cocycle, sd) -> Cocycle:
     label = z.module.label
     if label == "full_g":
         return z
-    if label == "m_c":
-        lift = sd.include_c
-    elif label == "m_r":
-        lift = sd.include_r
-    elif label == "g0":
-        lift = lambda v: sd.include_g0(sl_matrix(v, sd.n))
-    elif label == "d":
-        lift = lambda v: sd.include_d(float(np.asarray(v).ravel()[0]))
-    else:
+    if label not in sd.inclusions:
         raise PipelineError(f"no ambient inclusion for module label {label!r}")
-    vals = tuple(sd.to_coords(lift(v)) for v in z.values)
-    return Cocycle(sd.full_g, vals)
+    inc = sd.inclusions[label]
+    return Cocycle(sd.full_g, tuple(inc @ v for v in z.values))
 
 
-def _combo(basis, module, coeffs) -> Cocycle:
+def _combo(basis, rng) -> Cocycle:
+    """A Gaussian combination of a nonempty list of cocycles."""
+    module = basis[0].module
     stack = np.zeros(module.dim * module.num_generators)
-    for c, z in zip(coeffs, basis):
+    for c, z in zip(rng.standard_normal(len(basis)), basis):
         stack += c * z.stack()
     return cocycle_from_stack(module, stack)
 
 
-def _mixed_ambient(zc: Cocycle, zr: Cocycle, sd) -> Cocycle:
-    vals = tuple(
-        sd.to_coords(sd.include_c(vc) + sd.include_r(vr))
-        for vc, vr in zip(zc.values, zr.values)
-    )
-    return Cocycle(sd.full_g, vals)
-
-
-def _obstruction_scan(pres, sd, policy, seed: int, samples: int) -> dict:
+def _obstruction_scan(pres, sd, table, seed: int, samples: int) -> dict:
     rng = np.random.default_rng(seed + 7)
-    basis_c = h1_basis(pres, sd.m_c, policy)
-    basis_r = h1_basis(pres, sd.m_r, policy)
-    basis_g0 = h1_basis(pres, sd.g0, policy)
-    basis_d = h1_basis(pres, sd.d, policy)
-    cross = sd.killing_multiplier * np.eye(sd.n)
+    basis_c = table.complexes["m_c"].h1_cocycles
+    basis_r = table.complexes["m_r"].h1_cocycles
     pairs = []
     if basis_c and basis_r:
         attempts = 0
         while len(pairs) < samples and attempts < 6 * samples:
             attempts += 1
-            zc = _combo(basis_c, sd.m_c, rng.standard_normal(len(basis_c)))
-            zr = _combo(basis_r, sd.m_r, rng.standard_normal(len(basis_r)))
-            z = _mixed_ambient(zc, zr, sd)
+            zc = _combo(basis_c, rng)
+            zr = _combo(basis_r, rng)
+            z = cocycle_from_stack(
+                sd.full_g, include_cocycle(zc, sd).stack() + include_cocycle(zr, sd).stack()
+            )
             o = goldman_obstruction(z, sd, pres).value
             # the row block against the column block through the invariant
             # form; the self-pairing of z vanishes by graded antisymmetry
-            q = pair_fundamental_class(cup(zr, zc, cross), pres)
+            q = pair_fundamental_class(cup(zr, zc, sd.cross_form), pres)
             if abs(q) < 1e-10:
                 continue
             pairs.append((o, q))
     scale = max([1.0] + [abs(q) for _, q in pairs] + [abs(o) for o, _ in pairs])
 
-    def pure_max(basis, module, lift):
-        worst = 0.0
-        for _ in range(3):
-            z = _combo(basis, module, rng.standard_normal(len(basis)))
-            vals = tuple(sd.to_coords(lift(v)) for v in z.values)
-            amb = Cocycle(sd.full_g, vals)
-            worst = max(worst, abs(goldman_obstruction(amb, sd, pres).value))
-        return worst
+    def pure_max(label):
+        basis = table.complexes[label].h1_cocycles
+        lifts = [include_cocycle(_combo(basis, rng), sd) for _ in range(3)] if basis else []
+        return max((abs(goldman_obstruction(z, sd, pres).value) for z in lifts), default=0.0)
 
-    g0_max = pure_max(basis_g0, sd.g0, lambda v: sd.include_g0(sl_matrix(v, sd.n))) if basis_g0 else 0.0
-    d_max = (
-        pure_max(basis_d, sd.d, lambda v: sd.include_d(float(np.asarray(v).ravel()[0])))
-        if basis_d
-        else 0.0
-    )
+    g0_max = pure_max("g0")
+    d_max = pure_max("d")
 
     ratios = [o / q for o, q in pairs]
     out = {
@@ -371,21 +346,15 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     embedded = sd.embedded
     res_emb = embedded.relator_residual
     check("relator-residual-embedded", res_emb <= embedded.residual_bound, res_emb)
-    emb_burn = burnside_irreducible(embedded.matrices, policy)
-    check(
-        "embedded-commutant",
-        emb_burn.commutant_dim == 2,
-        float(emb_burn.commutant_dim),
-        "two blocks",
-    )
+    emb_commutant = commutant_dim(embedded.matrices, policy)
+    check("embedded-commutant", emb_commutant == 2, float(emb_commutant), "two blocks")
 
     equivariance, bound = sd.block_equivariance()
     check("block-equivariance", equivariance <= bound, equivariance, f"bound {bound:.1e}")
 
-    table = cohomology_report(
-        pres, [(label, getattr(sd, label)) for label in MODULE_ORDER], policy
-    )
-    for mod in table.modules:
+    # full_g's row is the block sum, so its Euler gate would repeat theirs
+    table = cohomology_report(pres, sd, policy)
+    for mod in map(table.module, BLOCKS):
         if mod.euler_cells is not None:
             diff = abs(mod.dims.euler - mod.euler_cells)
             check(
@@ -414,7 +383,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     else:
         # the other embedding's column block differs by the orientation twist
         other_m_c = twist_by_character(sd.m_c, pres.orientation_character)
-        d_other = h_dims(pres, other_m_c, policy).h1
+        d_other = BlockComplex(pres, other_m_c, policy).dims.h1
         d_oe = d_here if emb == "orientable" else d_other
         d_tp = d_here if emb == "type_preserving" else d_other
         f = pres.full_boundary_count
@@ -424,7 +393,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 
     obstruction = None
     if orientable and pres.closed:
-        obstruction = _obstruction_scan(pres, sd, policy, req.seed, req.obstruction_samples)
+        obstruction = _obstruction_scan(pres, sd, table, req.seed, req.obstruction_samples)
         scale = obstruction["scale"]
         if obstruction["ratios"]:
             check(
@@ -459,7 +428,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         irreducibility={
             "base": base_burn,
             "cover": cover_burn,
-            "embedded_commutant": emb_burn.commutant_dim,
+            "embedded_commutant": emb_commutant,
         },
         cohomology=table,
         dims=dims,
@@ -477,31 +446,37 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 def _extra_checks(pres, rep, sd, table, policy, seed) -> list[LedgerEntry]:
     entries: list[LedgerEntry] = []
     rng = np.random.default_rng(seed + 23)
+    # full_g's own complex, the one place it is factored: it audits the
+    # block sum and carries the Weil directions, which lifted block
+    # cocycles cannot (a pure m_c or m_r cocycle integrates exactly)
+    complexes = {**table.complexes, "full_g": BlockComplex(pres, sd.full_g, policy)}
 
     worst = 0.0
-    for label in MODULE_ORDER:
-        m = getattr(sd, label)
-        fox = fox_matrix(pres, m)
-        cob = coboundary_matrix(pres, m)
-        prod = fox @ cob
+    for c in complexes.values():
+        prod = c.fox @ c.cob
         if prod.size:
-            scale = max(1.0, float(np.abs(fox).max()) * float(np.abs(cob).max()))
+            scale = max(1.0, float(np.abs(c.fox).max()) * float(np.abs(c.cob).max()))
             worst = max(worst, float(np.abs(prod).max()) / scale)
     entries.append(
         LedgerEntry("fox-coboundary-exactness", worst <= 1e-11, worst, "B1 inside Z1")
     )
 
+    fields = ("h0", "h1", "h2", "z1", "b1")
+    direct = [getattr(complexes["full_g"].dims, f) for f in fields]
+    summed = [getattr(table.module("full_g").dims, f) for f in fields]
+    off = sum(abs(a - b) for a, b in zip(direct, summed))
+    entries.append(
+        LedgerEntry("full-g-direct-sum", off == 0, float(off), f"direct {direct} vs block sum {summed}")
+    )
+
     res = 0.0
-    bases = {}
-    for label in MODULE_ORDER:
-        m = getattr(sd, label)
-        bases[label] = h1_basis(pres, m, policy)
-        for z in bases[label]:
+    for c in complexes.values():
+        for z in c.h1_cocycles:
             res = max(res, z.fox_residual(pres))
     entries.append(LedgerEntry("h1-cocycle-residual", res <= 1e-8, res))
 
     slopes = []
-    for z in bases["full_g"]:
+    for z in complexes["full_g"].h1_cocycles:
         zmats = [sd.to_matrix(v) for v in z.values]
         slope, _ = weil_slope(sd.hat_matrices, pres.relators, zmats)
         slopes.append(slope)
@@ -514,21 +489,19 @@ def _extra_checks(pres, rep, sd, table, policy, seed) -> list[LedgerEntry]:
         )
 
     if pres.closed and pres.orientable:
-        entries.extend(_closed_orientable_checks(pres, rep, sd, bases, rng))
+        entries.extend(_closed_orientable_checks(pres, rep, sd, table, rng))
     return entries
 
 
-def _closed_orientable_checks(pres, rep, sd, bases, rng) -> list[LedgerEntry]:
+def _closed_orientable_checks(pres, rep, sd, table, rng) -> list[LedgerEntry]:
     entries: list[LedgerEntry] = []
-    basis_c = bases["m_c"]
-    basis_r = bases["m_r"]
+    basis_c = table.complexes["m_c"].h1_cocycles
+    basis_r = table.complexes["m_r"].h1_cocycles
     n = sd.n
 
     scale = 1.0
     if basis_c and basis_r:
-        cross = fundamental_pairing_matrix(
-            pres, basis_r, basis_c, sd.killing_multiplier * np.eye(n)
-        )
+        cross = fundamental_pairing_matrix(pres, basis_r, basis_c, sd.cross_form)
         sv = np.linalg.svd(cross, compute_uv=False)
         scale = max(1.0, float(sv.max()))
         entries.append(
@@ -546,8 +519,8 @@ def _closed_orientable_checks(pres, rep, sd, bases, rng) -> list[LedgerEntry]:
         J = np.diag([1.0, 1.0, -1.0])
         worst = 0.0
         for _ in range(4):
-            z1 = _combo(basis_c, sd.m_c, rng.standard_normal(len(basis_c)))
-            z2 = _combo(basis_c, sd.m_c, rng.standard_normal(len(basis_c)))
+            z1 = _combo(basis_c, rng)
+            z2 = _combo(basis_c, rng)
             a = pair_fundamental_class(cup(z1, z2, J), pres)
             b = pair_fundamental_class(cup(z2, z1, J), pres)
             worst = max(worst, abs(a + b) / max(1.0, abs(a), abs(b)))
@@ -557,8 +530,8 @@ def _closed_orientable_checks(pres, rep, sd, bases, rng) -> list[LedgerEntry]:
     # one block against a genuine cocycle of the dual block
     worst = 0.0
     mc, mr = sd.m_c, sd.m_r
-    z1_r = kernel_basis(fox_matrix(pres, mr), RankPolicy())
-    pair = sd.killing_multiplier * np.eye(n)
+    z1_r = table.complexes["m_r"].z_basis
+    pair = sd.cross_form
     for _ in range(4):
         v = rng.standard_normal(n)
         cob = Cocycle(

@@ -47,9 +47,8 @@ __all__ = [
     "half_mirrored_disc",
     "EMBEDDINGS",
     "embed",
-    "twist_rep_by_character",
-    "contragredient_rep",
     "burnside_irreducible",
+    "commutant_dim",
     "lorentz_residual",
     "representation_to_json",
     "representation_from_json",
@@ -250,12 +249,17 @@ def burnside_irreducible(rep_or_matrices, policy: RankPolicy | None = None) -> B
         basis = [vt[i].reshape(n, n) for i in range(new_dim)]
         dim = new_dim
 
-    rows = []
-    eye = np.eye(n)
-    for m in mats:
-        rows.append(np.kron(eye, m) - np.kron(m.T, eye))
-    commutant = kernel_basis(np.vstack(rows).astype(complex), policy).shape[1]
-    return BurnsideReport(dim == n * n, dim, commutant)
+    return BurnsideReport(dim == n * n, dim, commutant_dim(mats, policy))
+
+
+def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
+    """Dimension over C of {X : XM = MX for every M}: the kernel of the
+    vectorized Sylvester system."""
+    policy = policy or RankPolicy()
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    eye = np.eye(mats[0].shape[0])
+    rows = [np.kron(eye, m) - np.kron(m.T, eye) for m in mats]
+    return kernel_basis(np.vstack(rows), policy).shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +499,12 @@ def _mirrored_disc(orders, seed: int = 0) -> Representation:
     _require_hyperbolic(sig)
     s = np.diag([1.0, -1.0, 1.0])
     c = len(orders)
+    if 2 * c > 9:
+        # least squares needs at least as many residuals as unknowns
+        raise BuildError(
+            f"mirrored-disc builder takes at most 4 cone points: {2 * c} "
+            f"unknowns against 9 residuals for {orders}"
+        )
 
     def gens_of(params):
         return [
@@ -706,41 +716,6 @@ def embed(rep: Representation, kind: str) -> Representation:
     return Representation(
         rep.presentation, tuple(mats), "SLpm" if kind == "type_preserving" else "SL",
         rep.lineage + (f"embed:{kind}",), rep.residual_bound,
-    )
-
-
-def twist_rep_by_character(rep: Representation, chars) -> Representation:
-    chars = tuple(chars)
-    if any(c not in (1, -1) for c in chars) or len(chars) != rep.num_generators:
-        raise RepError("character must assign +1 or -1 to each generator")
-    for r in rep.presentation.relators:
-        val = 1
-        for x in r:
-            val *= chars[abs(x) - 1]
-        if val != 1:
-            raise RepError(f"character is not trivial on relator {r}")
-    mats = tuple(c * m for c, m in zip(chars, rep.matrices))
-    tag = rep.group_tag
-    if rep.n % 2 == 1 and any(c == -1 for c in chars):
-        # odd size flips determinants; the twisted rep is type preserving
-        # only if the character pattern matches, so recompute the tag
-        dets = [np.linalg.det(m) for m in mats]
-        alpha = rep.presentation.orientation_character
-        if all(d > 0 for d in dets):
-            tag = "SL"
-        elif all(np.sign(d) == a for d, a in zip(dets, alpha)):
-            tag = "SLpm"
-        else:
-            raise RepError("twist produces determinant signs matching neither convention")
-    return Representation(
-        rep.presentation, mats, tag, rep.lineage + ("twist",), rep.residual_bound,
-    )
-
-
-def contragredient_rep(rep: Representation) -> Representation:
-    mats = tuple(np.linalg.inv(m).T for m in rep.matrices)
-    return Representation(
-        rep.presentation, mats, rep.group_tag, rep.lineage + ("contragredient",), rep.residual_bound,
     )
 
 

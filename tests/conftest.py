@@ -16,6 +16,22 @@ from charvar.reps import build_representation
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
+# every input of `charvar examples` and of the benchmark workloads
+ORIENTABLE_INPUTS = (
+    "S2(2,3,7)",
+    "S2(3,3,3,3)",
+    "S2(3,3,3,3,3)",
+    "S2(3,3,3,3,3,3,3)",
+    "O(g=2)",
+    "O(g=1;cone=[3])",
+    "O(g=2;b=2;cone=[3,5])",
+    "D2(3,3)",
+)
+NONORIENTABLE_INPUTS = ("D(3,3;mirror)", "D(3,3,3;mirror)", "N(k=2;b=1;cone=[3])", "HD(3)", "HD(5)")
+EVERY_INPUT = [(t, "standard") for t in ORIENTABLE_INPUTS] + [
+    (t, e) for t in NONORIENTABLE_INPUTS for e in ("orientable", "type_preserving")
+]
+
 
 @pytest.fixture(scope="session")
 def triangle334():

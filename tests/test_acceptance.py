@@ -17,18 +17,24 @@ import numpy as np
 import pytest
 
 from charvar.cohomology import (
+    BlockComplex,
     TwoCocycle,
     coboundary_matrix,
     cocycle_from_stack,
     cup,
     fox_matrix,
     fundamental_pairing_matrix,
-    h1_basis,
     pair_fundamental_class,
 )
 from charvar.linalg import RankPolicy, kernel_basis
 from charvar.presentation import parse_signature
-from charvar.reps import burnside_irreducible, embed, triangle_group
+from charvar.reps import (
+    burnside_irreducible,
+    commutant_dim,
+    embed,
+    half_mirrored_disc,
+    triangle_group,
+)
 
 POLICY = RankPolicy()
 
@@ -135,8 +141,8 @@ def test_criterion_05_duality_pairing_nondegenerate(setups):
     worst_ratio = 1.0
     for text in ("S2(3,3,3,3)", "O(g=1;cone=[2])", "O(g=2)"):
         s = setups(text)
-        left = h1_basis(s.pres, s.sd.m_r, POLICY)
-        right = h1_basis(s.pres, s.sd.m_c, POLICY)
+        left = BlockComplex(s.pres, s.sd.m_r, POLICY).h1_cocycles
+        right = BlockComplex(s.pres, s.sd.m_c, POLICY).h1_cocycles
         assert len(left) == len(right), text
         if not left:
             continue
@@ -279,6 +285,19 @@ def test_criterion_10_irreducibility_verdicts(triangle334):
     report_line(
         10, True, "triangle algebra 9; embedded commutant 2 (matches oracle); SO(2) reducible"
     )
+
+
+@pytest.mark.parametrize("text, embedding", ALL_FIXTURES)
+def test_embedded_commutant_matches_oracle(analyses, setups, text, embedding):
+    """The embedded-commutant gate reads commutant_dim alone; it must agree
+    with the Sylvester-system oracle and with the full Burnside report."""
+    report = analyses(text, embedding, checks=("all",))
+    if text.startswith("HD("):
+        embedded = list(embed(half_mirrored_disc(int(text[3:-1])), embedding).matrices)
+    else:
+        embedded = list(setups(text, report.embedding).sd.embedded.matrices)
+    assert report.irreducibility["embedded_commutant"] == commutation_system_nullity(embedded) == 2
+    assert commutant_dim(embedded, POLICY) == burnside_irreducible(embedded, POLICY).commutant_dim
 
 
 def test_criterion_11_weil_first_order(analyses):

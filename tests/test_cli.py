@@ -121,3 +121,12 @@ def test_invalid_environment_seed_exit_one(capsys, monkeypatch):
     rc, _, err = run(["analyze", "S2(3,3,4)", "--json"], capsys)
     assert rc == 1
     assert "CHARVAR_SEED" in err
+
+
+def test_underdetermined_mirrored_disc_fails_closed(capsys):
+    """Five cone points give the mirrored-disc builder 10 unknowns against
+    9 residuals: a named build error, not a solver traceback."""
+    rc, out, err = run(["verify", "D(3,3,3,3,3;mirror)", "--embed", "orientable"], capsys)
+    assert rc == 1
+    assert "error:" in err
+    assert "Traceback" not in out + err

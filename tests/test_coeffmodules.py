@@ -11,17 +11,19 @@ from hypothesis import given, strategies as st
 
 from charvar.coeffmodules import (
     CoeffModuleError,
-    alpha_signs,
+    CoefficientModule,
     contragredient,
     decompose_sl,
-    module_from_matrices,
+    sl_basis,
     sl_coords,
     sl_matrix,
     trivial_module,
     twist_by_character,
 )
+from charvar.cohomology import BLOCKS
 from charvar.presentation import parse_signature
 from charvar.reps import build_representation, embed, half_mirrored_disc
+from conftest import EVERY_INPUT, NONORIENTABLE_INPUTS
 
 short_words = st.lists(
     st.integers(-3, 3).filter(lambda x: x != 0), min_size=0, max_size=6
@@ -42,26 +44,36 @@ def test_block_dimensions(sd):
 
 
 def test_inclusions_and_projections_are_sections(sd):
+    """Inc_b puts g0 in the top-left corner, m_c in the last column, m_r
+    in the last row and d along D = diag(1, 1, 1, -3), where pi_d reads it
+    back; together the four blocks are a basis of the ambient algebra."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(3)
-    np.testing.assert_allclose(sd.pi_c(sd.include_c(v)), v, atol=1e-14)
-    np.testing.assert_allclose(sd.pi_r(sd.include_r(v)), v, atol=1e-14)
-    assert sd.pi_d(sd.include_d(0.7)) == pytest.approx(0.7)
     a = rng.standard_normal((3, 3))
     a -= np.trace(a) / 3 * np.eye(3)
-    np.testing.assert_allclose(sd.pi_g0(sd.include_g0(a)), a, atol=1e-14)
-    # blocks are disjoint
-    np.testing.assert_allclose(sd.pi_r(sd.include_c(v)), 0, atol=1e-14)
-    assert sd.pi_d(sd.include_c(v)) == 0.0
+    expect = {"g0": np.zeros((4, 4)), "m_c": np.zeros((4, 4)), "m_r": np.zeros((4, 4))}
+    expect["g0"][:3, :3] = a
+    expect["m_c"][:3, 3] = v
+    expect["m_r"][3, :3] = v
+    coords = {"g0": sl_coords(a), "m_c": v, "m_r": v}
+    for label, x in expect.items():
+        np.testing.assert_allclose(sd.to_matrix(sd.inclusions[label] @ coords[label]), x, atol=1e-14)
+        assert sd.pi_d(x) == 0.0
+    lifted_d = sd.to_matrix(sd.inclusions["d"] @ [0.7])
+    np.testing.assert_allclose(lifted_d, 0.7 * np.diag([1.0, 1.0, 1.0, -3.0]), atol=1e-14)
+    assert sd.pi_d(lifted_d) == pytest.approx(0.7)
+    stacked = np.hstack([sd.inclusions[label] for label in BLOCKS])
+    assert stacked.shape == (15, 15)
+    assert np.linalg.matrix_rank(stacked) == 15
 
 
 def test_coordinate_round_trip(sd):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 4))
     x -= np.trace(x) / 4 * np.eye(4)
-    np.testing.assert_allclose(sd.to_matrix(sd.to_coords(x)), x, atol=1e-13)
+    np.testing.assert_allclose(sd.to_matrix(sl_coords(x)), x, atol=1e-13)
     v = rng.standard_normal(15)
-    np.testing.assert_allclose(sd.to_coords(sd.to_matrix(v)), v, atol=1e-13)
+    np.testing.assert_allclose(sl_coords(sd.to_matrix(v)), v, atol=1e-13)
 
 
 def test_sl_coords_forces_trace_zero(sd):
@@ -75,14 +87,20 @@ def test_sl_coords_forces_trace_zero(sd):
 
 
 def test_killing_form_is_scaled_trace_form(sd):
+    """tr(ad X ad Y) = killing_multiplier tr(XY) on the ambient algebra,
+    the scale the cross form carries."""
     rng = np.random.default_rng(2)
+
+    def ad(x):
+        return np.column_stack([sl_coords(x @ b - b @ x) for b in sl_basis(4)])
+
     for _ in range(5):
         x = rng.standard_normal((4, 4))
         y = rng.standard_normal((4, 4))
         x -= np.trace(x) / 4 * np.eye(4)
         y -= np.trace(y) / 4 * np.eye(4)
-        # Killing form of the traceless algebra in dimension m is 2m tr(XY)
-        assert sd.killing(x, y) == pytest.approx(8.0 * np.trace(x @ y), rel=1e-12)
+        killing = np.trace(ad(x) @ ad(y))
+        assert killing == pytest.approx(sd.killing_multiplier * np.trace(x @ y), rel=1e-10)
 
 
 @given(short_words, short_words)
@@ -101,11 +119,11 @@ def test_cross_pairing_is_invariant(sd):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(3)
     y = rng.standard_normal(3)
-    base = sd.cross_pairing(y, x)
+    base = y @ sd.cross_form @ x
     for w in ((1,), (2, 3), (1, -2, 3), (-3, -3)):
         xa = sd.m_c.evaluate_word(w) @ x
         ya = sd.m_r.evaluate_word(w) @ y
-        assert sd.cross_pairing(ya, xa) == pytest.approx(base, rel=1e-10)
+        assert ya @ sd.cross_form @ xa == pytest.approx(base, rel=1e-10)
 
 
 def test_column_and_row_actions_match_conjugation(sd, triangle334):
@@ -114,10 +132,10 @@ def test_column_and_row_actions_match_conjugation(sd, triangle334):
     v = rng.standard_normal(3)
     for w in ((1,), (3,), (1, 2)):
         g = sd.full_g.evaluate_word(w)
-        lifted = sd.to_matrix(g @ sd.to_coords(sd.include_c(v)))
-        np.testing.assert_allclose(sd.pi_c(lifted), sd.m_c.evaluate_word(w) @ v, atol=1e-10)
-        lifted_r = sd.to_matrix(g @ sd.to_coords(sd.include_r(v)))
-        np.testing.assert_allclose(sd.pi_r(lifted_r), sd.m_r.evaluate_word(w) @ v, atol=1e-10)
+        lifted = sd.to_matrix(g @ sd.inclusions["m_c"] @ v)
+        np.testing.assert_allclose(lifted[:3, 3], sd.m_c.evaluate_word(w) @ v, atol=1e-10)
+        lifted_r = sd.to_matrix(g @ sd.inclusions["m_r"] @ v)
+        np.testing.assert_allclose(lifted_r[3, :3], sd.m_r.evaluate_word(w) @ v, atol=1e-10)
 
 
 def test_full_g_action_is_adjoint(sd):
@@ -125,7 +143,7 @@ def test_full_g_action_is_adjoint(sd):
     x = rng.standard_normal((4, 4))
     x -= np.trace(x) / 4 * np.eye(4)
     for i, hat in enumerate(sd.hat_matrices):
-        acted = sd.to_matrix(sd.full_g.evaluate_word((i + 1,)) @ sd.to_coords(x))
+        acted = sd.to_matrix(sd.full_g.evaluate_word((i + 1,)) @ sl_coords(x))
         np.testing.assert_allclose(acted, hat @ x @ np.linalg.inv(hat), atol=1e-10)
 
 
@@ -152,21 +170,15 @@ def test_twist_by_character(sd):
         np.testing.assert_allclose(tw.action[i], s * m.action[i], atol=1e-14)
 
 
-def test_alpha_signs(triangle334, mirrored):
-    assert alpha_signs(triangle334) == (1, 1, 1)
-    signs = alpha_signs(mirrored.rep)
-    assert set(signs) == {1, -1}
-
-
-def test_module_from_matrices_validates():
-    good = module_from_matrices("custom", [np.eye(2), 2 * np.eye(2)])
+def test_coefficient_module_validates():
+    good = CoefficientModule("custom", (np.eye(2), 2 * np.eye(2)))
     assert good.dim == 2
     with pytest.raises(CoeffModuleError):
-        module_from_matrices("no-such-label", [np.eye(2)])
+        CoefficientModule("no-such-label", (np.eye(2),))
     with pytest.raises(CoeffModuleError):
-        module_from_matrices("custom", [np.eye(2), np.eye(3)])
+        CoefficientModule("custom", (np.eye(2), np.eye(3)))
     with pytest.raises(CoeffModuleError):
-        module_from_matrices("custom", [np.zeros((2, 2))])
+        CoefficientModule("custom", (np.zeros((2, 2)),))
 
 
 def test_hat_matrices_match_type_preserving_embedding(mirrored):
@@ -180,25 +192,12 @@ def test_decompose_sl_twist_for_orientable_model(setups):
     twisted by the determinant character relative to type-preserving."""
     tp = setups("D(3,3;mirror)", "type_preserving")
     oe = setups("D(3,3;mirror)", "orientable")
-    signs = alpha_signs(tp.rep)
+    signs = tp.pres.orientation_character
+    assert set(signs) == {1, -1}
     for i, s in enumerate(signs):
         np.testing.assert_allclose(
             oe.sd.m_c.action[i], s * tp.sd.m_c.action[i], atol=1e-12
         )
-
-
-# every input of `charvar examples` and of the benchmark workloads
-ORIENTABLE_INPUTS = (
-    "S2(2,3,7)",
-    "S2(3,3,3,3)",
-    "S2(3,3,3,3,3)",
-    "S2(3,3,3,3,3,3,3)",
-    "O(g=2)",
-    "O(g=1;cone=[3])",
-    "O(g=2;b=2;cone=[3,5])",
-    "D2(3,3)",
-)
-NONORIENTABLE_INPUTS = ("D(3,3;mirror)", "D(3,3,3;mirror)", "N(k=2;b=1;cone=[3])", "HD(3)", "HD(5)")
 
 
 @pytest.fixture(scope="module")
@@ -216,11 +215,7 @@ def reps_by_text():
     return get
 
 
-@pytest.mark.parametrize(
-    "text, embedding",
-    [(t, "standard") for t in ORIENTABLE_INPUTS]
-    + [(t, e) for t in NONORIENTABLE_INPUTS for e in ("orientable", "type_preserving")],
-)
+@pytest.mark.parametrize("text, embedding", EVERY_INPUT)
 def test_block_equivariance_holds_on_every_input(reps_by_text, text, embedding):
     sd = decompose_sl(reps_by_text(text), embedding)
     value, bound = sd.block_equivariance()
@@ -236,16 +231,3 @@ def test_block_equivariance_catches_the_wrong_twist(reps_by_text, text, embeddin
     wrong = replace(decompose_sl(rep, embedding), m_c=decompose_sl(rep, other).m_c)
     value, bound = wrong.block_equivariance()
     assert value > 1e3 * bound
-
-
-def test_block_inclusions_match_the_include_maps(sd):
-    """Inc_b maps block coordinates to the ambient coordinates of include_b."""
-    rng = np.random.default_rng(6)
-    v = rng.standard_normal(3)
-    np.testing.assert_allclose(sd.inclusions["m_c"] @ v, sd.to_coords(sd.include_c(v)), atol=1e-14)
-    np.testing.assert_allclose(sd.inclusions["m_r"] @ v, sd.to_coords(sd.include_r(v)), atol=1e-14)
-    np.testing.assert_allclose(sd.inclusions["d"] @ [0.7], sd.to_coords(sd.include_d(0.7)), atol=1e-14)
-    a = rng.standard_normal(8)
-    np.testing.assert_allclose(
-        sd.inclusions["g0"] @ a, sd.to_coords(sd.include_g0(sl_matrix(a, 3))), atol=1e-13
-    )

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charvar.cohomology import (
+    BLOCKS,
+    BlockComplex,
     Cocycle,
     CohomologyError,
     TwoCocycle,
@@ -23,14 +25,11 @@ from charvar.cohomology import (
     fox_matrix,
     fundamental_pairing_matrix,
     goldman_obstruction,
-    h0_dim,
-    h1_basis,
-    h_dims,
     pair_fundamental_class,
     twisted_euler,
     weil_slope,
 )
-from charvar.coeffmodules import module_from_matrices, trivial_module
+from charvar.coeffmodules import CoefficientModule, trivial_module
 from charvar.linalg import RankPolicy, kernel_basis
 from charvar.presentation import (
     parse_signature,
@@ -86,7 +85,7 @@ def test_fox_matrix_hand_computed_commutator():
     # d/da = 1 - a b a^-1       = 1 - 3  = -2
     # d/db = a - a b a^-1 b^-1  = 2 - 1  =  1
     pres = presentation_from_raw(("a", "b"), [(1, 2, -1, -2)])
-    m = module_from_matrices("custom", [np.array([[2.0]]), np.array([[3.0]])])
+    m = CoefficientModule("custom", (np.array([[2.0]]), np.array([[3.0]])))
     np.testing.assert_allclose(fox_matrix(pres, m), [[-2.0, 1.0]], atol=1e-14)
 
 
@@ -94,7 +93,7 @@ def test_fox_matrix_hand_computed_torsion_power():
     # r = x^3: the Fox derivative is 1 + x + x^2
     pres = presentation_from_raw(("x",), [(1, 1, 1)], torsion_orders={1: 3})
     mat = np.array([[0.0, 1.0], [-1.0, -1.0]])  # order 3
-    m = module_from_matrices("custom", [mat])
+    m = CoefficientModule("custom", (mat,))
     np.testing.assert_allclose(
         fox_matrix(pres, m), np.eye(2) + mat + mat @ mat, atol=1e-14
     )
@@ -130,42 +129,43 @@ def test_cocycle_inverse_word_rule(quad):
         np.testing.assert_allclose(z.on_word(inv), expected, atol=1e-10)
 
 
-def test_h0_trivial_module(quad):
-    assert h0_dim(trivial_module(4), POLICY) == 1
-    assert h0_dim(quad.sd.m_c, POLICY) == 0
+def test_complex_h0_trivial_module(quad):
+    assert BlockComplex(quad.pres, trivial_module(4), POLICY).h0 == 1
+    assert BlockComplex(quad.pres, quad.sd.m_c, POLICY).h0 == 0
 
 
-def test_h_dims_frozen_triangle(triangle334):
+def test_complex_dims_frozen_triangle(triangle334):
     from charvar.coeffmodules import decompose_sl
 
     pres = presentation_of(parse_signature("S2(3,3,4)"))
     sd = decompose_sl(triangle334, "standard")
     expect = {"g0": (0, 2, 0), "m_c": (0, 0, 0), "m_r": (0, 0, 0), "d": (1, 0, 1)}
     for label, dims in expect.items():
-        hd = h_dims(pres, getattr(sd, label), POLICY)
+        hd = BlockComplex(pres, getattr(sd, label), POLICY).dims
         assert (hd.h0, hd.h1, hd.h2) == dims
         assert hd.methods["h2"] == "duality"
 
 
-def test_h_dims_frozen_quadrilateral(quad):
+def test_complex_dims_frozen_quadrilateral(quad):
     expect = {"g0": (0, 8, 0), "m_c": (0, 2, 0), "m_r": (0, 2, 0), "d": (1, 0, 1)}
     for label, dims in expect.items():
-        hd = h_dims(quad.pres, getattr(quad.sd, label), POLICY)
+        hd = BlockComplex(quad.pres, getattr(quad.sd, label), POLICY).dims
         assert (hd.h0, hd.h1, hd.h2) == dims
 
 
-def test_h_dims_boundary_h2_vanishes(setups):
+def test_complex_boundary_h2_vanishes(setups):
     bnd = setups("D2(3,3)")
-    hd = h_dims(bnd.pres, bnd.sd.m_c, POLICY)
+    hd = BlockComplex(bnd.pres, bnd.sd.m_c, POLICY).dims
     assert hd.h2 == 0
     assert hd.methods["h2"] == "boundary_vanishing"
 
 
-def test_h_dims_degenerate_no_generators():
+def test_complex_degenerate_no_generators():
     pres = presentation_from_raw((), [])
-    hd = h_dims(pres, trivial_module(0), POLICY)
-    assert (hd.h0, hd.h1, hd.h2) == (0, 0, 0)
-    assert hd.degenerate
+    block = BlockComplex(pres, trivial_module(0), POLICY)
+    assert (block.dims.h0, block.dims.h1, block.dims.h2) == (0, 0, 0)
+    assert block.dims.degenerate
+    assert block.h1_cocycles == []
 
 
 def test_twisted_euler_trivial_coefficients_recovers_underlying_space():
@@ -179,7 +179,7 @@ def test_twisted_euler_trivial_coefficients_recovers_underlying_space():
 def test_twisted_euler_matches_alternating_sum(quad):
     for label in ("g0", "m_c", "m_r", "d", "full_g"):
         m = getattr(quad.sd, label)
-        hd = h_dims(quad.pres, m, POLICY)
+        hd = BlockComplex(quad.pres, m, POLICY).dims
         assert twisted_euler(quad.pres, m, POLICY) == hd.euler
 
 
@@ -241,10 +241,10 @@ def test_cup_accepts_matrix_and_callable_forms(quad):
         cup(z1, z2, np.eye(2))
 
 
-def test_h1_basis_counts_and_residuals(quad):
+def test_complex_h1_basis_counts_and_residuals(quad):
     counts = {"g0": 8, "m_c": 2, "m_r": 2, "d": 0}
     for label, expected in counts.items():
-        basis = h1_basis(quad.pres, getattr(quad.sd, label), POLICY)
+        basis = BlockComplex(quad.pres, getattr(quad.sd, label), POLICY).h1_cocycles
         assert len(basis) == expected
         for z in basis:
             assert z.fox_residual(quad.pres) < 1e-8
@@ -269,14 +269,14 @@ def test_goldman_obstruction_needs_ambient_coordinates(quad):
 
 def test_goldman_obstruction_pure_blocks_vanish(quad):
     for label in ("g0", "d"):
-        basis = h1_basis(quad.pres, getattr(quad.sd, label), POLICY)
+        basis = BlockComplex(quad.pres, getattr(quad.sd, label), POLICY).h1_cocycles
         for z in basis:
             lifted = include_cocycle(z, quad.sd)
             assert goldman_obstruction(lifted, quad.sd, quad.pres).value == 0.0
 
 
 def test_weil_slope_is_two_for_genuine_cocycles(quad):
-    basis = h1_basis(quad.pres, quad.sd.full_g, POLICY)
+    basis = BlockComplex(quad.pres, quad.sd.full_g, POLICY).h1_cocycles
     assert basis
     for z in basis[:3]:
         deformations = [quad.sd.to_matrix(v) for v in z.values]
@@ -298,8 +298,8 @@ def test_weil_slope_is_one_for_non_cocycles(quad):
 
 
 def test_fundamental_pairing_matrix_nondegenerate(quad):
-    left = h1_basis(quad.pres, quad.sd.m_r, POLICY)
-    right = h1_basis(quad.pres, quad.sd.m_c, POLICY)
+    left = BlockComplex(quad.pres, quad.sd.m_r, POLICY).h1_cocycles
+    right = BlockComplex(quad.pres, quad.sd.m_c, POLICY).h1_cocycles
     cross = quad.sd.killing_multiplier * np.eye(3)
     mat = fundamental_pairing_matrix(quad.pres, left, right, cross)
     assert mat.shape == (2, 2)
@@ -308,11 +308,10 @@ def test_fundamental_pairing_matrix_nondegenerate(quad):
 
 
 def test_cohomology_report_table(quad):
-    labels = ("g0", "m_c", "m_r", "d", "full_g")
-    report = cohomology_report(
-        quad.pres, [(lab, getattr(quad.sd, lab)) for lab in labels], POLICY
-    )
-    assert tuple(mod.label for mod in report.modules) == labels
+    report = cohomology_report(quad.pres, quad.sd, POLICY)
+    assert tuple(mod.label for mod in report.modules) == BLOCKS + ("full_g",)
+    assert tuple(report.complexes) == BLOCKS
     assert report.euler_consistent
     assert report.min_gap > 1e3
     assert report.module("g0").dims.h1 == 8
+    assert report.module("full_g").dims.methods == dict.fromkeys(("h0", "h1", "h2"), "direct_sum")

@@ -1,5 +1,5 @@
-"""Numerical rank against an exact rational oracle, plus the kernel and
-image contracts the cohomology layer relies on."""
+"""Numerical rank against an exact rational oracle, plus the rank-cut
+rule and the kernel contract the cohomology layer relies on."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 
 from charvar.linalg import (
     RankPolicy,
-    image_basis,
     kernel_basis,
     rank,
+    rank_cut,
     rank_report,
 )
 
@@ -98,12 +98,14 @@ def test_kernel_basis_contract():
     assert np.abs(mat @ k).max() < 1e-12
 
 
-def test_image_basis_contract():
-    rng = np.random.default_rng(4)
-    mat = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
-    b = image_basis(mat, POLICY)
-    assert b.shape == (5, 2)
-    np.testing.assert_allclose(b.T @ b, np.eye(2), atol=1e-12)
-    # every column of mat lies in the span of b
-    resid = mat - b @ (b.T @ mat)
-    assert np.abs(resid).max() < 1e-12
+def test_rank_cut_reads_descending_singular_values():
+    assert rank_cut(np.array([3.0, 1.0, 1e-12]), POLICY) == (2, 1e12)
+    assert rank_cut(np.array([3.0, 1.0]), POLICY) == (2, np.inf)
+    assert rank_cut(np.zeros(2), POLICY) == (0, np.inf)
+    assert rank_cut(np.array([]), POLICY) == (0, np.inf)
+    # rank_report and kernel_basis make the same decision
+    mat = np.diag([1.0, 1e-6, 1e-13])
+    s = np.linalg.svd(mat, compute_uv=False)
+    r, gap = rank_cut(s, POLICY)
+    assert (r, gap) == (rank_report(mat, POLICY).rank, rank_report(mat, POLICY).gap)
+    assert kernel_basis(mat, POLICY).shape[1] == 3 - r

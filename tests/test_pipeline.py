@@ -4,9 +4,11 @@ reports for the main fixtures, and deterministic JSON."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from charvar.cohomology import BLOCKS
 from charvar.pipeline import (
     HypothesisError,
     PipelineError,
@@ -18,6 +20,7 @@ from charvar.pipeline import (
     verify_suite,
 )
 from charvar.reps import embed, representation_to_json, triangle_group
+from conftest import EVERY_INPUT
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ def test_analyze_quadrilateral_frozen(analyses):
     assert report.dims == {"p": 8, "d": 2, "b": 0}
     assert report.model.display == "R^8 x R^0 x Cone(UT(S^1))"
     assert not report.model.smooth
-    assert len(report.ledger) == 16
+    assert len(report.ledger) == 15
     assert all(entry.passed for entry in report.ledger)
     assert report.flags == ()
     assert report.obstruction["c_n"] == pytest.approx(-1.0 / 12.0, abs=1e-6)
@@ -82,7 +85,7 @@ def test_analyze_turnover_frozen(analyses):
     assert report.dims == {"p": 2, "d": 0, "b": 0}
     assert report.model.display == "R^2 x R^0"
     assert report.model.smooth
-    assert len(report.ledger) == 15
+    assert len(report.ledger) == 14
     assert all(entry.passed for entry in report.ledger)
     assert report.obstruction["c_n"] is None
 
@@ -194,3 +197,76 @@ def test_example_requests_frozen():
         ("HD(3)", "orientable"),
         ("HD(3)", "type_preserving"),
     ]
+
+
+HD_FIELDS = ("h0", "h1", "h2", "z1", "b1")
+
+
+@pytest.mark.parametrize("index", range(len(example_requests())))
+def test_full_g_row_is_the_block_sum(index):
+    report = analyze(example_requests()[index])
+    rows = {mod.label: mod for mod in report.cohomology.modules}
+    full = rows["full_g"]
+    for name in HD_FIELDS:
+        assert getattr(full.dims, name) == sum(getattr(rows[b].dims, name) for b in BLOCKS)
+    assert full.dims.min_gap == min(rows[b].dims.min_gap for b in BLOCKS)
+    assert full.euler_cells == sum(rows[b].euler_cells for b in BLOCKS)
+    assert set(full.dims.methods.values()) == {"direct_sum"}
+    assert "euler-consistency:full_g" not in [e.name for e in report.ledger]
+
+
+@pytest.mark.parametrize("text, embedding", EVERY_INPUT)
+def test_full_g_direct_sum_gate_passes(analyses, text, embedding):
+    report = analyses(text, None if embedding == "standard" else embedding, checks=("all",))
+    entry = next(e for e in report.ledger if e.name == "full-g-direct-sum")
+    assert entry.passed and entry.margin == 0.0
+
+
+@pytest.mark.parametrize(
+    "text, embedding, direct_z1, summed_z1",
+    [("HD(3)", "orientable", 18, 16), ("HD(5)", "type_preserving", 16, 18)],
+)
+def test_full_g_direct_sum_gate_catches_the_wrong_twist(
+    monkeypatch, text, embedding, direct_z1, summed_z1
+):
+    """With the other embedding's column and row blocks, the block sum no
+    longer matches the directly computed full_g complex."""
+    import charvar.pipeline as pipeline
+
+    other = {"orientable": "type_preserving", "type_preserving": "orientable"}[embedding]
+    real = pipeline.decompose_sl
+
+    def swapped(rep, emb):
+        wrong = real(rep, other)
+        return replace(real(rep, emb), m_c=wrong.m_c, m_r=wrong.m_r)
+
+    monkeypatch.setattr(pipeline, "decompose_sl", swapped)
+    ledger = verify_suite(request_from_text(text, embedding=embedding))
+    entry = next(e for e in ledger if e.name == "full-g-direct-sum")
+    assert not entry.passed
+    note = entry.note.removeprefix("direct ")
+    direct, summed = (json.loads(part) for part in note.split(" vs block sum "))
+    assert direct[HD_FIELDS.index("z1")] == direct_z1
+    assert summed[HD_FIELDS.index("z1")] == summed_z1
+
+
+@pytest.mark.parametrize(
+    "run, text, embedding, expected",
+    [
+        (analyze, "S2(3,3,3,3)", None, 4),
+        (analyze, "D(3,3;mirror)", "orientable", 5),
+        (analyze, "HD(5)", "type_preserving", 5),
+        (verify_suite, "S2(3,3,3,3)", None, 5),
+    ],
+)
+def test_fox_matrix_built_once_per_block(monkeypatch, run, text, embedding, expected):
+    """One Fox matrix per block complex: the four blocks, plus the other
+    embedding's column block on non-orientable input, plus the directly
+    computed full_g complex in verify."""
+    import charvar.cohomology as cohomology
+
+    calls = []
+    real = cohomology.fox_matrix
+    monkeypatch.setattr(cohomology, "fox_matrix", lambda *args: calls.append(args) or real(*args))
+    run(request_from_text(text, embedding=embedding))
+    assert len(calls) == expected

@@ -12,7 +12,6 @@ from charvar.reps import (
     RepError,
     build_representation,
     burnside_irreducible,
-    contragredient_rep,
     embed,
     half_mirrored_disc,
     load_representation,
@@ -21,7 +20,6 @@ from charvar.reps import (
     representation_from_json,
     representation_to_json,
     triangle_group,
-    twist_rep_by_character,
 )
 
 
@@ -155,19 +153,6 @@ def test_embed_orientable_requires_a_sign_to_carry(kind, group_tag, triangle334,
 def test_lorentz_residual_small_for_builtin_reps(triangle334, quad):
     assert max(lorentz_residual(m) for m in triangle334.matrices) < 1e-6
     assert max(lorentz_residual(m) for m in quad.rep.matrices) < 1e-6
-
-
-def test_contragredient_rep(triangle334):
-    con = contragredient_rep(triangle334)
-    for mat, orig in zip(con.matrices, triangle334.matrices):
-        np.testing.assert_allclose(mat, np.linalg.inv(orig).T, atol=1e-12)
-
-
-def test_twist_rep_by_character(mirrored):
-    alpha = mirrored.rep.presentation.orientation_character
-    tw = twist_rep_by_character(mirrored.rep, alpha)
-    for mat, orig, s in zip(tw.matrices, mirrored.rep.matrices, alpha):
-        np.testing.assert_allclose(mat, s * orig, atol=1e-14)
 
 
 def test_json_loads_legacy_scalar_mode_key(triangle334):
