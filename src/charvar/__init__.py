@@ -32,8 +32,7 @@ from .cohomology import (
     cohomology_report,
     cup,
     fox_matrix,
-    fundamental_pairing_matrix,
-    goldman_obstruction,
+    fundamental_form,
     pair_fundamental_class,
     twisted_euler,
     weil_slope,

@@ -180,7 +180,8 @@ class SlDecomposition:
     reps.embed: diag(A, det A) for the orientable embedding, diag(A, 1)
     otherwise.  Block coordinates reach the ambient algebra through
     inclusions; pi_d reads a plain (n+1) x (n+1) matrix in units of
-    D = diag(1, ..., 1, -n).
+    D = diag(1, ..., 1, -n), and bracket_d is pi_d of the bracket as a
+    bilinear form on ambient coordinates.
     """
 
     n: int
@@ -196,10 +197,6 @@ class SlDecomposition:
     @property
     def hat_matrices(self) -> tuple[np.ndarray, ...]:
         return self.embedded.matrices
-
-    @property
-    def ambient_dim(self) -> int:
-        return (self.n + 1) ** 2 - 1
 
     def pi_d(self, X) -> float:
         return -float(np.asarray(X)[self.n, self.n]) / self.n
@@ -223,6 +220,20 @@ class SlDecomposition:
             label: np.column_stack([sl_coords(lift(e)) for e in np.eye(getattr(self, label).dim)])
             for label, lift in lifts.items()
         }
+
+    def lift(self, label: str, stacked: np.ndarray) -> np.ndarray:
+        """Ambient coordinates of stacked block cochains, one per column:
+        Inc_b applied to every generator's value."""
+        return np.kron(np.eye(self.full_g.num_generators), self.inclusions[label]) @ stacked
+
+    @cached_property
+    def bracket_d(self) -> np.ndarray:
+        """K[i, j] = pi_d([E_i, E_j]) over the ambient basis E = sl_basis(n + 1),
+        so pi_d([X, Y]) = x @ K @ y on ambient coordinates."""
+        n, basis = self.n, np.array(sl_basis(self.n + 1))
+        # the (n, n) entry of E_i E_j is E_i[n, :] . E_j[:, n]
+        corner = basis[:, n, :] @ basis[:, :, n].T
+        return -(corner - corner.T) / n
 
     @cached_property
     def cross_form(self) -> np.ndarray:

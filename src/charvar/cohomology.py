@@ -17,7 +17,14 @@ transgression of the torsion relator g^n per torsion generator with
 unbalanced signed count mu.  The corrected chain has zero bar-complex
 boundary, which is what makes the pairing vanish on coboundaries; these
 corrections are the load-bearing part of the formula and are gated by
-the coboundary-vanishing test.
+the coboundary-vanishing test.  A cup product c(a, b) = phi(z1(a),
+a.z2(b)) is bilinear in the two cocycles, so fundamental_form walks the
+chain once and returns its matrix on stacked cocycles; the pipeline reads
+the duality pairing, the cup antisymmetry and the obstruction (phi the
+d-component of the bracket) from these matrices.  pair_fundamental_class
+evaluates one cocycle word by word: the reference the form is checked
+against, in the tests and once per verify.  weil_slope deforms along
+every tangent direction in one stacked pass.
 """
 
 from __future__ import annotations
@@ -43,11 +50,9 @@ __all__ = [
     "twisted_euler",
     "cup",
     "pair_fundamental_class",
-    "goldman_obstruction",
-    "ObstructionResult",
+    "fundamental_form",
     "cocycle_from_stack",
     "weil_slope",
-    "fundamental_pairing_matrix",
     "ModuleCohomology",
     "CohomologyReport",
     "BLOCKS",
@@ -90,9 +95,6 @@ class Cocycle:
                 out -= prefix @ self.values[-x - 1]
         return out
 
-    def stack(self) -> np.ndarray:
-        return np.concatenate(self.values) if self.values else np.zeros(0)
-
     def fox_residual(self, pres: GroupPresentation) -> float:
         worst = 0.0
         for r in pres.relators:
@@ -108,25 +110,34 @@ def cocycle_from_stack(m: CoefficientModule, vec) -> Cocycle:
     return Cocycle(m, tuple(vec[i * n : (i + 1) * n] for i in range(m.num_generators)))
 
 
-def fox_matrix(pres: GroupPresentation, m: CoefficientModule) -> np.ndarray:
-    """Rows: one N-block row per relator; the kernel of the full matrix is
-    Z^1.  Fox rules through the module action: d(uv) = du + u dv,
-    d(x)/dx = 1, d(x^{-1})/dx = -x^{-1}."""
+def _fox_prefixes(word: Word, m: CoefficientModule):
+    """For t = 0..len(word), the Fox block F and the action R of the
+    prefix a = word[:t]: z(a) = F s on stacked cocycle values s.  Fox rules
+    through the module action: d(uv) = du + u dv, d(x)/dx = 1,
+    d(x^{-1})/dx = -x^{-1}.  F is one array updated in place: read it
+    before the walk advances."""
     n = m.dim
-    g = m.num_generators
-    rows = np.zeros((n * len(pres.relators), n * g))
+    fox, act = np.zeros((n, n * m.num_generators)), np.eye(n)
+    yield fox, act
+    for x in word:
+        i = abs(x) - 1
+        if x > 0:
+            fox[:, i * n : (i + 1) * n] += act
+            act = act @ m.act(x)
+        else:
+            act = act @ m.act(x)
+            fox[:, i * n : (i + 1) * n] -= act
+        yield fox, act
+
+
+def fox_matrix(pres: GroupPresentation, m: CoefficientModule) -> np.ndarray:
+    """Rows: one N-block row per relator, its whole-word Fox block; the
+    kernel of the full matrix is Z^1."""
+    n = m.dim
+    rows = np.zeros((n * len(pres.relators), n * m.num_generators))
     for k, r in enumerate(pres.relators):
-        blocks = [np.zeros((n, n)) for _ in range(g)]
-        prefix = np.eye(n)
-        for x in r:
-            if x > 0:
-                blocks[x - 1] += prefix
-                prefix = prefix @ m.act(x)
-            else:
-                prefix = prefix @ m.act(x)
-                blocks[-x - 1] -= prefix
-        for i in range(g):
-            rows[k * n : (k + 1) * n, i * n : (i + 1) * n] = blocks[i]
+        *_, (fox, _) = _fox_prefixes(r, m)
+        rows[k * n : (k + 1) * n] = fox
     return rows
 
 
@@ -228,22 +239,20 @@ class BlockComplex:
         return HDims(self.h0, z1 - b1, h2, z1, b1, methods, min(self._z1[1], self._b1[1]))
 
     @cached_property
-    def h1_cocycles(self) -> list[Cocycle]:
-        """Orthonormal spanning set of a complement of B^1 in Z^1
-        (Euclidean inner product on stacked generator values);
-        deterministic.
+    def h1_basis(self) -> np.ndarray:
+        """Orthonormal basis of a complement of B^1 in Z^1 (Euclidean
+        inner product on stacked generator values), one stacked cocycle
+        per column; deterministic.
 
         B^1 sits inside Z^1, so projecting it out of the orthonormal Z^1
         basis leaves exactly z1 - b1 directions of unit singular value;
         the count is taken from the dimension count, never from a rank cut
         on the projected matrix, whose noise tail reflects only the
         relator residual of the representation."""
-        if self.module.num_generators == 0:
-            return []
-        z_basis, b_basis = self.z_basis, self._b1[0]
-        h1 = z_basis.shape[1] - b_basis.shape[1]
+        h1 = self.dims.h1
         if h1 <= 0:
-            return []
+            return np.zeros((self.module.dim * self.module.num_generators, 0))
+        z_basis, b_basis = self.z_basis, self._b1[0]
         proj = z_basis - b_basis @ (b_basis.T @ z_basis)
         u, s, _ = np.linalg.svd(proj, full_matrices=False)
         if s[h1 - 1] < 0.5:
@@ -251,7 +260,12 @@ class BlockComplex:
                 f"complement of B1 in Z1 is numerically degenerate: "
                 f"singular value {s[h1 - 1]:.3e} at position {h1}"
             )
-        return [cocycle_from_stack(self.module, u[:, k]) for k in range(h1)]
+        return u[:, :h1]
+
+    @property
+    def h1_cocycles(self) -> list[Cocycle]:
+        """The columns of h1_basis as cocycles."""
+        return [cocycle_from_stack(self.module, col) for col in self.h1_basis.T]
 
 
 def _stabilizer_invariant_dim(
@@ -333,16 +347,11 @@ def cup(z1: Cocycle, z2: Cocycle, phi) -> TwoCocycle:
     return TwoCocycle(evaluate, "cup")
 
 
-def _signed_counts(w: Word, num_generators: int) -> list[int]:
-    mu = [0] * num_generators
-    for x in w:
-        mu[abs(x) - 1] += 1 if x > 0 else -1
-    return mu
-
-
-def pair_fundamental_class(c: TwoCocycle, pres: GroupPresentation) -> float:
-    """Evaluate a scalar 2-cocycle on the fundamental class of a closed
-    orientable group."""
+def _transgression_chain(pres: GroupPresentation) -> list[tuple[Word, float]]:
+    """The fundamental class as weighted words w, each standing for the
+    chain sum over t of (w[:t], w[t]): the long relator, minus one
+    (g^{-1}, g) per inverse letter, minus mu/n times the torsion relator
+    g^n per torsion generator with unbalanced signed count mu."""
     if not pres.closed:
         raise CohomologyError("fundamental-class pairing needs a closed group")
     if not pres.orientable:
@@ -350,13 +359,9 @@ def pair_fundamental_class(c: TwoCocycle, pres: GroupPresentation) -> float:
     if pres.long_relator_index is None:
         raise CohomologyError("presentation has no long relator")
     r = pres.long_relator
-    total = 0.0
-    for t in range(1, len(r)):
-        total += c(r[:t], (r[t],))
-    for x in r:
-        if x < 0:
-            total -= c((x,), (-x,))
-    for i, mu in enumerate(_signed_counts(r, pres.num_generators)):
+    chain = [(r, 1.0)] + [((x, -x), -1.0) for x in r if x < 0]
+    for i in range(pres.num_generators):
+        mu = r.count(i + 1) - r.count(-i - 1)
         if mu == 0:
             continue
         order = pres.torsion_orders.get(i + 1)
@@ -365,46 +370,43 @@ def pair_fundamental_class(c: TwoCocycle, pres: GroupPresentation) -> float:
                 f"generator {i + 1} appears with signed count {mu} in the long "
                 "relator but carries no torsion; the transgression chain cannot be closed"
             )
-        torsion_sum = sum(c((i + 1,) * (t - 1), (i + 1,)) for t in range(2, order + 1))
-        total -= (mu / order) * torsion_sum
+        chain.append(((i + 1,) * order, -mu / order))
+    return chain
+
+
+def pair_fundamental_class(c: TwoCocycle, pres: GroupPresentation) -> float:
+    """Evaluate a scalar 2-cocycle on the fundamental class of a closed
+    orientable group, word by word: the reference for fundamental_form."""
+    total = 0.0
+    for word, weight in _transgression_chain(pres):
+        total += weight * sum(c(word[:t], (word[t],)) for t in range(1, len(word)))
     return total
 
 
-def fundamental_pairing_matrix(
-    pres: GroupPresentation, left: list[Cocycle], right: list[Cocycle], phi
+def fundamental_form(
+    pres: GroupPresentation, m1: CoefficientModule, m2: CoefficientModule, phi
 ) -> np.ndarray:
-    out = np.zeros((len(left), len(right)))
-    for i, zl in enumerate(left):
-        for j, zr in enumerate(right):
-            out[i, j] = pair_fundamental_class(cup(zl, zr, phi), pres)
+    """The matrix P of (z1, z2) -> pair_fundamental_class(cup(z1, z2, phi)):
+    s1 @ P @ s2 is that pairing for stacked cocycles s1 of m1 and s2 of m2.
+
+    _fox_prefixes walks each chain word w once in m1 for the Fox block F_a
+    of the prefix a = w[:t] (z1(a) = F_a s1) and once in m2 for the prefix
+    actions R_a; the term (a, x) adds F_a^T phi R_a G_x, where G_x reads
+    z2(x) off s2, so R_a G_x is R_a on block x, or -R_{ax} on block -x for
+    an inverse letter."""
+    phi = np.asarray(phi, dtype=float)
+    n1, n2, g = m1.dim, m2.dim, m1.num_generators
+    if phi.shape != (n1, n2):
+        raise CohomologyError(f"form shape {phi.shape} does not pair R^{n1} with R^{n2}")
+    out = np.zeros((n1 * g, n2 * g))
+    for word, weight in _transgression_chain(pres):
+        acts = [act for _, act in _fox_prefixes(word, m2)]
+        for t, (x, (fox, _)) in enumerate(zip(word, _fox_prefixes(word, m1))):
+            if t:
+                i = abs(x) - 1
+                right = phi @ (acts[t] if x > 0 else -acts[t + 1])
+                out[:, i * n2 : (i + 1) * n2] += weight * fox.T @ right
     return out
-
-
-@dataclass(frozen=True)
-class ObstructionResult:
-    value: float
-    boundary_case: bool = False
-
-
-def goldman_obstruction(z: Cocycle, decomposition, pres: GroupPresentation) -> ObstructionResult:
-    """Transgression of the d-component of [z cup z] for a cocycle valued
-    in the ambient algebra (full_g coordinates).  With boundary the class
-    group vanishes and the result is exactly zero, flagged."""
-    if z.module.dim != decomposition.ambient_dim:
-        raise CohomologyError("obstruction needs a cocycle in ambient coordinates")
-    if not pres.closed:
-        return ObstructionResult(0.0, boundary_case=True)
-
-    full = decomposition.full_g
-
-    def evaluate(a: Word, b: Word) -> float:
-        za = decomposition.to_matrix(z.on_word(a))
-        zb = decomposition.to_matrix(full.evaluate_word(a) @ z.on_word(b))
-        bracket = za @ zb - zb @ za
-        return decomposition.pi_d(bracket)
-
-    c = TwoCocycle(evaluate, "bracket-d")
-    return ObstructionResult(pair_fundamental_class(c, pres))
 
 
 @dataclass(frozen=True)
@@ -475,24 +477,26 @@ def cohomology_report(
 def weil_slope(
     matrices,
     relators,
-    deformation_matrices,
+    deformations,
     eps_list=(1e-3, 1e-4, 1e-5),
-) -> tuple[float, list[float]]:
-    """Log-log slope of the relator residual of gamma -> (1 + eps Z) rho;
-    a genuine cocycle direction gives slope 2 (residual O(eps^2))."""
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-    n = mats[0].shape[0]
-    eye = np.eye(n)
-    residuals = []
-    for eps in eps_list:
-        deformed = [(eye + eps * z) @ m for z, m in zip(deformation_matrices, mats)]
-        inverses = [np.linalg.inv(m) for m in deformed]
-        worst = 0.0
-        for r in relators:
-            out = eye.copy()
-            for x in r:
-                out = out @ (deformed[x - 1] if x > 0 else inverses[-x - 1])
-            worst = max(worst, float(np.abs(out - eye).max()))
-        residuals.append(max(worst, 1e-300))
-    slope = float(np.polyfit(np.log(np.asarray(eps_list)), np.log(residuals), 1)[0])
-    return slope, residuals
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-log slopes of the relator residual of gamma -> (1 + eps Z) rho,
+    one per tangent direction, all directions and eps in one stacked pass;
+    deformations[k][i] is direction k's matrix Z at generator i.  A genuine
+    cocycle direction gives slope 2 (residual O(eps^2)).  Returns the
+    slopes and the residuals, one row per direction."""
+    mats = np.asarray(matrices, dtype=float)
+    eye = np.eye(mats.shape[-1])
+    eps = np.asarray(eps_list, dtype=float)
+    # axes: eps, direction, generator, then the matrix
+    deformed = (eye + eps[:, None, None, None, None] * np.asarray(deformations, dtype=float)) @ mats
+    inverses = np.linalg.inv(deformed)
+    worst = np.zeros(deformed.shape[:2])
+    for r in relators:
+        out = np.broadcast_to(eye, deformed.shape[:2] + eye.shape)
+        for x in r:
+            out = out @ (deformed[:, :, x - 1] if x > 0 else inverses[:, :, -x - 1])
+        worst = np.maximum(worst, np.abs(out - eye).max(axis=(-2, -1)))
+    residuals = np.maximum(worst, 1e-300)
+    slopes = np.polyfit(np.log(eps), np.log(residuals), 1)[0]
+    return slopes, residuals.T

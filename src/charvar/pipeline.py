@@ -22,19 +22,8 @@ import numpy as np
 
 from .classifier import LocalModel, classify
 from .coeffmodules import decompose_sl, twist_by_character
-from .cohomology import (
-    BLOCKS,
-    BlockComplex,
-    Cocycle,
-    CohomologyReport,
-    cocycle_from_stack,
-    cohomology_report,
-    cup,
-    fundamental_pairing_matrix,
-    goldman_obstruction,
-    pair_fundamental_class,
-    weil_slope,
-)
+from .cohomology import BLOCKS, BlockComplex, CohomologyReport, cocycle_from_stack, cohomology_report, cup
+from .cohomology import fundamental_form, pair_fundamental_class, weil_slope
 from .linalg import RankPolicy
 from .presentation import (
     GroupPresentation,
@@ -67,7 +56,6 @@ __all__ = [
     "request_from_text",
     "analyze",
     "verify_suite",
-    "include_cocycle",
     "report_to_json",
     "ledger_to_json",
     "example_requests",
@@ -216,75 +204,60 @@ def _resolve_embedding(req: AnalysisRequest, pres: GroupPresentation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cocycle plumbing shared with the test suite
+# the obstruction scan
 
 
-def include_cocycle(z: Cocycle, sd) -> Cocycle:
-    """Lift a block cocycle to ambient coordinates through the block
-    inclusion matching its module label."""
-    label = z.module.label
-    if label == "full_g":
-        return z
-    if label not in sd.inclusions:
-        raise PipelineError(f"no ambient inclusion for module label {label!r}")
-    inc = sd.inclusions[label]
-    return Cocycle(sd.full_g, tuple(inc @ v for v in z.values))
+def _bracket_gram(sd, bracket, table, labels) -> np.ndarray:
+    """The obstruction form on the H^1 bases of the given blocks, lifted
+    to ambient coordinates side by side."""
+    lifted = np.hstack([sd.lift(label, table.complexes[label].h1_basis) for label in labels])
+    return lifted.T @ bracket @ lifted
 
 
-def _combo(basis, rng) -> Cocycle:
-    """A Gaussian combination of a nonempty list of cocycles."""
-    module = basis[0].module
-    stack = np.zeros(module.dim * module.num_generators)
-    for c, z in zip(rng.standard_normal(len(basis)), basis):
-        stack += c * z.stack()
-    return cocycle_from_stack(module, stack)
-
-
-def _obstruction_scan(pres, sd, table, seed: int, samples: int) -> dict:
+def _obstruction_scan(pres, sd, table, cross, seed: int, samples: int) -> dict:
+    """Samples z = z_c + z_r and reads the obstruction of z and the
+    duality pairing of its row block against its column block (through
+    the invariant form; the self-pairing of z vanishes by graded
+    antisymmetry) from Gram matrices of the two forms on H^1 bases."""
     rng = np.random.default_rng(seed + 7)
-    basis_c = table.complexes["m_c"].h1_cocycles
-    basis_r = table.complexes["m_r"].h1_cocycles
+    bracket = fundamental_form(pres, sd.full_g, sd.full_g, sd.bracket_d)
+    basis_c = table.complexes["m_c"].h1_basis
+    basis_r = table.complexes["m_r"].h1_basis
     pairs = []
-    if basis_c and basis_r:
+    if basis_c.shape[1] and basis_r.shape[1]:
+        obstruction = _bracket_gram(sd, bracket, table, ("m_c", "m_r"))
+        pairing = basis_r.T @ cross @ basis_c
+        # q has root mean square |pairing|_F; far below it, o/q is rounding
+        floor = max(1e-10, 1e-3 * float(np.linalg.norm(pairing)))
         attempts = 0
         while len(pairs) < samples and attempts < 6 * samples:
             attempts += 1
-            zc = _combo(basis_c, rng)
-            zr = _combo(basis_r, rng)
-            z = cocycle_from_stack(
-                sd.full_g, include_cocycle(zc, sd).stack() + include_cocycle(zr, sd).stack()
-            )
-            o = goldman_obstruction(z, sd, pres).value
-            # the row block against the column block through the invariant
-            # form; the self-pairing of z vanishes by graded antisymmetry
-            q = pair_fundamental_class(cup(zr, zc, sd.cross_form), pres)
-            if abs(q) < 1e-10:
-                continue
-            pairs.append((o, q))
+            a = rng.standard_normal(basis_c.shape[1])
+            b = rng.standard_normal(basis_r.shape[1])
+            y = np.concatenate([a, b])
+            o = float(y @ obstruction @ y)
+            q = float(b @ pairing @ a)
+            if abs(q) >= floor:
+                pairs.append((o, q))
     scale = max([1.0] + [abs(q) for _, q in pairs] + [abs(o) for o, _ in pairs])
 
     def pure_max(label):
-        basis = table.complexes[label].h1_cocycles
-        lifts = [include_cocycle(_combo(basis, rng), sd) for _ in range(3)] if basis else []
-        return max((abs(goldman_obstruction(z, sd, pres).value) for z in lifts), default=0.0)
-
-    g0_max = pure_max("g0")
-    d_max = pure_max("d")
+        form = _bracket_gram(sd, bracket, table, (label,))
+        return max(abs(float(c @ form @ c)) for c in rng.standard_normal((3, len(form))))
 
     ratios = [o / q for o, q in pairs]
-    out = {
+    return {
         "samples": pairs,
         "ratios": ratios,
         "c_n": float(np.mean(ratios)) if ratios else None,
         "rel_std": (
             float(np.std(ratios) / abs(np.mean(ratios))) if ratios and np.mean(ratios) != 0 else None
         ),
-        "g0_max": g0_max,
-        "d_max": d_max,
+        "g0_max": pure_max("g0"),
+        "d_max": pure_max("d"),
         "scale": scale,
         "boundary_case": False,
     }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +364,11 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         dims = {"p": p, "b": b, "d_oe": d_oe, "d_tp": d_tp, "f": f, "d_model": d_here}
         d_model = d_here
 
-    obstruction = None
+    obstruction = cross = None
     if orientable and pres.closed:
-        obstruction = _obstruction_scan(pres, sd, table, req.seed, req.obstruction_samples)
+        # the duality pairing of m_r against m_c, on stacked cocycles
+        cross = fundamental_form(pres, sd.m_r, sd.m_c, sd.cross_form)
+        obstruction = _obstruction_scan(pres, sd, table, cross, req.seed, req.obstruction_samples)
         scale = obstruction["scale"]
         if obstruction["ratios"]:
             check(
@@ -411,7 +386,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     flags.extend(model.flags)
 
     if "all" in req.checks:
-        entries.extend(_extra_checks(pres, rep, sd, table, policy, req.seed))
+        entries.extend(_extra_checks(pres, rep, sd, table, cross, policy, req.seed))
 
     group_info = {
         "description": pres.describe(),
@@ -443,7 +418,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 # the extra cross-checks behind verify
 
 
-def _extra_checks(pres, rep, sd, table, policy, seed) -> list[LedgerEntry]:
+def _extra_checks(pres, rep, sd, table, cross, policy, seed) -> list[LedgerEntry]:
     entries: list[LedgerEntry] = []
     rng = np.random.default_rng(seed + 23)
     # full_g's own complex, the one place it is factored: it audits the
@@ -475,75 +450,77 @@ def _extra_checks(pres, rep, sd, table, policy, seed) -> list[LedgerEntry]:
             res = max(res, z.fox_residual(pres))
     entries.append(LedgerEntry("h1-cocycle-residual", res <= 1e-8, res))
 
-    slopes = []
-    for z in complexes["full_g"].h1_cocycles:
-        zmats = [sd.to_matrix(v) for v in z.values]
-        slope, _ = weil_slope(sd.hat_matrices, pres.relators, zmats)
-        slopes.append(slope)
-    if slopes:
-        dev = max(abs(s - 2.0) for s in slopes)
-        entries.append(
-            LedgerEntry(
-                "weil-slope", dev <= 0.1, dev, f"{len(slopes)} tangent directions"
-            )
-        )
+    directions = complexes["full_g"].h1_cocycles
+    if directions:
+        zmats = [[sd.to_matrix(v) for v in z.values] for z in directions]
+        slopes, _ = weil_slope(sd.hat_matrices, pres.relators, zmats)
+        dev = float(np.abs(slopes - 2.0).max())
+        entries.append(LedgerEntry("weil-slope", dev <= 0.1, dev, f"{len(slopes)} tangent directions"))
 
     if pres.closed and pres.orientable:
-        entries.extend(_closed_orientable_checks(pres, rep, sd, table, rng))
+        entries.extend(_closed_orientable_checks(pres, rep, sd, table, cross, rng))
     return entries
 
 
-def _closed_orientable_checks(pres, rep, sd, table, rng) -> list[LedgerEntry]:
+def _closed_orientable_checks(pres, rep, sd, table, cross, rng) -> list[LedgerEntry]:
+    """Every pairing here is read from a Gram matrix of a fundamental form
+    on the H^1 or Z^1 bases."""
     entries: list[LedgerEntry] = []
-    basis_c = table.complexes["m_c"].h1_cocycles
-    basis_r = table.complexes["m_r"].h1_cocycles
-    n = sd.n
+    basis_c = table.complexes["m_c"].h1_basis
+    basis_r = table.complexes["m_r"].h1_basis
 
     scale = 1.0
-    if basis_c and basis_r:
-        cross = fundamental_pairing_matrix(pres, basis_r, basis_c, sd.cross_form)
-        sv = np.linalg.svd(cross, compute_uv=False)
+    if basis_c.shape[1] and basis_r.shape[1]:
+        gram = basis_r.T @ cross @ basis_c
+        sv = np.linalg.svd(gram, compute_uv=False)
         scale = max(1.0, float(sv.max()))
         entries.append(
             LedgerEntry(
                 "pairing-nondegenerate",
                 float(sv.min()) > 1e-6 * float(sv.max()),
                 float(sv.min() / sv.max()),
-                f"{cross.shape[0]}x{cross.shape[1]} duality pairing",
+                f"{gram.shape[0]}x{gram.shape[1]} duality pairing",
             )
         )
 
     # cup antisymmetry needs an invariant symmetric form; the builders
     # produce Lorentz matrices, so diag(1, 1, -1) qualifies
-    if basis_c and lorentz_residual(rep.matrices[0]) < 1e-6 and n == 3:
+    k = basis_c.shape[1]
+    if k and lorentz_residual(rep.matrices[0]) < 1e-6 and sd.n == 3:
         J = np.diag([1.0, 1.0, -1.0])
+        gram = basis_c.T @ fundamental_form(pres, sd.m_c, sd.m_c, J) @ basis_c
         worst = 0.0
         for _ in range(4):
-            z1 = _combo(basis_c, rng)
-            z2 = _combo(basis_c, rng)
-            a = pair_fundamental_class(cup(z1, z2, J), pres)
-            b = pair_fundamental_class(cup(z2, z1, J), pres)
+            x1 = rng.standard_normal(k)
+            x2 = rng.standard_normal(k)
+            a = float(x1 @ gram @ x2)
+            b = float(x2 @ gram @ x1)
             worst = max(worst, abs(a + b) / max(1.0, abs(a), abs(b)))
         entries.append(LedgerEntry("cup-antisymmetry", worst <= 1e-8, worst))
 
     # coboundary arguments through the invariant cross form: delta-v in
     # one block against a genuine cocycle of the dual block
     worst = 0.0
-    mc, mr = sd.m_c, sd.m_r
+    cob = table.complexes["m_c"].cob
     z1_r = table.complexes["m_r"].z_basis
-    pair = sd.cross_form
-    for _ in range(4):
-        v = rng.standard_normal(n)
-        cob = Cocycle(
-            mc, tuple((mc.act(i + 1) - np.eye(n)) @ v for i in range(mc.num_generators))
-        )
-        if z1_r.shape[1]:
-            z2 = cocycle_from_stack(mr, z1_r @ rng.standard_normal(z1_r.shape[1]))
-            worst = max(worst, abs(pair_fundamental_class(cup(cob, z2, pair), pres)) / scale)
-            worst = max(worst, abs(pair_fundamental_class(cup(z2, cob, pair), pres)) / scale)
+    if z1_r.shape[1]:
+        left = cob.T @ fundamental_form(pres, sd.m_c, sd.m_r, sd.cross_form) @ z1_r
+        right = z1_r.T @ cross @ cob
+        for _ in range(4):
+            v = rng.standard_normal(sd.n)
+            w = rng.standard_normal(z1_r.shape[1])
+            worst = max(worst, abs(float(v @ left @ w)) / scale, abs(float(w @ right @ v)) / scale)
     entries.append(
         LedgerEntry("transgression-coboundary", worst <= 1e-8, worst, "pairing kills B1")
     )
+
+    # the cross form against the word-by-word reference on one random pair
+    if basis_c.shape[1] and basis_r.shape[1]:
+        sc, sr = (b @ rng.standard_normal(b.shape[1]) for b in (basis_c, basis_r))
+        zr, zc = cocycle_from_stack(sd.m_r, sr), cocycle_from_stack(sd.m_c, sc)
+        ref = pair_fundamental_class(cup(zr, zc, sd.cross_form), pres)
+        dev = abs(float(sr @ cross @ sc) - ref) / max(scale, abs(ref))
+        entries.append(LedgerEntry("pairing-form-reference", dev <= 1e-8, dev, "against pair_fundamental_class"))
     return entries
 
 

@@ -39,7 +39,6 @@ def test_block_dimensions(sd):
     assert sd.n == 3
     assert (sd.m_c.dim, sd.m_r.dim, sd.d.dim, sd.g0.dim) == (3, 3, 1, 8)
     assert sd.full_g.dim == 15
-    assert sd.ambient_dim == 15
     assert sd.killing_multiplier == 8.0
 
 

@@ -6,8 +6,10 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from charvar.coeffmodules import SlDecomposition, sl_basis
 from charvar.cohomology import BLOCKS
 from charvar.pipeline import (
     HypothesisError,
@@ -270,3 +272,102 @@ def test_fox_matrix_built_once_per_block(monkeypatch, run, text, embedding, expe
     monkeypatch.setattr(cohomology, "fox_matrix", lambda *args: calls.append(args) or real(*args))
     run(request_from_text(text, embedding=embedding))
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "run, text, forms",
+    [
+        (analyze, "S2(3,3,3,3)", 2),
+        (analyze, "O(g=2)", 2),
+        (verify_suite, "S2(3,3,3,3)", 4),
+        (verify_suite, "O(g=2)", 4),
+    ],
+)
+def test_pairings_read_from_forms(monkeypatch, run, text, forms):
+    """analyze builds the cross and bracket forms once each; verify adds the
+    invariant form of the column block and the cross form the other way
+    round.  Nothing walks the fundamental class per sample: only verify's
+    pairing-form-reference entry calls the word-by-word pairing, once.  The
+    Weil test is one stacked call."""
+    import charvar.cohomology as cohomology
+    import charvar.pipeline as pipeline
+
+    calls = {"form": 0, "pair": 0, "weil": 0}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "fundamental_form", counted("form", pipeline.fundamental_form))
+    pair = counted("pair", cohomology.pair_fundamental_class)
+    monkeypatch.setattr(cohomology, "pair_fundamental_class", pair)
+    monkeypatch.setattr(pipeline, "pair_fundamental_class", pair)
+    monkeypatch.setattr(pipeline, "weil_slope", counted("weil", pipeline.weil_slope))
+    run(request_from_text(text))
+    verify = int(run is verify_suite)
+    assert calls == {"form": forms, "pair": verify, "weil": verify}
+
+
+def failed_gates(text):
+    return {e.name for e in verify_suite(request_from_text(text)) if not e.passed}
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_transgression_gate_needs_the_torsion_correction(monkeypatch, mutated):
+    """Dropping the torsion relators from the fundamental chain leaves a
+    chain with nonzero boundary, which no longer kills coboundaries."""
+    import charvar.cohomology as cohomology
+
+    if mutated:
+        real = cohomology._transgression_chain
+        monkeypatch.setattr(
+            cohomology,
+            "_transgression_chain",
+            lambda pres: [(w, c) for w, c in real(pres) if len(set(w)) > 1],
+        )
+    assert ("transgression-coboundary" in failed_gates("S2(3,3,3,3)")) == mutated
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_obstruction_gates_need_the_d_component(monkeypatch, mutated):
+    """With the (0, 1) entry of the bracket, a g0 coordinate, in place of
+    pi_d, the obstruction is no longer a multiple of the invariant pairing.
+    (obstruction-d-vanishing cannot catch a wrong entry: a pure d cocycle
+    brackets to 0 in every entry.)"""
+    if mutated:
+
+        def g0_entry(sd):
+            basis = np.array(sl_basis(sd.n + 1))
+            corner = basis[:, 0, :] @ basis[:, :, 1].T
+            return corner - corner.T
+
+        monkeypatch.setattr(SlDecomposition, "bracket_d", property(g0_entry))
+    failed = failed_gates("S2(3,3,3,3)")
+    assert ("obstruction-constancy" in failed) == mutated
+    assert ("obstruction-g0-vanishing" in failed) == mutated
+
+
+@pytest.mark.parametrize("seed", [1816133980, 2074938901])
+def test_obstruction_scan_skips_rounding_level_pairings(seed):
+    """At these seeds one draw on O(g=2) pairs to about 1e-5 of the
+    pairing's root mean square, where rounding alone moves o/q by about
+    4e-6; the scan skips it, and the ratios agree far inside 1e-6."""
+    ledger = {e.name: e for e in verify_suite(request_from_text("O(g=2)", seed=seed))}
+    assert all(e.passed for e in ledger.values())
+    assert ledger["obstruction-constancy"].margin < 1e-8
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_pairing_form_reference_catches_a_wrong_form(monkeypatch, mutated):
+    """A form one part in a million off the word-by-word pairing fails the
+    cross-check; the form as built agrees with it."""
+    import charvar.pipeline as pipeline
+
+    if mutated:
+        real = pipeline.fundamental_form
+        monkeypatch.setattr(pipeline, "fundamental_form", lambda *args: real(*args) * (1 + 1e-6))
+    for text in ("S2(3,3,3,3)", "O(g=2)"):
+        assert ("pairing-form-reference" in failed_gates(text)) == mutated

@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from charvar.presentation import parse_signature
 from charvar.reps import (
     BuildError,
     RepError,
+    _so21_exp,
+    _so21_generator,
     build_representation,
     burnside_irreducible,
     embed,
@@ -71,6 +74,31 @@ def test_build_representation_families(setups):
     boundary = setups("D2(3,3)")
     assert boundary.rep.relator_residual < 1e-8
     assert burnside_irreducible(boundary.rep).algebra_dim == 9
+
+
+def test_genus_two_records_every_start(setups):
+    info = setups("O(g=2)").rep.build_info
+    assert info["tries"] == 4
+    assert info["residual"] < 1e-9
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        (0.3, 0.2, 0.1),  # lambda > 0: hyperbolic
+        (2.0, -1.0, 0.5),
+        (0.1, 0.2, 0.5),  # lambda < 0: elliptic
+        (0.0, 0.0, 3.0),
+        (1e-5, 2e-5, 1e-5),  # |lambda| < 1e-8: the series
+        (0.5, 0.5, np.sqrt(0.5) + 1e-9),
+        (0.5, 0.5, np.sqrt(0.5 - 2e-8)),  # lightlike, lambda just above 1e-8
+        (0.5, 0.5, np.sqrt(0.5 + 2e-8)),
+        (0.0, 0.0, 0.0),
+    ],
+)
+def test_so21_exp_matches_expm(w):
+    X = _so21_generator(w)
+    np.testing.assert_allclose(_so21_exp(w), expm(X), rtol=1e-13, atol=1e-14)
 
 
 def test_build_representation_rejects_non_hyperbolic():
