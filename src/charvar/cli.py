@@ -65,7 +65,13 @@ def _add_common(p, with_input: bool):
         )
     p.add_argument("--tol", type=float, default=1e-9, help="relative rank tolerance")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--seed", type=int, default=None, help="optimizer seed (default CHARVAR_SEED or 0)")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="sampling seed, also read by the builders of groups with boundary or mirrors "
+        "(default CHARVAR_SEED or 0)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

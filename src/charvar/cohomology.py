@@ -42,6 +42,7 @@ from .presentation import GroupPresentation, Word
 __all__ = [
     "CohomologyError",
     "Cocycle",
+    "cocycle_residual",
     "TwoCocycle",
     "HDims",
     "fox_matrix",
@@ -83,23 +84,39 @@ class Cocycle:
             raise CohomologyError("cocycle values must match the module dimension")
         object.__setattr__(self, "values", vals)
 
-    def on_word(self, w: Word) -> np.ndarray:
-        out = np.zeros(self.module.dim)
-        prefix = np.eye(self.module.dim)
-        for x in w:
-            if x > 0:
-                out += prefix @ self.values[x - 1]
-                prefix = prefix @ self.module.act(x)
-            else:
-                prefix = prefix @ self.module.act(x)
-                out -= prefix @ self.values[-x - 1]
-        return out
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        return np.concatenate(self.values)[:, None]
 
-    def fox_residual(self, pres: GroupPresentation) -> float:
-        worst = 0.0
-        for r in pres.relators:
-            worst = max(worst, float(np.abs(self.on_word(r)).max()))
-        return worst
+    def on_word(self, w: Word) -> np.ndarray:
+        return _word_values(self.module, self._stacked, w)[:, 0]
+
+
+def _word_values(m: CoefficientModule, stacked: np.ndarray, w: Word) -> np.ndarray:
+    """z(w) for every cocycle z in the columns of stacked (generator i's
+    values in rows i N to (i + 1) N), in one walk of w that carries all
+    columns at once."""
+    n = m.dim
+    values = stacked.reshape(m.num_generators, n, stacked.shape[1])
+    out = np.zeros((n, stacked.shape[1]))
+    prefix = np.eye(n)
+    for x in w:
+        if x > 0:
+            out += prefix @ values[x - 1]
+            prefix = prefix @ m.act(x)
+        else:
+            prefix = prefix @ m.act(x)
+            out -= prefix @ values[-x - 1]
+    return out
+
+
+def cocycle_residual(pres: GroupPresentation, m: CoefficientModule, stacked: np.ndarray) -> float:
+    """Largest |z(r)| over the relators r and the cocycles z in the
+    columns of stacked; zero exactly on Z^1."""
+    worst = 0.0
+    for r in pres.relators:
+        worst = max(worst, float(np.abs(_word_values(m, stacked, r)).max(initial=0.0)))
+    return worst
 
 
 def cocycle_from_stack(m: CoefficientModule, vec) -> Cocycle:

@@ -23,7 +23,7 @@ import numpy as np
 from .classifier import LocalModel, classify
 from .coeffmodules import decompose_sl, twist_by_character
 from .cohomology import BLOCKS, BlockComplex, CohomologyReport, cocycle_from_stack, cohomology_report, cup
-from .cohomology import fundamental_form, pair_fundamental_class, weil_slope
+from .cohomology import cocycle_residual, fundamental_form, pair_fundamental_class, weil_slope
 from .linalg import RankPolicy
 from .presentation import (
     GroupPresentation,
@@ -176,7 +176,7 @@ def _build_rep(req: AnalysisRequest, pres: GroupPresentation | None) -> Represen
             raise PipelineError("polygon source needs a closed genus-0 orientable signature")
         if sig.cone_count < 4:
             raise PipelineError("polygon source needs at least four cone points")
-        return polygon_group(sig.cone_orders, req.seed)
+        return polygon_group(sig.cone_orders)
     if req.hd_order is not None:
         return half_mirrored_disc(req.hd_order)
     if sig is not None:
@@ -444,10 +444,7 @@ def _extra_checks(pres, rep, sd, table, cross, policy, seed) -> list[LedgerEntry
         LedgerEntry("full-g-direct-sum", off == 0, float(off), f"direct {direct} vs block sum {summed}")
     )
 
-    res = 0.0
-    for c in complexes.values():
-        for z in c.h1_cocycles:
-            res = max(res, z.fox_residual(pres))
+    res = max(cocycle_residual(pres, c.module, c.h1_basis) for c in complexes.values())
     entries.append(LedgerEntry("h1-cocycle-residual", res <= 1e-8, res))
 
     directions = complexes["full_g"].h1_cocycles
@@ -471,15 +468,15 @@ def _closed_orientable_checks(pres, rep, sd, table, cross, rng) -> list[LedgerEn
 
     scale = 1.0
     if basis_c.shape[1] and basis_r.shape[1]:
-        gram = basis_r.T @ cross @ basis_c
-        sv = np.linalg.svd(gram, compute_uv=False)
+        duality = basis_r.T @ cross @ basis_c
+        sv = np.linalg.svd(duality, compute_uv=False)
         scale = max(1.0, float(sv.max()))
         entries.append(
             LedgerEntry(
                 "pairing-nondegenerate",
                 float(sv.min()) > 1e-6 * float(sv.max()),
                 float(sv.min() / sv.max()),
-                f"{gram.shape[0]}x{gram.shape[1]} duality pairing",
+                f"{duality.shape[0]}x{duality.shape[1]} duality pairing",
             )
         )
 
@@ -514,9 +511,12 @@ def _closed_orientable_checks(pres, rep, sd, table, cross, rng) -> list[LedgerEn
         LedgerEntry("transgression-coboundary", worst <= 1e-8, worst, "pairing kills B1")
     )
 
-    # the cross form against the word-by-word reference on one random pair
+    # the cross form against the word-by-word reference on one pair, the
+    # row cocycle drawn along the image of the column one so that the
+    # pair pairs strongly and a relative error of the form shows in full
     if basis_c.shape[1] and basis_r.shape[1]:
-        sc, sr = (b @ rng.standard_normal(b.shape[1]) for b in (basis_c, basis_r))
+        a = rng.standard_normal(basis_c.shape[1])
+        sc, sr = basis_c @ a, basis_r @ (duality @ a)
         zr, zc = cocycle_from_stack(sd.m_r, sr), cocycle_from_stack(sd.m_c, sc)
         ref = pair_fundamental_class(cup(zr, zc, sd.cross_form), pres)
         dev = abs(float(sr @ cross @ sc) - ref) / max(scale, abs(ref))
