@@ -69,7 +69,7 @@ def _add_common(p, with_input: bool):
         "--seed",
         type=int,
         default=None,
-        help="sampling seed, also read by the builders of groups with boundary or mirrors "
+        help="sampling seed, also read by the builder of groups with boundary "
         "(default CHARVAR_SEED or 0)",
     )
 

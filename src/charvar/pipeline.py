@@ -41,8 +41,8 @@ from .reps import (
     commutant_dim,
     half_mirrored_disc,
     half_mirrored_disc_presentation,
+    invariant_form,
     load_representation,
-    lorentz_residual,
     polygon_group,
     triangle_group,
 )
@@ -386,7 +386,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     flags.extend(model.flags)
 
     if "all" in req.checks:
-        entries.extend(_extra_checks(pres, rep, sd, table, cross, policy, req.seed))
+        entries.extend(_extra_checks(pres, sd, table, cross, policy, req.seed, flags))
 
     group_info = {
         "description": pres.describe(),
@@ -418,7 +418,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 # the extra cross-checks behind verify
 
 
-def _extra_checks(pres, rep, sd, table, cross, policy, seed) -> list[LedgerEntry]:
+def _extra_checks(pres, sd, table, cross, policy, seed, flags) -> list[LedgerEntry]:
     entries: list[LedgerEntry] = []
     rng = np.random.default_rng(seed + 23)
     # full_g's own complex, the one place it is factored: it audits the
@@ -455,11 +455,11 @@ def _extra_checks(pres, rep, sd, table, cross, policy, seed) -> list[LedgerEntry
         entries.append(LedgerEntry("weil-slope", dev <= 0.1, dev, f"{len(slopes)} tangent directions"))
 
     if pres.closed and pres.orientable:
-        entries.extend(_closed_orientable_checks(pres, rep, sd, table, cross, rng))
+        entries.extend(_closed_orientable_checks(pres, sd, table, cross, policy, rng, flags))
     return entries
 
 
-def _closed_orientable_checks(pres, rep, sd, table, cross, rng) -> list[LedgerEntry]:
+def _closed_orientable_checks(pres, sd, table, cross, policy, rng, flags) -> list[LedgerEntry]:
     """Every pairing here is read from a Gram matrix of a fundamental form
     on the H^1 or Z^1 bases."""
     entries: list[LedgerEntry] = []
@@ -480,11 +480,15 @@ def _closed_orientable_checks(pres, rep, sd, table, cross, rng) -> list[LedgerEn
             )
         )
 
-    # cup antisymmetry needs an invariant symmetric form; the builders
-    # produce Lorentz matrices, so diag(1, 1, -1) qualifies
+    # cup antisymmetry needs an invariant symmetric form on m_c, solved for
+    # over every generator; scaled to unit largest entry, a Lorentz form
+    # reads as diag(1, 1, -1) up to sign
     k = basis_c.shape[1]
-    if k and lorentz_residual(rep.matrices[0]) < 1e-6 and sd.n == 3:
-        J = np.diag([1.0, 1.0, -1.0])
+    forms = invariant_form(sd.m_c.action, policy) if k else []
+    if k and len(forms) != 1:
+        flags.append("cup-antisymmetry-skipped")
+    if len(forms) == 1:
+        J = forms[0] / np.abs(forms[0]).max()
         gram = basis_c.T @ fundamental_form(pres, sd.m_c, sd.m_c, J) @ basis_c
         worst = 0.0
         for _ in range(4):

@@ -3,13 +3,14 @@
 Hyperbolic constructions use the hyperboloid model: SO(2,1) acting on
 {x^2 + y^2 - z^2 = -1, z > 0}.  Rotations about hyperboloid points come
 from a Minkowski Rodrigues formula and reflections fix a geodesic.  The
-closed orientable builders are explicit: spheres with cone points take
-products of reflections in the sides of a tangential polygon, genus two
-takes the side pairings of the regular octagon, and the torus with one
-cone point solves a one-parameter trace equation.  Only the mirrored
-discs still run damped least squares.  Every builder returns generators
-that satisfy the torsion relators exactly and the long relator to at
-least 1e-9.
+closed and mirrored builders are explicit geometry with no optimizer:
+spheres with cone points and mirrored discs take products of reflections
+in the sides of one tangential polygon, genus two takes the side pairings
+of the regular octagon, and the torus with one cone point takes two
+perpendicular translations of a length given in closed form.  Groups
+with boundary place their generators from the seed and solve the long
+relator for the last one.  Every builder returns generators that satisfy
+the torsion relators exactly and the long relator to at least 1e-9.
 
 Builders only certify matrix identities and C-irreducibility, never
 discreteness; dimension counts downstream depend only on the torsion
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .linalg import RankPolicy, kernel_basis, rank
 from .presentation import (
@@ -52,6 +52,7 @@ __all__ = [
     "embed",
     "burnside_irreducible",
     "commutant_dim",
+    "invariant_form",
     "lorentz_residual",
     "representation_to_json",
     "representation_from_json",
@@ -78,6 +79,12 @@ def rot_origin(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+# the quarter turn about the origin, exactly: rot_origin(pi / 2) carries
+# cos(pi / 2) ~ 6e-17, which lifts genus two's h1-cocycle-residual in
+# verify from 5e-12 to 9e-11
+_QUARTER = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
 def trans_x(t: float) -> np.ndarray:
     c, s = np.cosh(t), np.sinh(t)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
@@ -98,8 +105,7 @@ def _cross_mat(p) -> np.ndarray:
 
 
 def rotation_about(p, theta: float) -> np.ndarray:
-    """Rotation by theta about a hyperboloid point, directly in SO(2,1);
-    smooth in p, so safe inside optimizers."""
+    """Rotation by theta about a hyperboloid point, directly in SO(2,1)."""
     c, s = np.cos(theta), np.sin(theta)
     return c * np.eye(3) - (1.0 - c) * np.outer(p, p @ J3) + s * _cross_mat(p)
 
@@ -259,6 +265,18 @@ def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
     return kernel_basis(np.vstack(rows), policy).shape[1]
 
 
+def invariant_form(mats, policy: RankPolicy | None = None) -> list[np.ndarray]:
+    """Basis of the symmetric forms X with M^T X M = X for every M: the
+    kernel of the vectorized invariance system stacked on X = X^T."""
+    policy = policy or RankPolicy()
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    n = mats[0].shape[0]
+    eye = np.eye(n * n)
+    rows = [np.kron(m.T, m.T) - eye for m in mats]
+    rows.append(eye - eye[np.arange(n * n).reshape(n, n).T.ravel()])
+    return [v.reshape(n, n) for v in kernel_basis(np.vstack(rows), policy).T]
+
+
 # ---------------------------------------------------------------------------
 # Fuchsian builders
 
@@ -274,36 +292,48 @@ def triangle_group(p: int, q: int, r: int) -> Representation:
     return polygon_group((p, q, r))
 
 
+def _tangential_sides(angles) -> list[np.ndarray]:
+    """Reflections in the sides of the hyperbolic polygon with the given
+    vertex angles whose incircle is centered at the origin (Poincare's
+    polygon theorem; Beardon, The Geometry of Discrete Groups).  The right
+    triangle of the center, vertex i and a tangent point has angle d_i =
+    arcsin(cos(a_i/2) / cosh r) at the center, and the d_i fill a half
+    turn: sum d_i decreases in r and exceeds pi at r = 0 exactly when the
+    angles sum to less than (c - 2) pi, so bisection finds the inradius r
+    to the last bit.  Side i runs from vertex i to vertex i + 1, and the
+    reflections in sides i - 1 and i compose to the rotation by 2 a_i
+    about vertex i."""
+    cos_half = np.cos(np.asarray(angles, dtype=float) / 2.0)
+    lo, hi = 0.0, 50.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.arcsin(cos_half / np.cosh(mid)).sum() > np.pi:
+            lo = mid
+        else:
+            hi = mid
+    r = lo
+    d = np.arcsin(cos_half / np.cosh(r))
+    # side i touches the circle at polar angle phi_i, between vertices i and i + 1
+    phis = np.cumsum(np.concatenate([[0.0], d[:-1] + d[1:]])) + d
+    return [
+        reflection_in((np.cos(phi) * np.cosh(r), np.sin(phi) * np.cosh(r), np.sinh(r)))
+        for phi in phis
+    ]
+
+
 def polygon_group(orders) -> Representation:
-    """Rotation generators of S2(n_1,...,n_c), c >= 3, from the hyperbolic
-    polygon with angles pi/n_i tangent to a circle of radius r about the
-    origin (Poincare's polygon theorem; Beardon, The Geometry of Discrete
-    Groups).  The right triangle of the center, vertex i and a tangent
-    point has angle d_i = arcsin(cos(pi/2n_i) / cosh r) at the center, and
-    the d_i fill a half turn: sum d_i = pi decreases in r and exceeds pi at
-    r = 0 exactly when the signature is hyperbolic.  Side i runs from
-    vertex i to vertex i + 1; with s_i the reflection in it, x_i =
-    s_{i-1} s_i is the rotation by 2 pi/n_i about vertex i, and x_1...x_c
-    telescopes to the identity."""
+    """Rotation generators of S2(n_1,...,n_c), c >= 3, from the tangential
+    polygon with angles pi/n_i: x_i = s_{i-1} s_i is the rotation by
+    2 pi/n_i about vertex i, and x_1...x_c telescopes to the identity."""
     orders = tuple(orders)
     c = len(orders)
     if c < 3:
         raise BuildError("polygon builder needs at least 3 cone points")
     sig = OrbifoldSignature("orientable", 0, 0, orders)
     _require_hyperbolic(sig)
-    half = np.pi / (2.0 * np.array(orders, dtype=float))
-
-    def center_angles(r):
-        return np.arcsin(np.cos(half) / np.cosh(r))
-
-    r = brentq(lambda r: center_angles(r).sum() - np.pi, 0.0, 50.0, xtol=2e-16, rtol=8.9e-16)
-    d = center_angles(r)
-    # side i touches the circle at polar angle phi_i, between vertices i and i + 1
-    phis = np.cumsum(np.concatenate([[0.0], d[:-1] + d[1:]])) + d
-    sides = [
-        reflection_in((np.cos(phi) * np.cosh(r), np.sin(phi) * np.cosh(r), np.sinh(r)))
-        for phi in phis
-    ]
+    sides = _tangential_sides(np.pi / np.array(orders, dtype=float))
     return Representation(
         presentation_of(sig),
         tuple(sides[i - 1] @ sides[i] for i in range(c)),
@@ -311,50 +341,17 @@ def polygon_group(orders) -> Representation:
     )
 
 
-# adjoint of SL_2 on its Lie algebra in the basis (H, E+F, E-F), which
-# carries the form diag(1,1,-1); lifts the trace equation below to SO(2,1)
-_SL2_BASIS = [
-    np.array([[1.0, 0.0], [0.0, -1.0]]),
-    np.array([[0.0, 1.0], [1.0, 0.0]]),
-    np.array([[0.0, 1.0], [-1.0, 0.0]]),
-]
-
-
-def _sl2_adjoint(g) -> np.ndarray:
-    gi = np.linalg.inv(g)
-    cols = []
-    for X in _SL2_BASIS:
-        Y = g @ X @ gi
-        cols.append(
-            [
-                np.trace(Y @ _SL2_BASIS[0]) / 2.0,
-                np.trace(Y @ _SL2_BASIS[1]) / 2.0,
-                -np.trace(Y @ _SL2_BASIS[2]) / 2.0,
-            ]
-        )
-    return np.array(cols).T
-
-
 def _torus_with_cone(n: int) -> Representation:
-    """Genus one, one cone point of order n.  The commutator trace of two
-    orthogonal translations of equal length is monotone in the length; the
-    equation is solved in SL_2 (where the root is transversal for every
-    n >= 2, unlike in SO(2,1)) and pushed through the adjoint."""
+    """Genus one, one cone point of order n, from two translations of
+    length l along perpendicular axes.  Lifted to SL_2 with t = 2 cosh(l/2),
+    the commutator has trace 2 t^2 - t^4/4 - 2, which equals 2 cos(pi/n)
+    at cosh^2(l/2) = 1 + sin(pi/2n); then x = [a, b]^-1 is the rotation by
+    2 pi/n."""
     sig = OrbifoldSignature("orientable", 1, 0, (n,))
     _require_hyperbolic(sig)
-    quarter = np.array([[np.cos(np.pi / 4), -np.sin(np.pi / 4)], [np.sin(np.pi / 4), np.cos(np.pi / 4)]])
-
-    def sl2_trans(ell):
-        return np.array([[np.exp(ell / 2.0), 0.0], [0.0, np.exp(-ell / 2.0)]])
-
-    def trace_gap(ell):
-        a = sl2_trans(ell)
-        b = quarter @ a @ np.linalg.inv(quarter)
-        return np.trace(_comm(a, b)) - 2.0 * np.cos(np.pi / n)
-
-    ell = brentq(trace_gap, 0.05, 6.0, xtol=2e-16, rtol=8.9e-16)
-    a = _sl2_adjoint(sl2_trans(ell))
-    b = _sl2_adjoint(quarter @ sl2_trans(ell) @ np.linalg.inv(quarter))
+    ell = 2.0 * np.arccosh(np.sqrt(1.0 + np.sin(np.pi / (2 * n))))
+    a = trans_x(ell)
+    b = _QUARTER @ a @ _QUARTER.T
     x = np.linalg.inv(_comm(a, b))
     return Representation(
         presentation_of(sig),
@@ -375,12 +372,9 @@ def _genus_two() -> Representation:
     the identity."""
     sig = OrbifoldSignature("orientable", 2, 0, ())
     r = np.arccosh(1.0 + np.sqrt(2.0))
-    # R exactly: rot_origin(pi / 2) carries cos(pi / 2) ~ 6e-17, which
-    # lifts verify's h1-cocycle-residual from 5e-12 to 9e-11
-    quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
     def h(k):
-        return rotation_about(hyperboloid_point((k + 2) * np.pi / 4, r), np.pi) @ quarter
+        return rotation_about(hyperboloid_point((k + 2) * np.pi / 4, r), np.pi) @ _QUARTER
 
     inv = np.linalg.inv
     return Representation(
@@ -390,70 +384,28 @@ def _genus_two() -> Representation:
     )
 
 
-def _product(mats) -> np.ndarray:
-    out = np.eye(mats[0].shape[0])
-    for m in mats:
-        out = out @ m
-    return out
-
-
-def _mirrored_disc(orders, seed: int = 0) -> Representation:
-    """Disc with mirror boundary: rotation centers above the x-axis
-    geodesic, the reflection in that geodesic as the mirror generator;
-    least squares makes the cone-point product commute with the mirror."""
+def _mirrored_disc(orders) -> Representation:
+    """Disc with mirror boundary from the tangential polygon with angles
+    (pi/2, pi/n_1, ..., pi/n_c, pi/2): x_i = s_{i-1} s_i at each cone
+    vertex and s the reflection in the last side, the mirror.  Sides 0 and
+    c meet the mirror at right angles, so their reflections commute with
+    s, and so does x_1...x_c = s_0 s_c."""
     orders = tuple(orders)
     sig = OrbifoldSignature("mirrored", 0, 0, orders)
     _require_hyperbolic(sig)
-    s = np.diag([1.0, -1.0, 1.0])
     c = len(orders)
-    if 2 * c > 9:
-        # least squares needs at least as many residuals as unknowns
-        raise BuildError(
-            f"mirrored-disc builder takes at most 4 cone points: {2 * c} "
-            f"unknowns against 9 residuals for {orders}"
-        )
-
-    def gens_of(params):
-        return [
-            rotation_about(_point_above_axis(params[2 * j], params[2 * j + 1]), 2.0 * np.pi / orders[j])
-            for j in range(c)
-        ]
-
-    def resid(params):
-        with np.errstate(all="ignore"):
-            W = _product(gens_of(params))
-            return (s @ W @ s - W).ravel()
-
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    tries = 0
-    for spread in (0.8, 0.5, 1.2):
-        for h0 in (0.6, 0.9, 0.4, 1.3):
-            for jit in range(3):
-                tries += 1
-                x0 = np.array(sum(([spread * j, h0] for j in range(c)), []))
-                if jit:
-                    x0 = x0 + rng.normal(0.0, 0.2, size=2 * c)
-                sol = least_squares(resid, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-                res = float(np.abs(resid(sol.x)).max())
-                best = min(best, res)
-                if res >= 1e-10:
-                    continue
-                gens = gens_of(sol.x)
-                cover = gens + [s @ g @ s for g in gens]
-                if (
-                    burnside_irreducible(gens + [s]).algebra_dim == 9
-                    and burnside_irreducible(cover).algebra_dim == 9
-                ):
-                    return Representation(
-                        presentation_of(sig),
-                        tuple(gens) + (s,),
-                        group_tag="SLpm",
-                        lineage=(f"mirrored_disc{orders}",),
-                        residual_bound=1e-7,
-                        build_info={"tries": tries, "nfev": int(sol.nfev), "residual": res},
-                    )
-    raise BuildError(f"mirrored-disc optimizer failed for {orders}: best residual {best:.3e}")
+    sides = _tangential_sides(np.pi / np.array((2,) + orders + (2,), dtype=float))
+    gens = [sides[i] @ sides[i + 1] for i in range(c)]
+    s = sides[c + 1]
+    cover = gens + [s @ g @ s for g in gens]
+    if burnside_irreducible(gens + [s]).algebra_dim != 9 or burnside_irreducible(cover).algebra_dim != 9:
+        raise BuildError(f"mirrored-disc polygon for {orders} unexpectedly reducible")
+    return Representation(
+        presentation_of(sig),
+        tuple(gens) + (s,),
+        group_tag="SLpm",
+        lineage=(f"mirrored_disc{orders}",),
+    )
 
 
 def half_mirrored_disc_presentation(n: int) -> GroupPresentation:
@@ -571,7 +523,7 @@ def build_representation(sig: OrbifoldSignature, seed: int = 0) -> Representatio
     for shapes with no builtin construction (supply a file instead)."""
     _require_hyperbolic(sig)
     if sig.kind == "mirrored":
-        return _mirrored_disc(sig.cone_orders, seed)
+        return _mirrored_disc(sig.cone_orders)
     if sig.boundary_circles > 0:
         return _boundary_rep(sig, seed)
     if sig.kind == "nonorientable":
@@ -651,6 +603,11 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(data: dict, pres: GroupPresentation | None = None) -> Representation:
+    if not isinstance(data, dict):
+        raise RepError(f"representation file must hold a JSON object, not a {type(data).__name__}")
+    missing = [key for key in ("n", "matrices") if key not in data]
+    if missing:
+        raise RepError(f"representation file lacks {', '.join(map(repr, missing))}")
     if pres is None:
         if "signature" in data:
             pres = presentation_of(parse_signature(data["signature"]))
@@ -666,19 +623,25 @@ def representation_from_json(data: dict, pres: GroupPresentation | None = None) 
             )
         else:
             raise RepError("representation file needs a signature or a presentation")
-    n = int(data["n"])
-    mats = []
-    for flat in data["matrices"]:
-        vals = [float(x) for x in flat]
-        if len(vals) != n * n:
-            raise RepError(f"matrix entry count {len(vals)} does not match n={n}")
-        mats.append(np.array(vals).reshape(n, n))
+    try:
+        n = int(data["n"])
+        mats = [np.array([float(x) for x in flat]) for flat in data["matrices"]]
+        residual_bound = float(data.get("residual_bound", 1e-8))
+    except (TypeError, ValueError) as err:
+        raise RepError(f"representation file has a non-numeric entry: {err}") from None
+    if n < 1:
+        raise RepError(f"representation rank n={n} must be positive")
+    for m in mats:
+        if m.size != n * n:
+            raise RepError(f"matrix entry count {m.size} does not match n={n}")
+        if not np.isfinite(m).all():
+            raise RepError("representation file has a non-finite entry")
     return Representation(
         pres,
-        tuple(mats),
+        tuple(m.reshape(n, n) for m in mats),
         data.get("group_tag", "SL"),
         tuple(data.get("lineage", ())),
-        float(data.get("residual_bound", 1e-8)),
+        residual_bound,
     )
 
 

@@ -123,10 +123,32 @@ def test_invalid_environment_seed_exit_one(capsys, monkeypatch):
     assert "CHARVAR_SEED" in err
 
 
-def test_underdetermined_mirrored_disc_fails_closed(capsys):
-    """Five cone points give the mirrored-disc builder 10 unknowns against
-    9 residuals: a named build error, not a solver traceback."""
+def test_five_cone_point_mirrored_disc_builds(capsys):
+    """The polygon builder has no cap on the cone points; verify either
+    passes or names a failed gate."""
+    rc, out, _ = run(["dims", "D(3,3,3,3,3;mirror)", "--json"], capsys)
+    assert rc == 0
+    dims = json.loads(out)["dims"]
+    assert (dims["p"], dims["d_oe"], dims["d_tp"]) == (22, 7, 7)
     rc, out, err = run(["verify", "D(3,3,3,3,3;mirror)", "--embed", "orientable"], capsys)
+    assert rc in (0, 2)
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"signature": "S2(3,3,4)", "n": 3, "matrices": [["x"] * 9] * 3},
+        {"signature": "S2(3,3,4)", "matrices": [["1"] * 9] * 3},
+        [["1"] * 9] * 3,
+        {"signature": "S2(3,3,4)", "n": 3, "matrices": [["nan"] * 9] * 3},
+    ],
+    ids=["non-numeric", "missing-n", "top-level-list", "non-finite"],
+)
+def test_malformed_rep_file_exit_one(capsys, tmp_path, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    rc, out, err = run(["analyze", "S2(3,3,4)", "--rep", str(path)], capsys)
     assert rc == 1
     assert "error:" in err
     assert "Traceback" not in out + err

@@ -1,14 +1,19 @@
-"""The closed orientable builders are explicit geometry: inputs the
-least-squares builders got wrong now verify, no least squares runs on
-them, and the verify gates that follow the representation's rounding
-keep their distance from the bounds."""
+"""The closed and mirrored builders are explicit geometry: inputs the
+least-squares builders got wrong now verify, the package runs without
+scipy, mirrored discs of any size get the dimensions of the closed
+formulas, and the verify gates that follow the representation's
+rounding keep their distance from the bounds."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import charvar.reps as reps
 from charvar.cohomology import BlockComplex, cocycle_residual
 from charvar.pipeline import analyze, request_from_text, verify_suite
 
@@ -44,13 +49,44 @@ def test_equal_order_triangles_verify(text, seed):
     assert failed(verify_suite(request_from_text(text, seed=seed))) == []
 
 
-def test_closed_inputs_verify_without_least_squares(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("least squares on a closed orientable input")
+def test_closed_inputs_verify_without_scipy():
+    """A fresh interpreter in which importing scipy fails runs verify on
+    every closed benchmark input and analyze on a mirrored disc."""
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from charvar.cli import main\n"
+        f"codes = [main(['verify', text]) for text in {CLOSED_INPUTS!r}]\n"
+        "codes.append(main(['analyze', '--json', 'D(3,3;mirror)', '--embed', 'orientable']))\n"
+        "sys.exit(max(codes))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
-    monkeypatch.setattr(reps, "least_squares", refuse)
-    for text in CLOSED_INPUTS:
-        assert failed(verify_suite(request_from_text(text))) == [], text
+
+@pytest.mark.parametrize(
+    "cones",
+    ["2,3", "3,3", "3,4", "5,5", "2,2,3", "2,3,3", "3,3,3", "4,4,4", "2,2,2,3", "3,3,3,3", "3,3,3,3,3"],
+)
+@pytest.mark.parametrize("embedding", ["orientable", "type_preserving"])
+def test_mirrored_discs_match_the_closed_formulas(cones, embedding):
+    """The orientation double of D(n_1..n_c;mirror) is S2(n_1..n_c, n_c..n_1),
+    so with chi(|O|) = 1 Choi-Goldman gives p = 6c - 2c_2 - 8, c_2 the
+    order-2 cone points, and d_oe = d_tp is half the double's -6 + 4c."""
+    text = f"D({cones};mirror)"
+    orders = tuple(int(n) for n in cones.split(","))
+    c, c2 = len(orders), orders.count(2)
+    report = analyze(request_from_text(text, embedding=embedding))
+    assert (report.dims["p"], report.dims["d_oe"], report.dims["d_tp"], report.dims["f"]) == (
+        6 * c - 2 * c2 - 8, 2 * c - 3, 2 * c - 3, 0,
+    )
+    assert failed(report.ledger) == []
+    if c <= 3 or orders == (2, 2, 2, 3):
+        assert failed(verify_suite(request_from_text(text, embedding=embedding))) == []
 
 
 @pytest.mark.parametrize("seed", [0, 3])

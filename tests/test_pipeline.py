@@ -21,7 +21,7 @@ from charvar.pipeline import (
     request_from_text,
     verify_suite,
 )
-from charvar.reps import embed, representation_to_json, triangle_group
+from charvar.reps import J3, embed, polygon_group, representation_to_json, triangle_group
 from conftest import EVERY_INPUT
 
 
@@ -371,3 +371,55 @@ def test_pairing_form_reference_catches_a_wrong_form(monkeypatch, mutated):
         monkeypatch.setattr(pipeline, "fundamental_form", lambda *args: real(*args) * (1 + 1e-6))
     for text in ("S2(3,3,3,3)", "O(g=2)"):
         assert ("pairing-form-reference" in failed_gates(text)) == mutated
+
+
+def conjugated_quad_file(directory, conj) -> str:
+    """The S2(3,3,3,3) polygon group with generator i replaced by conj(i, x_i)."""
+    rho = polygon_group((3, 3, 3, 3))
+    data = representation_to_json(rho)
+    data["matrices"] = [[f"{x:.17g}" for x in conj(i, m).ravel()] for i, m in enumerate(rho.matrices)]
+    path = directory / "conjugated.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_cup_antisymmetry_takes_the_form_every_generator_keeps(monkeypatch, tmp_path, perturbed):
+    """P rho P^-1, with P scaling the rotation plane of x_1 by 1.02, has
+    rho's character but keeps diag(1, 1, -1) on x_1 alone.  The gate runs
+    with the form that every generator keeps and passes; a Gram matrix
+    pushed off antisymmetry still fails it."""
+    import charvar.pipeline as pipeline
+
+    x1 = polygon_group((3, 3, 3, 3)).matrices[0]
+    w, v = np.linalg.eig(x1)
+    p = np.real(v[:, np.argmin(np.abs(w - 1))])
+    p = p / np.sqrt(-(p @ J3 @ p))
+    P = 1.02 * np.eye(3) + 0.02 * np.outer(p, p @ J3)
+    path = conjugated_quad_file(tmp_path, lambda i, m: P @ m @ np.linalg.inv(P))
+    if perturbed:
+        real = pipeline.fundamental_form
+
+        def form(pres, m1, m2, phi):
+            out = real(pres, m1, m2, phi)
+            return out + 1e-6 * np.eye(out.shape[0]) if m1.label == m2.label == "m_c" else out
+
+        monkeypatch.setattr(pipeline, "fundamental_form", form)
+    ledger = {e.name: e for e in verify_suite(request_from_text("S2(3,3,3,3)", rep_source="file", rep_path=path))}
+    assert ledger["cup-antisymmetry"].passed != perturbed
+    assert all(e.passed for name, e in ledger.items() if name != "cup-antisymmetry")
+
+
+def test_cup_antisymmetry_skipped_without_an_invariant_form(tmp_path):
+    """Bulging x_3 and x_4 by C, which commutes with x_1 x_2, keeps every
+    relator but leaves no invariant symmetric form: the gate is skipped
+    and the report says so."""
+    rho = polygon_group((3, 3, 3, 3))
+    w, v = np.linalg.eig(rho.matrices[0] @ rho.matrices[1])
+    w, v = np.real(w), np.real(v)
+    C = v @ np.diag(np.exp(0.5 * np.where(np.abs(w - 1) < 1e-6, -2.0, 1.0))) @ np.linalg.inv(v)
+    path = conjugated_quad_file(tmp_path, lambda i, m: C @ m @ np.linalg.inv(C) if i >= 2 else m)
+    req = request_from_text("S2(3,3,3,3)", rep_source="file", rep_path=path, checks=("all",))
+    report = analyze(req)
+    assert "cup-antisymmetry" not in {e.name for e in report.ledger}
+    assert "cup-antisymmetry-skipped" in report.flags

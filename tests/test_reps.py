@@ -65,7 +65,10 @@ def test_polygon_group_contract(orders):
     assert burnside_irreducible(rep).algebra_dim == 9
 
 
-@pytest.mark.parametrize("text", ["S2(2,3,7)", "S2(3,3,3,3)", "S2(3,3,3,3,3,3,3)", "O(g=2)"])
+@pytest.mark.parametrize(
+    "text",
+    ["S2(2,3,7)", "S2(3,3,3,3)", "S2(3,3,3,3,3,3,3)", "O(g=2)", "O(g=1;cone=[3])", "D(3,3,3;mirror)"],
+)
 def test_closed_builders_are_identical_across_calls_and_seeds(text):
     sig = parse_signature(text)
     first = build_representation(sig, seed=0)
@@ -119,6 +122,8 @@ def test_mirrored_disc_contract(mirrored):
     alpha = rep.presentation.orientation_character
     for mat, s in zip(rep.matrices, alpha):
         assert abs(np.linalg.det(mat) - s) < 1e-9
+    # the cone-point product commutes with the mirror by construction
+    assert rep.relator_residual < 1e-13
 
 
 def test_embed_standard(triangle334):
