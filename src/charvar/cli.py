@@ -48,6 +48,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    # 0 would keep rounding noise as rank and 1 drop every direction; nan fails the test too
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return value
+
+
 def _add_common(p, with_input: bool):
     if with_input:
         p.add_argument("signature", help=_SIG_HELP)
@@ -63,7 +71,9 @@ def _add_common(p, with_input: bool):
             default=None,
             help="embedding into the ambient group; required for non-orientable input",
         )
-    p.add_argument("--tol", type=float, default=1e-9, help="relative rank tolerance")
+    p.add_argument(
+        "--tol", type=_tolerance, default=1e-9, help="relative rank tolerance, in (0, 1)"
+    )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--seed",

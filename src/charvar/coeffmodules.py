@@ -14,7 +14,7 @@ contragredient, d trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,9 +64,9 @@ class CoefficientModule:
         dims = {m.shape for m in mats}
         if len(dims) > 1 or any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
             raise CoeffModuleError("generator actions must be square matrices of one size")
-        for i, m in enumerate(mats):
-            if abs(np.linalg.det(m)) < 1e-12:
-                raise CoeffModuleError(f"action of generator {i + 1} is singular")
+        singular = np.flatnonzero(np.abs(np.linalg.det(np.array(mats))) < 1e-12) if mats else []
+        if len(singular):
+            raise CoeffModuleError(f"action of generator {singular[0] + 1} is singular")
         object.__setattr__(self, "action", mats)
 
     @property
@@ -79,7 +79,7 @@ class CoefficientModule:
 
     @cached_property
     def _inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.linalg.inv(m) for m in self.action)
+        return tuple(np.linalg.inv(np.array(self.action))) if self.action else ()
 
     def act(self, letter: int) -> np.ndarray:
         if letter > 0:
@@ -93,19 +93,13 @@ class CoefficientModule:
         return out
 
 
-def _matrices_of(rep_or_matrices) -> tuple[np.ndarray, ...]:
-    mats = getattr(rep_or_matrices, "matrices", rep_or_matrices)
-    return tuple(np.asarray(m, dtype=float) for m in mats)
-
-
 def trivial_module(num_generators: int, dim: int = 1) -> CoefficientModule:
     eye = np.eye(dim)
     return CoefficientModule("trivial", tuple(eye for _ in range(num_generators)))
 
 
 def contragredient(m: CoefficientModule, label: str = "custom") -> CoefficientModule:
-    mats = tuple(np.linalg.inv(a).T for a in m.action)
-    return CoefficientModule(label, mats)
+    return CoefficientModule(label, tuple(a.T for a in m._inverses))
 
 
 def twist_by_character(m: CoefficientModule, signs, label: str | None = None) -> CoefficientModule:
@@ -116,60 +110,82 @@ def twist_by_character(m: CoefficientModule, signs, label: str | None = None) ->
     return CoefficientModule(label or m.label, mats)
 
 
+@lru_cache(maxsize=None)
+def _sl_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major flat indices of the off-diagonal entries of an m x m
+    matrix, in sl_basis order, and of its diagonal."""
+    flat = np.arange(m * m).reshape(m, m)
+    off = flat[~np.eye(m, dtype=bool)]
+    off.flags.writeable = False
+    return off, np.diag(flat)  # a diagonal view, read-only like off
+
+
 def sl_basis(m: int) -> list[np.ndarray]:
     """Elementary matrices e_ij (i != j, row-major), then e_ii - e_{i+1,i+1}."""
-    out = []
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                e = np.zeros((m, m))
-                e[i, j] = 1.0
-                out.append(e)
-    for i in range(m - 1):
-        h = np.zeros((m, m))
-        h[i, i] = 1.0
-        h[i + 1, i + 1] = -1.0
-        out.append(h)
-    return out
+    return list(sl_matrix(np.eye(m * m - 1), m))
 
 
 def sl_coords(X) -> np.ndarray:
-    """Coordinates in the sl_basis order; the trace part is discarded."""
+    """Coordinates in the sl_basis order of a matrix or a stack (..., m, m)
+    of them; the trace part is discarded."""
     X = np.asarray(X, dtype=float)
-    m = X.shape[0]
-    out = [X[i, j] for i in range(m) for j in range(m) if i != j]
-    out.extend(np.cumsum(np.diagonal(X))[:-1])
-    return np.array(out)
+    off, diag = _sl_index(X.shape[-1])
+    flat = X.reshape(X.shape[:-2] + (-1,))
+    return np.concatenate([flat[..., off], np.cumsum(flat[..., diag], axis=-1)[..., :-1]], axis=-1)
 
 
 def sl_matrix(v, m: int) -> np.ndarray:
+    """The traceless matrix, or stack (..., m, m), with sl_basis coordinates v."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (m * m - 1,):
+    if v.shape[-1:] != (m * m - 1,):
         raise CoeffModuleError(f"expected {m * m - 1} coordinates, got {v.shape}")
-    X = np.zeros((m, m))
-    k = 0
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                X[i, j] = v[k]
-                k += 1
-    c = np.concatenate([[0.0], v[k:], [0.0]])
-    for i in range(m):
-        X[i, i] = c[i + 1] - c[i]
-    return X
+    off, diag = _sl_index(m)
+    X = np.zeros(v.shape[:-1] + (m * m,))
+    X[..., off] = v[..., : len(off)]
+    # e_ii - e_{i+1,i+1} in coordinate i puts c_{i+1} - c_i on the diagonal
+    c = np.zeros(v.shape[:-1] + (m + 1,))
+    c[..., 1:m] = v[..., len(off) :]
+    X[..., diag] = np.diff(c, axis=-1)
+    return X.reshape(v.shape[:-1] + (m, m))
 
 
 def adjoint_module(rep_or_matrices, label: str = "custom") -> CoefficientModule:
-    """Conjugation action on traceless matrices, in sl_basis coordinates."""
-    mats = _matrices_of(rep_or_matrices)
-    m = mats[0].shape[0]
-    basis = sl_basis(m)
-    action = []
-    for M in mats:
-        Minv = np.linalg.inv(M)
-        cols = [sl_coords(M @ B @ Minv) for B in basis]
-        action.append(np.column_stack(cols))
+    """Conjugation action on traceless matrices, in sl_basis coordinates.
+
+    Row-major, vec(M B M^-1) = (M (x) M^-T) vec(B): conjugating the
+    elementary matrix e_cd gives the matrix with entries M[a, c] M^-1[d, b].
+    These images, formed for every generator at once, are combined into the
+    sl_basis images and read back in sl coordinates."""
+    mats = np.array(getattr(rep_or_matrices, "matrices", rep_or_matrices), dtype=float)
+    g, m = mats.shape[:2]
+    off, diag = _sl_index(m)
+    images = np.einsum("gac,gdb->gcdab", mats, np.linalg.inv(mats)).reshape(g, m * m, m, m)
+    cols = np.concatenate([images[:, off], images[:, diag[:-1]] - images[:, diag[1:]]], axis=1)
+    action = np.ascontiguousarray(sl_coords(cols).transpose(0, 2, 1))
     return CoefficientModule(label, tuple(action))
+
+
+@lru_cache(maxsize=None)
+def _ambient_constants(n: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The inclusions and bracket_d of SlDecomposition, which depend on n
+    only; read-only, since every decomposition of rank n shares them."""
+    k = np.arange(n)
+    col, row = np.zeros((2, n, n + 1, n + 1))
+    col[k, k, n] = 1.0
+    row[k, n, k] = 1.0
+    inclusions = {
+        "g0": sl_coords(np.pad(sl_matrix(np.eye(n * n - 1), n), ((0, 0), (0, 1), (0, 1)))).T,
+        "m_c": sl_coords(col).T,
+        "m_r": sl_coords(row).T,
+        "d": sl_coords(np.diag([1.0] * n + [-float(n)]))[:, None],
+    }
+    basis = np.array(sl_basis(n + 1))
+    # the (n, n) entry of E_i E_j is E_i[n, :] . E_j[:, n]
+    corner = basis[:, n, :] @ basis[:, :, n].T
+    bracket = -(corner - corner.T) / n
+    for a in (*inclusions.values(), bracket):
+        a.flags.writeable = False
+    return inclusions, bracket
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,36 +220,24 @@ class SlDecomposition:
     def to_matrix(self, v) -> np.ndarray:
         return sl_matrix(v, self.n + 1)
 
-    @cached_property
+    @property
     def inclusions(self) -> dict[str, np.ndarray]:
         """Inc_b for each block b: the ambient coordinates of the block's
         basis vectors, one column each.  g0 fills the top-left corner, m_c
         the last column, m_r the last row, and d spans D."""
-        n = self.n
-        lifts = {
-            "g0": lambda v: np.pad(sl_matrix(v, n), (0, 1)),
-            "m_c": lambda v: np.pad(v[:, None], ((0, 1), (n, 0))),
-            "m_r": lambda v: np.pad(v[None, :], ((n, 0), (0, 1))),
-            "d": lambda v: v[0] * np.diag([1.0] * n + [-float(n)]),
-        }
-        return {
-            label: np.column_stack([sl_coords(lift(e)) for e in np.eye(getattr(self, label).dim)])
-            for label, lift in lifts.items()
-        }
+        return _ambient_constants(self.n)[0]
 
     def lift(self, label: str, stacked: np.ndarray) -> np.ndarray:
         """Ambient coordinates of stacked block cochains, one per column:
         Inc_b applied to every generator's value."""
-        return np.kron(np.eye(self.full_g.num_generators), self.inclusions[label]) @ stacked
+        inc, g, k = self.inclusions[label], self.full_g.num_generators, stacked.shape[1]
+        return (inc @ stacked.reshape(g, inc.shape[1], k)).reshape(g * inc.shape[0], k)
 
-    @cached_property
+    @property
     def bracket_d(self) -> np.ndarray:
         """K[i, j] = pi_d([E_i, E_j]) over the ambient basis E = sl_basis(n + 1),
         so pi_d([X, Y]) = x @ K @ y on ambient coordinates."""
-        n, basis = self.n, np.array(sl_basis(self.n + 1))
-        # the (n, n) entry of E_i E_j is E_i[n, :] . E_j[:, n]
-        corner = basis[:, n, :] @ basis[:, :, n].T
-        return -(corner - corner.T) / n
+        return _ambient_constants(self.n)[1]
 
     @cached_property
     def cross_form(self) -> np.ndarray:

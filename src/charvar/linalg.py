@@ -91,6 +91,7 @@ def kernel_basis(m, policy: RankPolicy) -> np.ndarray:
     a = _as_float_array(m)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=a.dtype)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    # only a wide matrix needs the full V: a tall one would pay for an unused U
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     r, _ = rank_cut(s, policy)
     return vt[r:].conj().T

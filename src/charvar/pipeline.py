@@ -447,9 +447,9 @@ def _extra_checks(pres, sd, table, cross, policy, seed, flags) -> list[LedgerEnt
     res = max(cocycle_residual(pres, c.module, c.h1_basis) for c in complexes.values())
     entries.append(LedgerEntry("h1-cocycle-residual", res <= 1e-8, res))
 
-    directions = complexes["full_g"].h1_cocycles
-    if directions:
-        zmats = [[sd.to_matrix(v) for v in z.values] for z in directions]
+    directions = complexes["full_g"].h1_basis.T
+    if len(directions):
+        zmats = sd.to_matrix(directions.reshape(len(directions), pres.num_generators, -1))
         slopes, _ = weil_slope(sd.hat_matrices, pres.relators, zmats)
         dev = float(np.abs(slopes - 2.0).max())
         entries.append(LedgerEntry("weil-slope", dev <= 0.1, dev, f"{len(slopes)} tangent directions"))

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import RankPolicy, kernel_basis, rank
+from .linalg import RankPolicy, kernel_basis, rank, rank_cut
 from .presentation import (
     Cell,
     CellStabilizer,
@@ -224,57 +224,51 @@ class BurnsideReport:
     commutant_dim: int
 
 
-def _span_dim(vectors, policy: RankPolicy) -> int:
-    return rank(np.array(vectors), policy)
-
-
 def burnside_irreducible(rep_or_matrices, policy: RankPolicy | None = None) -> BurnsideReport:
     """Span criterion over C: the generated matrix algebra has dimension n^2
     iff the representation is C-irreducible.  Word length is capped at 2 n^2;
-    the span always stabilizes before that for semisimple inputs."""
+    the span always stabilizes before that for semisimple inputs.  A growth
+    step multiplies the span by every generator at once, and its one SVD
+    gives both the new dimension and an orthonormal basis to grow from."""
     policy = policy or RankPolicy()
-    mats = getattr(rep_or_matrices, "matrices", rep_or_matrices)
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    n = mats[0].shape[0]
+    mats = np.array(getattr(rep_or_matrices, "matrices", rep_or_matrices), dtype=complex)
+    n = mats.shape[-1]
 
-    basis = [np.eye(n, dtype=complex)] + list(mats)
-    dim = _span_dim([b.ravel() for b in basis], policy)
-    length = 1
-    while length < 2 * n * n:
-        grown = basis + [a @ g for a in basis for g in mats]
-        new_dim = _span_dim([b.ravel() for b in grown], policy)
-        length += 1
+    basis = np.concatenate([np.eye(n, dtype=complex)[None], mats])
+    dim = rank(basis.reshape(len(basis), -1), policy)
+    for _ in range(2 * n * n - 1):
+        grown = np.concatenate([basis, (basis[:, None] @ mats[None]).reshape(-1, n, n)])
+        _, s, vt = np.linalg.svd(grown.reshape(len(grown), -1), full_matrices=False)
+        new_dim, _ = rank_cut(s, policy)
         if new_dim == dim:
             break
-        # compress to an independent spanning subset to bound growth
-        flat = np.array([b.ravel() for b in grown])
-        _, _, vt = np.linalg.svd(flat, full_matrices=False)
-        basis = [vt[i].reshape(n, n) for i in range(new_dim)]
-        dim = new_dim
+        basis, dim = vt[:new_dim].reshape(new_dim, n, n), new_dim
 
     return BurnsideReport(dim == n * n, dim, commutant_dim(mats, policy))
 
 
 def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
     """Dimension over C of {X : XM = MX for every M}: the kernel of the
-    vectorized Sylvester system."""
+    vectorized Sylvester system, rows I (x) M - M^T (x) I for every M."""
     policy = policy or RankPolicy()
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    eye = np.eye(mats[0].shape[0])
-    rows = [np.kron(eye, m) - np.kron(m.T, eye) for m in mats]
-    return kernel_basis(np.vstack(rows), policy).shape[1]
+    mats = np.array(mats, dtype=complex)
+    n = mats.shape[-1]
+    eye = np.eye(n)
+    rows = np.einsum("ik,gjl->gijkl", eye, mats) - np.einsum("gki,jl->gijkl", mats, eye)
+    return kernel_basis(rows.reshape(-1, n * n), policy).shape[1]
 
 
 def invariant_form(mats, policy: RankPolicy | None = None) -> list[np.ndarray]:
     """Basis of the symmetric forms X with M^T X M = X for every M: the
-    kernel of the vectorized invariance system stacked on X = X^T."""
+    kernel of the vectorized invariance system, rows M^T (x) M^T - I for
+    every M, stacked on X = X^T."""
     policy = policy or RankPolicy()
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    n = mats[0].shape[0]
+    mats = np.array(mats, dtype=float)
+    n = mats.shape[-1]
     eye = np.eye(n * n)
-    rows = [np.kron(m.T, m.T) - eye for m in mats]
-    rows.append(eye - eye[np.arange(n * n).reshape(n, n).T.ravel()])
-    return [v.reshape(n, n) for v in kernel_basis(np.vstack(rows), policy).T]
+    rows = np.einsum("gki,glj->gijkl", mats, mats).reshape(-1, n * n, n * n) - eye
+    system = np.vstack([*rows, eye - eye[np.arange(n * n).reshape(n, n).T.ravel()]])
+    return [v.reshape(n, n) for v in kernel_basis(system, policy).T]
 
 
 # ---------------------------------------------------------------------------

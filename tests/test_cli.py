@@ -85,6 +85,23 @@ def test_usage_errors_exit_one(capsys):
     assert run(["analyze", "S2(3,3,4)", "--no-such-flag"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "1"])
+def test_tolerance_outside_the_unit_interval_is_a_usage_error(capsys, tol):
+    """As thresholds, 0 and -1 would keep rounding noise as rank (a negative
+    h1), and nan and 1 would drop the whole span and call a valid input
+    reducible."""
+    rc, out, err = run(["verify", "S2(3,3,3,3)", "--tol", tol], capsys)
+    assert rc == 1
+    assert out == ""
+    assert "argument --tol: must be a number in (0, 1)" in err
+
+
+def test_tolerance_inside_the_unit_interval_is_accepted(capsys):
+    rc, out, _ = run(["verify", "S2(3,3,3,3)", "--tol", "1e-8"], capsys)
+    assert rc == 0
+    assert "0 failed" in out
+
+
 def test_bad_input_exit_one(capsys):
     rc, _, err = run(["analyze", "Q(1,2)"], capsys)
     assert rc == 1

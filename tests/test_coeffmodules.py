@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from charvar.coeffmodules import (
     CoeffModuleError,
     CoefficientModule,
+    adjoint_module,
     contragredient,
     decompose_sl,
     sl_basis,
@@ -230,3 +231,137 @@ def test_block_equivariance_catches_the_wrong_twist(reps_by_text, text, embeddin
     wrong = replace(decompose_sl(rep, embedding), m_c=decompose_sl(rep, other).m_c)
     value, bound = wrong.block_equivariance()
     assert value > 1e3 * bound
+
+
+# Looped reference definitions: the per-element forms that the stacked
+# kernels of coeffmodules replace.  The stacked kernels must reproduce them.
+
+
+def looped_sl_basis(m):
+    out = []
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                e = np.zeros((m, m))
+                e[i, j] = 1.0
+                out.append(e)
+    for i in range(m - 1):
+        h = np.zeros((m, m))
+        h[i, i] = 1.0
+        h[i + 1, i + 1] = -1.0
+        out.append(h)
+    return out
+
+
+def looped_sl_coords(x):
+    m = x.shape[0]
+    out = [x[i, j] for i in range(m) for j in range(m) if i != j]
+    out.extend(np.cumsum(np.diagonal(x))[:-1])
+    return np.array(out)
+
+
+def looped_sl_matrix(v, m):
+    x = np.zeros((m, m))
+    k = 0
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                x[i, j] = v[k]
+                k += 1
+    c = np.concatenate([[0.0], v[k:], [0.0]])
+    for i in range(m):
+        x[i, i] = c[i + 1] - c[i]
+    return x
+
+
+def looped_adjoint(mats):
+    m = mats[0].shape[0]
+    out = []
+    for mat in mats:
+        inv = np.linalg.inv(mat)
+        out.append(np.column_stack([looped_sl_coords(mat @ b @ inv) for b in looped_sl_basis(m)]))
+    return out
+
+
+def looped_inclusions(n):
+    lifts = {
+        "g0": lambda v: np.pad(looped_sl_matrix(v, n), (0, 1)),
+        "m_c": lambda v: np.pad(v[:, None], ((0, 1), (n, 0))),
+        "m_r": lambda v: np.pad(v[None, :], ((n, 0), (0, 1))),
+        "d": lambda v: v[0] * np.diag([1.0] * n + [-float(n)]),
+    }
+    dims = {"g0": n * n - 1, "m_c": n, "m_r": n, "d": 1}
+    return {
+        label: np.column_stack([looped_sl_coords(lift(e)) for e in np.eye(dims[label])])
+        for label, lift in lifts.items()
+    }
+
+
+def looped_bracket_d(n):
+    basis = np.array(looped_sl_basis(n + 1))
+    corner = basis[:, n, :] @ basis[:, :, n].T
+    return -(corner - corner.T) / n
+
+
+def unimodular(rng, m, sign):
+    """A random m x m matrix of determinant sign (+1 or -1)."""
+    a = rng.standard_normal((m, m))
+    det = np.linalg.det(a)
+    if np.sign(det) != sign:
+        a[0] *= -1.0
+    return a / abs(det) ** (1.0 / m)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_stacked_adjoint_matches_the_looped_reference(m, triangle334):
+    """Ad(M) from vec(M B M^-1) = (M (x) M^-T) vec(B) agrees with the
+    per-basis-element conjugation to 1e-15 relative, on SL and on
+    determinant -1 (SL±) generators."""
+    rng = np.random.default_rng(20 + m)
+    mats = [unimodular(rng, m, sign) for sign in (1, -1, 1, -1)]
+    if m == 3:
+        mats += list(triangle334.matrices)
+    else:
+        mats += list(embed(triangle334, "standard").matrices)
+    for new, ref in zip(adjoint_module(mats).action, looped_adjoint(mats)):
+        assert np.abs(new - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_stacked_sl_coordinates_match_the_looped_reference(m):
+    rng = np.random.default_rng(30 + m)
+    x = rng.standard_normal((2, 3, m, m))
+    v = rng.standard_normal((2, 3, m * m - 1))
+    coords = sl_coords(x)
+    mats = sl_matrix(v, m)
+    assert coords.shape == (2, 3, m * m - 1) and mats.shape == (2, 3, m, m)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(coords[i, j], looped_sl_coords(x[i, j]))
+            assert np.array_equal(mats[i, j], looped_sl_matrix(v[i, j], m))
+    # round trips through the stack
+    np.testing.assert_allclose(sl_coords(mats), v, atol=1e-13)
+    traceless = x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] / m * np.eye(m)
+    np.testing.assert_allclose(sl_matrix(sl_coords(traceless), m), traceless, atol=1e-13)
+    assert all(np.array_equal(a, b) for a, b in zip(sl_basis(m), looped_sl_basis(m)))
+
+
+def test_inclusions_and_bracket_are_bit_identical_to_the_looped_reference(sd, quad):
+    ref = looped_inclusions(3)
+    assert sd.inclusions.keys() == ref.keys()
+    for label, inc in sd.inclusions.items():
+        assert inc.dtype == ref[label].dtype and np.array_equal(inc, ref[label])
+    assert np.array_equal(sd.bracket_d, looped_bracket_d(3))
+    # constants of n, shared between decompositions and read-only
+    assert quad.sd.inclusions is sd.inclusions and quad.sd.bracket_d is sd.bracket_d
+    assert not sd.inclusions["g0"].flags.writeable and not sd.bracket_d.flags.writeable
+
+
+@pytest.mark.parametrize("label", BLOCKS)
+def test_lift_matches_the_kron_construction(quad, label):
+    sd = quad.sd
+    g, dim = sd.full_g.num_generators, getattr(sd, label).dim
+    stacked = np.random.default_rng(6).standard_normal((g * dim, 5))
+    expect = np.kron(np.eye(g), sd.inclusions[label]) @ stacked
+    assert np.array_equal(sd.lift(label, stacked), expect)
+    assert sd.lift(label, stacked[:, :0]).shape == (g * 15, 0)

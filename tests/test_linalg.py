@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from charvar.linalg import (
@@ -109,3 +110,24 @@ def test_rank_cut_reads_descending_singular_values():
     r, gap = rank_cut(s, POLICY)
     assert (r, gap) == (rank_report(mat, POLICY).rank, rank_report(mat, POLICY).gap)
     assert kernel_basis(mat, POLICY).shape[1] == 3 - r
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(9, 4), (5, 5), (3, 7)], ids=["tall", "square", "wide"])
+def test_kernel_basis_on_tall_square_and_wide(shape, dtype):
+    """Tall and square systems skip the full U, wide ones need the full V;
+    either way the kernel is the one a full factorization gives."""
+    rng = np.random.default_rng(11)
+    rows, cols = shape
+    left = rng.standard_normal((rows, 2))
+    right = rng.standard_normal((2, cols))
+    if dtype is complex:
+        left = left + 1j * rng.standard_normal(left.shape)
+        right = right + 1j * rng.standard_normal(right.shape)
+    mat = left @ right
+    s = np.linalg.svd(mat, compute_uv=False)
+    expect = cols - rank_cut(s, POLICY)[0]
+    k = kernel_basis(mat, POLICY)
+    assert k.shape == (cols, expect) == (cols, cols - 2)
+    np.testing.assert_allclose(k.conj().T @ k, np.eye(expect), atol=1e-12)
+    assert np.abs(mat @ k).max() < 1e-12

@@ -6,14 +6,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from charvar.linalg import RankPolicy, kernel_basis, rank
 from charvar.presentation import parse_signature
 from charvar.reps import (
     BuildError,
     RepError,
     build_representation,
     burnside_irreducible,
+    commutant_dim,
     embed,
     half_mirrored_disc,
+    invariant_form,
     load_representation,
     lorentz_residual,
     polygon_group,
@@ -221,3 +224,100 @@ def test_burnside_on_raw_matrices():
     assert not report.irreducible_over_C
     assert report.algebra_dim == 2
     assert report.commutant_dim == 2
+
+
+def kron_commutant_system(mats):
+    """The Sylvester system of commutant_dim, one np.kron pair per matrix."""
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    eye = np.eye(mats[0].shape[0])
+    return np.vstack([np.kron(eye, m) - np.kron(m.T, eye) for m in mats])
+
+
+def kron_invariant_system(mats):
+    """The invariance system of invariant_form, one np.kron per matrix,
+    stacked on the symmetry rows X = X^T."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    n = mats[0].shape[0]
+    eye = np.eye(n * n)
+    rows = [np.kron(m.T, m.T) - eye for m in mats]
+    rows.append(eye - eye[np.arange(n * n).reshape(n, n).T.ravel()])
+    return np.vstack(rows)
+
+
+def conjugated(mats, complex_):
+    rng = np.random.default_rng(8)
+    p = rng.standard_normal((len(mats[0]),) * 2)
+    if complex_:
+        p = p + 1j * rng.standard_normal(p.shape)
+    return [p @ m @ np.linalg.inv(p) for m in mats]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("reducible", [False, True], ids=["irreducible", "reducible"])
+def test_sylvester_systems_match_the_kron_construction(monkeypatch, triangle334, reducible, complex_):
+    """The broadcast systems are bit-identical to the np.kron ones, so the
+    kernels, and with them the commutant dimension and the invariant
+    forms, are too.  invariant_form is a real computation, so it runs on
+    the real inputs only."""
+    import charvar.reps as reps
+
+    rep = embed(triangle334, "standard") if reducible else triangle334
+    mats = conjugated(rep.matrices, complex_)
+    seen = []
+
+    def recorded(a, policy):
+        seen.append(np.array(a))
+        return kernel_basis(a, policy)
+
+    monkeypatch.setattr(reps, "kernel_basis", recorded)
+    dim = commutant_dim(mats)
+    assert np.array_equal(seen[-1], kron_commutant_system(mats))
+    assert dim == kernel_basis(kron_commutant_system(mats), RankPolicy()).shape[1]
+    assert dim == (2 if reducible else 1)
+    if not complex_:
+        forms = invariant_form(mats)
+        assert np.array_equal(seen[-1], kron_invariant_system(mats))
+        ref = kernel_basis(kron_invariant_system(mats), RankPolicy()).T
+        assert len(forms) == len(ref) == (2 if reducible else 1)
+        assert all(np.array_equal(f, v.reshape(f.shape)) for f, v in zip(forms, ref))
+
+
+def growth_steps(mats, policy):
+    """Growth steps of burnside_irreducible, from the dimensions of the
+    spans of all positive words of length at most L: the first step k
+    with dim(k + 1) == dim(k), or the cap 2 n^2 - 1."""
+    n = mats[0].shape[0]
+    words = [np.eye(n, dtype=complex)] + [np.asarray(m, dtype=complex) for m in mats]
+    dims = [rank(np.array([w.ravel() for w in words]), policy)]
+    frontier = words[1:]
+    for k in range(1, 2 * n * n):
+        frontier = [a @ m for a in frontier for m in mats]
+        words += frontier
+        dims.append(rank(np.array([w.ravel() for w in words]), policy))
+        if dims[-1] == dims[-2]:
+            return k
+    return 2 * n * n - 1
+
+
+@pytest.mark.parametrize("case", ["irreducible", "reducible", "identity"])
+def test_burnside_takes_one_svd_per_growth_step(monkeypatch, triangle334, case):
+    """One SVD for the initial span, one per growth step (it gives both the
+    rank and the compressed span) and one for the commutant."""
+    mats = {
+        "irreducible": triangle334.matrices,
+        "reducible": embed(triangle334, "standard").matrices,
+        "identity": (np.eye(3),),
+    }[case]
+    steps = growth_steps(mats, RankPolicy())
+    assert steps == {"irreducible": 2, "reducible": 2, "identity": 1}[case]
+    calls = {"svd": 0}
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls["svd"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = burnside_irreducible(mats)
+    assert calls["svd"] == 1 + steps + 1
+    assert report.irreducible_over_C is (case == "irreducible")
