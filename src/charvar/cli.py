@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 from .classifier import ClassifierError
 from .cohomology import CohomologyError
@@ -92,6 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("verify", help="run every cross-check"), True)
     _add_common(sub.add_parser("examples", help="run the worked fixtures"), False)
     return p
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one serves every main call
+    return build_parser()
 
 
 def _seed_of(args) -> int:
@@ -222,7 +229,7 @@ def _cmd_examples(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
             return _cmd_analyze(args, dims_only=False)

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .coeffmodules import CoefficientModule, contragredient, twist_by_character
-from .linalg import RankPolicy, kernel_basis, rank_cut
+from .linalg import RankPolicy, rank_cut
 from .presentation import GroupPresentation, Word
 
 __all__ = [
@@ -285,46 +285,38 @@ class BlockComplex:
         return [cocycle_from_stack(self.module, col) for col in self.h1_basis.T]
 
 
-def _stabilizer_invariant_dim(
-    m: CoefficientModule, words, orders, policy: RankPolicy
-) -> int:
-    mats = []
-    eye = np.eye(m.dim)
-    for w, order in zip(words, orders):
-        a = m.evaluate_word(w)
-        if order is not None:
-            res = float(np.abs(np.linalg.matrix_power(a, order) - eye).max())
-            if res > 1e-6:
-                raise CohomologyError(
-                    f"stabilizer word {w} is not of order {order}: residual {res:.3e}"
-                )
-        mats.append(a - eye)
-    if not mats:
-        return m.dim
-    return kernel_basis(np.vstack(mats), policy).shape[1]
+def _stabilizer_invariant_dim(m: CoefficientModule, word: Word, order: int) -> int:
+    """dim M^<w> for a stabilizer <w> of the given order, by the character
+    rule: the mean of tr w^j over j < order (Serre, Linear Representations
+    of Finite Groups, 2.3).  The powers come from repeated multiplication,
+    and the last, w^order, must be the identity."""
+    a = m.evaluate_word(word)
+    power, total = a, float(m.dim)
+    for _ in range(order - 1):
+        total += power.trace()
+        power = power @ a
+    res = float(np.abs(power - np.eye(m.dim)).max())
+    if res > 1e-6:
+        raise CohomologyError(f"stabilizer word {word} is not of order {order}: residual {res:.3e}")
+    return int(np.rint(total / order))
 
 
-def twisted_euler(
-    pres: GroupPresentation, m: CoefficientModule, policy: RankPolicy | None = None
-) -> int:
+def twisted_euler(pres: GroupPresentation, m: CoefficientModule) -> int:
     """Alternating sum over cells of the invariant dimension of the cell
     stabilizer; equals h0 - h1 + h2."""
-    policy = policy or RankPolicy()
     if not pres.cells:
         raise CohomologyError("presentation carries no cell structure")
-    total = 0
+    total, invariant = 0, {}
     for cell in pres.cells:
         st = cell.stabilizer
         if st.kind == "trivial":
             d = m.dim
-        elif st.kind == "cyclic":
-            d = _stabilizer_invariant_dim(m, [st.word], [st.order], policy)
-        elif st.kind == "reflection":
-            d = _stabilizer_invariant_dim(m, [st.word], [2], policy)
-        else:  # dihedral
-            d = _stabilizer_invariant_dim(
-                m, [st.word, st.reflection_word], [st.order, 2], policy
-            )
+        else:
+            # a mirror's vertex and edge share one stabilizer
+            key = (st.word, 2 if st.kind == "reflection" else st.order)
+            if key not in invariant:
+                invariant[key] = _stabilizer_invariant_dim(m, *key)
+            d = invariant[key]
         total += (-1) ** cell.dim * d
     return total
 
@@ -485,7 +477,7 @@ def cohomology_report(
     policy = policy or RankPolicy()
     complexes = {label: BlockComplex(pres, getattr(decomposition, label), policy) for label in BLOCKS}
     rows = [
-        ModuleCohomology(label, c.dims, twisted_euler(pres, c.module, policy) if pres.cells else None)
+        ModuleCohomology(label, c.dims, twisted_euler(pres, c.module) if pres.cells else None)
         for label, c in complexes.items()
     ]
     return CohomologyReport((*rows, _direct_sum(rows)), complexes)

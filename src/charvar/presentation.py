@@ -172,27 +172,24 @@ def underlying_euler(sig: OrbifoldSignature) -> int:
 @dataclass(frozen=True)
 class CellStabilizer:
     """Isotropy of (a lift of) a cell: trivial, cyclic of given order
-    generated by `word`, reflection generated by `word`, or dihedral with
-    the rotation and reflection words."""
+    generated by `word`, or reflection generated by `word`.  Corner
+    reflectors, whose stabilizers are dihedral, are out of scope."""
 
     kind: str = "trivial"
     order: int = 1
     word: Word = ()
-    reflection_word: Word = ()
 
     def __post_init__(self):
-        if self.kind not in ("trivial", "cyclic", "reflection", "dihedral"):
+        if self.kind not in ("trivial", "cyclic", "reflection"):
             raise PresentationError(f"unknown stabilizer kind {self.kind!r}")
         if self.kind == "cyclic" and (self.order < 2 or not self.word):
             raise PresentationError("cyclic stabilizer needs order >= 2 and a word")
         if self.kind == "reflection" and not self.word:
             raise PresentationError("reflection stabilizer needs a word")
-        if self.kind == "dihedral" and (not self.word or not self.reflection_word):
-            raise PresentationError("dihedral stabilizer needs both words")
 
     @property
     def reverses_orientation(self) -> bool:
-        return self.kind in ("reflection", "dihedral")
+        return self.kind == "reflection"
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,12 @@ with boundary place their generators from the seed and solve the long
 relator for the last one.  Every builder returns generators that satisfy
 the torsion relators exactly and the long relator to at least 1e-9.
 
-Builders only certify matrix identities and C-irreducibility, never
-discreteness; dimension counts downstream depend only on the torsion
-conjugacy data, so any C-irreducible representative works.
+Builders certify matrix identities, never discreteness.  Only the
+boundary builder, which restarts until a placement passes, runs Burnside's
+criterion; the others are C-irreducible by construction (the tests pin
+it), and analyze's irreducibility gates are the certificate of record.
+Dimension counts depend only on the torsion conjugacy data, so any
+C-irreducible representative works.
 """
 
 from __future__ import annotations
@@ -229,12 +232,15 @@ def burnside_irreducible(rep_or_matrices, policy: RankPolicy | None = None) -> B
     iff the representation is C-irreducible.  Word length is capped at 2 n^2;
     the span always stabilizes before that for semisimple inputs.  A growth
     step multiplies the span by every generator at once, and its one SVD
-    gives both the new dimension and an orthonormal basis to grow from."""
+    gives both the new dimension and an orthonormal basis to grow from.
+    Real input stays real: the R-span of real matrices has the dimension
+    of their C-span, so the verdict is over C either way."""
     policy = policy or RankPolicy()
-    mats = np.array(getattr(rep_or_matrices, "matrices", rep_or_matrices), dtype=complex)
+    mats = np.asarray(getattr(rep_or_matrices, "matrices", rep_or_matrices))
+    mats = mats.astype(np.result_type(mats, float), copy=False)
     n = mats.shape[-1]
 
-    basis = np.concatenate([np.eye(n, dtype=complex)[None], mats])
+    basis = np.concatenate([np.eye(n, dtype=mats.dtype)[None], mats])
     dim = rank(basis.reshape(len(basis), -1), policy)
     for _ in range(2 * n * n - 1):
         grown = np.concatenate([basis, (basis[:, None] @ mats[None]).reshape(-1, n, n)])
@@ -249,9 +255,12 @@ def burnside_irreducible(rep_or_matrices, policy: RankPolicy | None = None) -> B
 
 def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
     """Dimension over C of {X : XM = MX for every M}: the kernel of the
-    vectorized Sylvester system, rows I (x) M - M^T (x) I for every M."""
+    vectorized Sylvester system, rows I (x) M - M^T (x) I for every M.
+    Real input stays real: a real system's kernel has one dimension over
+    R and over C."""
     policy = policy or RankPolicy()
-    mats = np.array(mats, dtype=complex)
+    mats = np.asarray(mats)
+    mats = mats.astype(np.result_type(mats, float), copy=False)
     n = mats.shape[-1]
     eye = np.eye(n)
     rows = np.einsum("ik,gjl->gijkl", eye, mats) - np.einsum("gki,jl->gijkl", mats, eye)
@@ -391,9 +400,6 @@ def _mirrored_disc(orders) -> Representation:
     sides = _tangential_sides(np.pi / np.array((2,) + orders + (2,), dtype=float))
     gens = [sides[i] @ sides[i + 1] for i in range(c)]
     s = sides[c + 1]
-    cover = gens + [s @ g @ s for g in gens]
-    if burnside_irreducible(gens + [s]).algebra_dim != 9 or burnside_irreducible(cover).algebra_dim != 9:
-        raise BuildError(f"mirrored-disc polygon for {orders} unexpectedly reducible")
     return Representation(
         presentation_of(sig),
         tuple(gens) + (s,),
@@ -435,9 +441,6 @@ def half_mirrored_disc(n: int) -> Representation:
         raise BuildError("half-mirrored disc needs cone order >= 3 to be hyperbolic")
     s = np.diag([1.0, -1.0, 1.0])
     x = rotation_about(_point_above_axis(0.3, 0.9), 2.0 * np.pi / n)
-    cover = [x, s @ x @ s]
-    if burnside_irreducible(cover).algebra_dim != 9:
-        raise BuildError("half-mirrored disc placement unexpectedly reducible")
     return Representation(
         half_mirrored_disc_presentation(n),
         (x, s),

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from charvar.cli import main
+from charvar.cli import build_parser, main
 from charvar.reps import embed, representation_to_json
 
 
@@ -169,3 +169,13 @@ def test_malformed_rep_file_exit_one(capsys, tmp_path, blob):
     assert rc == 1
     assert "error:" in err
     assert "Traceback" not in out + err
+
+
+def test_parser_carries_no_state_between_calls(capsys):
+    """dims fills in the embedding of a non-orientable input on its own
+    arguments; a later analyze of the same input must still ask for one."""
+    assert run(["dims", "HD(3)"], capsys)[0] == 0
+    rc, _, err = run(["analyze", "HD(3)"], capsys)
+    assert rc == 1
+    assert "embed" in err
+    assert build_parser() is not build_parser()

@@ -16,6 +16,8 @@ import pytest
 
 from charvar.cohomology import BlockComplex, cocycle_residual
 from charvar.pipeline import analyze, request_from_text, verify_suite
+from charvar.presentation import orientation_cover_generators, parse_signature
+from charvar.reps import build_representation, burnside_irreducible, half_mirrored_disc
 
 # the closed-verify benchmark inputs
 CLOSED_INPUTS = (
@@ -68,10 +70,12 @@ def test_closed_inputs_verify_without_scipy():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize(
-    "cones",
-    ["2,3", "3,3", "3,4", "5,5", "2,2,3", "2,3,3", "3,3,3", "4,4,4", "2,2,2,3", "3,3,3,3", "3,3,3,3,3"],
+MIRRORED_CONES = (
+    "2,3", "3,3", "3,4", "5,5", "2,2,3", "2,3,3", "3,3,3", "4,4,4", "2,2,2,3", "3,3,3,3", "3,3,3,3,3",
 )
+
+
+@pytest.mark.parametrize("cones", MIRRORED_CONES)
 @pytest.mark.parametrize("embedding", ["orientable", "type_preserving"])
 def test_mirrored_discs_match_the_closed_formulas(cones, embedding):
     """The orientation double of D(n_1..n_c;mirror) is S2(n_1..n_c, n_c..n_1),
@@ -87,6 +91,21 @@ def test_mirrored_discs_match_the_closed_formulas(cones, embedding):
     assert failed(report.ledger) == []
     if c <= 3 or orders == (2, 2, 2, 3):
         assert failed(verify_suite(request_from_text(text, embedding=embedding))) == []
+
+
+@pytest.mark.parametrize(
+    "text", [f"D({cones};mirror)" for cones in MIRRORED_CONES] + [f"HD({n})" for n in range(3, 9)]
+)
+def test_mirrored_builders_are_irreducible_on_base_and_cover(text):
+    """The mirrored builders run no Burnside check of their own; the
+    base group and its orientation cover both generate all of M_3."""
+    if text.startswith("HD("):
+        rep = half_mirrored_disc(int(text[3:-1]))
+    else:
+        rep = build_representation(parse_signature(text))
+    cover = [rep.word_image(w) for w in orientation_cover_generators(rep.presentation)]
+    assert burnside_irreducible(rep).algebra_dim == 9
+    assert burnside_irreducible(cover).algebra_dim == 9
 
 
 @pytest.mark.parametrize("seed", [0, 3])

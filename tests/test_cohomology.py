@@ -29,7 +29,7 @@ from charvar.cohomology import (
     twisted_euler,
     weil_slope,
 )
-from charvar.coeffmodules import CoefficientModule, trivial_module
+from charvar.coeffmodules import CoefficientModule, decompose_sl, trivial_module
 from charvar.linalg import RankPolicy, kernel_basis
 from charvar.presentation import (
     parse_signature,
@@ -37,6 +37,8 @@ from charvar.presentation import (
     presentation_of,
     underlying_euler,
 )
+from charvar.reps import build_representation, half_mirrored_disc
+from conftest import EVERY_INPUT
 
 POLICY = RankPolicy()
 
@@ -171,20 +173,76 @@ def test_twisted_euler_trivial_coefficients_recovers_underlying_space():
         sig = parse_signature(text)
         pres = presentation_of(sig)
         m = trivial_module(pres.num_generators)
-        assert twisted_euler(pres, m, POLICY) == underlying_euler(sig)
+        assert twisted_euler(pres, m) == underlying_euler(sig)
 
 
 def test_twisted_euler_matches_alternating_sum(quad):
     for label in ("g0", "m_c", "m_r", "d", "full_g"):
         m = getattr(quad.sd, label)
         hd = BlockComplex(quad.pres, m, POLICY).dims
-        assert twisted_euler(quad.pres, m, POLICY) == hd.euler
+        assert twisted_euler(quad.pres, m) == hd.euler
+
+
+def svd_invariant_dim(m, word, order):
+    """dim M^<w> as the kernel of w - 1, found by SVD: the rank decision
+    that the character rule of twisted_euler replaced."""
+    a = m.evaluate_word(word)
+    eye = np.eye(m.dim)
+    assert np.abs(np.linalg.matrix_power(a, order) - eye).max() <= 1e-6
+    return kernel_basis(a - eye, POLICY).shape[1]
+
+
+def svd_twisted_euler(pres, m):
+    total = 0
+    for cell in pres.cells:
+        st = cell.stabilizer
+        if st.kind == "trivial":
+            d = m.dim
+        else:
+            d = svd_invariant_dim(m, st.word, 2 if st.kind == "reflection" else st.order)
+        total += (-1) ** cell.dim * d
+    return total
+
+
+@pytest.mark.parametrize(
+    "text, embedding",
+    EVERY_INPUT + [("D(2,3,3;mirror)", e) for e in ("orientable", "type_preserving")],
+)
+def test_twisted_euler_characters_match_the_svd_kernels(text, embedding):
+    """Every benchmark input, HD(3) and D(2,3,3;mirror): the character
+    mean and the SVD kernel give one twisted Euler characteristic per
+    block and for full_g."""
+    if text.startswith("HD("):
+        rep = half_mirrored_disc(int(text[3:-1]))
+    else:
+        rep = build_representation(parse_signature(text), seed=0)
+    sd = decompose_sl(rep, embedding)
+    for label in ("g0", "m_c", "m_r", "d", "full_g"):
+        m = getattr(sd, label)
+        assert twisted_euler(rep.presentation, m) == svd_twisted_euler(rep.presentation, m)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_twisted_euler_order_gate(quad, perturbed):
+    """A cone generator whose action is moved 1e-4 off its order fails
+    the order check; the unperturbed g0 passes it."""
+    g0 = quad.sd.g0
+    action = list(g0.action)
+    if perturbed:
+        nudge = 1e-4 * np.random.default_rng(3).uniform(-1.0, 1.0, action[0].shape)
+        action[0] = action[0] @ (np.eye(g0.dim) + nudge)
+    m = CoefficientModule("g0", tuple(action))
+    if perturbed:
+        with pytest.raises(CohomologyError, match="is not of order"):
+            twisted_euler(quad.pres, m)
+    else:
+        assert twisted_euler(quad.pres, m) == BlockComplex(quad.pres, g0, POLICY).dims.euler
 
 
 def test_twisted_euler_requires_cells():
     pres = presentation_from_raw(("a",), [(1, 1)], torsion_orders={1: 2})
     with pytest.raises(CohomologyError):
-        twisted_euler(pres, trivial_module(1), POLICY)
+        twisted_euler(pres, trivial_module(1))
 
 
 def test_fundamental_class_symplectic_sign():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from charvar.presentation import (
+    CellStabilizer,
     PresentationError,
     SignatureError,
     euler_characteristic,
@@ -119,6 +120,13 @@ def test_half_mirrored_presentation_structure():
     assert pres.full_boundary_count == 1
     kinds = {c.stabilizer.kind for c in pres.cells}
     assert "reflection" in kinds
+
+
+def test_stabilizer_kinds_exclude_corner_reflectors():
+    assert CellStabilizer("reflection", 2, (2,)).reverses_orientation
+    assert not CellStabilizer("cyclic", 3, (1,)).reverses_orientation
+    with pytest.raises(PresentationError):
+        CellStabilizer("dihedral", 3, (1,))
 
 
 def test_cells_cover_all_dimensions():

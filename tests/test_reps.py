@@ -226,6 +226,16 @@ def test_burnside_on_raw_matrices():
     assert report.commutant_dim == 2
 
 
+def test_burnside_keeps_complex_input_complex():
+    """The quaternion units i and j generate the 4-dimensional algebra
+    M_2(C); a cast to real would drop i's imaginary part."""
+    units = [np.diag([1j, -1j]), np.array([[0.0, 1.0], [-1.0, 0.0]])]
+    report = burnside_irreducible(units)
+    assert report.irreducible_over_C
+    assert report.algebra_dim == 4
+    assert report.commutant_dim == 1
+
+
 def kron_commutant_system(mats):
     """The Sylvester system of commutant_dim, one np.kron pair per matrix."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
