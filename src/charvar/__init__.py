@@ -9,7 +9,7 @@ local homeomorphism type R^p x R^b x Cone(X) of the character variety
 at the embedded point.
 """
 
-from .classifier import LocalModel, classify, cone_membership, parse_display, projective_corollary
+from .classifier import LocalModel, classify
 from .coeffmodules import (
     CoefficientModule,
     SlDecomposition,
@@ -37,7 +37,7 @@ from .cohomology import (
     twisted_euler,
     weil_slope,
 )
-from .linalg import RankPolicy, RankReport, kernel_basis, rank, rank_report
+from .linalg import RankPolicy, kernel_basis, rank
 from .pipeline import (
     AnalysisReport,
     AnalysisRequest,
@@ -69,7 +69,6 @@ from .reps import (
     load_representation,
     polygon_group,
     representation_to_json,
-    triangle_group,
 )
 
 __version__ = "0.1.0"

@@ -10,10 +10,7 @@ point or a line.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .reps import EMBEDDINGS
 
@@ -23,9 +20,6 @@ __all__ = [
     "EMBEDDINGS",
     "LocalModel",
     "classify",
-    "cone_membership",
-    "projective_corollary",
-    "parse_display",
 ]
 
 
@@ -88,34 +82,6 @@ class LocalModel:
         return f"local model {self.display}, {verdict} point{extra}"
 
 
-_DISPLAY = re.compile(r"^R\^(\d+) x R\^(\d+)(?: x Cone\((.+)\))?$")
-_LINKS = (
-    (re.compile(r"^UT\(S\^(\d+)\)$"), "unit_tangent_sphere"),
-    (re.compile(r"^UT\(RP\^(\d+)\)$"), "unit_tangent_projective"),
-    (re.compile(r"^S\^(\d+)xS\^(\d+)$"), "spheres_product"),
-    (re.compile(r"^\(S\^(\d+)xS\^(\d+)\)/~$"), "spheres_product_mod"),
-)
-
-
-def parse_display(text: str) -> tuple[int, int, str, int]:
-    """Inverse of LocalModel.display: (p, b, link kind, d)."""
-    m = _DISPLAY.match(text.strip())
-    if not m:
-        raise ClassifierError(f"cannot parse model display {text!r}")
-    p, b = int(m.group(1)), int(m.group(2))
-    if m.group(3) is None:
-        return p, b, "point", 0
-    body = m.group(3)
-    for pat, kind in _LINKS:
-        lm = pat.match(body)
-        if lm:
-            ks = {int(g) for g in lm.groups()}
-            if len(ks) != 1:
-                raise ClassifierError(f"mismatched sphere dimensions in {body!r}")
-            return p, b, kind, ks.pop() + 1
-    raise ClassifierError(f"unknown cone link {body!r}")
-
-
 def _smoothness(link: str, d: int) -> tuple[bool, tuple[str, ...]]:
     if link == "point":
         return True, ()
@@ -174,38 +140,3 @@ def classify(
 
     smooth, flags = _smoothness(link, d)
     return LocalModel(p, b, link, d, smooth, row, flags)
-
-
-def projective_corollary(t: int, p: int, b: int, closed: bool) -> LocalModel:
-    """Ambient rank 4 shortcut driven by the tangential dimension t."""
-    return classify("closed" if closed else "boundary", True, "standard", 4, p, t, b)
-
-
-_VARIANTS = {
-    "closed": "closed",
-    "boundary": "boundary",
-    "unit_tangent_sphere": "closed",
-    "unit_tangent_projective": "closed",
-    "spheres_product": "boundary",
-    "spheres_product_mod": "boundary",
-}
-
-
-def cone_membership(x, y, variant: str, tol: float = 1e-9) -> bool:
-    """Whether (x, y) satisfies the cone equations of the given link
-    variant: equal norms always, zero inner product additionally for the
-    closed variants.  Antipodal quotients leave membership unchanged."""
-    kind = _VARIANTS.get(variant)
-    if kind is None:
-        raise ClassifierError(f"unknown cone variant {variant!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ClassifierError("cone membership needs equal-length vectors")
-    nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-    scale = max(1.0, nx, ny)
-    if abs(nx - ny) > tol * scale:
-        return False
-    if kind == "closed" and abs(float(x @ y)) > tol * scale * scale:
-        return False
-    return True

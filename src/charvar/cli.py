@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from functools import lru_cache
@@ -62,10 +61,9 @@ def _add_common(p, with_input: bool):
         p.add_argument("signature", help=_SIG_HELP)
         p.add_argument(
             "--rep",
-            default="auto",
-            help="auto | triangle | polygon | path to a representation file",
+            metavar="FILE",
+            help="representation file, which fixes the rank (default: built-in)",
         )
-        p.add_argument("--n", type=int, default=3, help="rank of the base group (default 3)")
         p.add_argument(
             "--embed",
             choices=["standard", "orientable", "type-preserving"],
@@ -79,9 +77,8 @@ def _add_common(p, with_input: bool):
     p.add_argument(
         "--seed",
         type=int,
-        default=None,
-        help="sampling seed, also read by the builder of groups with boundary "
-        "(default CHARVAR_SEED or 0)",
+        default=0,
+        help="sampling seed, also read by the builder of groups with boundary (default 0)",
     )
 
 
@@ -101,18 +98,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CHARVAR_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise PipelineError(f"CHARVAR_SEED must be an integer, got {env!r}")
-    return 0
-
-
 def _nonorientable_input(text: str) -> bool:
     if text.strip().startswith("HD("):
         return True
@@ -123,18 +108,13 @@ def _nonorientable_input(text: str) -> bool:
 
 
 def _request(args):
-    source, path = args.rep, None
-    if source not in ("auto", "triangle", "polygon"):
-        source, path = "file", args.rep
     policy = RankPolicy(relative=args.tol, absolute=args.tol * 1e-3)
     return request_from_text(
         args.signature,
-        rep_source=source,
-        rep_path=path,
-        n=args.n,
+        rep_path=args.rep,
         embedding=args.embed,
         policy=policy,
-        seed=_seed_of(args),
+        seed=args.seed,
     )
 
 
@@ -155,7 +135,7 @@ def _print_report(report: AnalysisReport, as_json: bool, dims_only: bool, show_m
         print(json.dumps(data, indent=2, sort_keys=True))
         return
     print(f"input      {report.request.input_text}  {report.group['description']}")
-    print(f"embedding  {report.embedding}  (SL_{report.request.n} -> SL_{report.request.n + 1})")
+    print(f"embedding  {report.embedding}  (SL_{report.n} -> SL_{report.n + 1})")
     print(f"dims       {_dims_line(report)}")
     if dims_only:
         return
@@ -200,10 +180,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    seed = _seed_of(args)
     policy = RankPolicy(relative=args.tol, absolute=args.tol * 1e-3)
     reports = [
-        analyze(replace(req, policy=policy)) for req in example_requests(seed)
+        analyze(replace(req, policy=policy)) for req in example_requests(args.seed)
     ]
     if args.json:
         print(

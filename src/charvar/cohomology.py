@@ -449,10 +449,6 @@ class CohomologyReport:
     def min_gap(self) -> float:
         return min((m.dims.min_gap for m in self.modules), default=float("inf"))
 
-    @property
-    def euler_consistent(self) -> bool:
-        return all(m.euler_match is not False for m in self.modules)
-
 
 def _direct_sum(rows: list[ModuleCohomology]) -> ModuleCohomology:
     """The full_g row: every dimension and the cellular Euler

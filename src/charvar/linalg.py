@@ -13,10 +13,8 @@ import numpy as np
 
 __all__ = [
     "RankPolicy",
-    "RankReport",
     "LinalgError",
     "rank",
-    "rank_report",
     "rank_cut",
     "kernel_basis",
 ]
@@ -35,20 +33,6 @@ class RankPolicy:
 
     def threshold(self, s_max: float) -> float:
         return max(self.relative * s_max, self.absolute)
-
-
-@dataclass(frozen=True)
-class RankReport:
-    """Rank decision plus the spectral evidence it was made on.
-
-    gap is the ratio between the smallest kept and the largest dropped
-    singular value (inf when nothing was dropped or nothing kept), the
-    quantity downstream consumers audit before trusting the rank.
-    """
-
-    rank: int
-    gap: float
-    singular_values: tuple[float, ...]
 
 
 def _as_float_array(m) -> np.ndarray:
@@ -73,17 +57,8 @@ def rank_cut(s, policy: RankPolicy) -> tuple[int, float]:
     return r, float(s[r - 1] / s[r])
 
 
-def rank_report(m, policy: RankPolicy) -> RankReport:
-    a = _as_float_array(m)
-    if a.size == 0:
-        return RankReport(rank=0, gap=float("inf"), singular_values=())
-    s = np.linalg.svd(a, compute_uv=False)
-    r, gap = rank_cut(s, policy)
-    return RankReport(rank=r, gap=gap, singular_values=tuple(float(x) for x in s))
-
-
 def rank(m, policy: RankPolicy) -> int:
-    return rank_report(m, policy).rank
+    return rank_cut(np.linalg.svd(_as_float_array(m), compute_uv=False), policy)[0]
 
 
 def kernel_basis(m, policy: RankPolicy) -> np.ndarray:

@@ -34,7 +34,7 @@ from .presentation import (
 )
 from .reps import (
     EMBEDDINGS,
-    BuildError,
+    RESIDUAL_BOUND,
     Representation,
     build_representation,
     burnside_irreducible,
@@ -43,8 +43,6 @@ from .reps import (
     half_mirrored_disc_presentation,
     invariant_form,
     load_representation,
-    polygon_group,
-    triangle_group,
 )
 
 __all__ = [
@@ -65,7 +63,7 @@ __all__ = [
 
 SCHEMA = "charvar-report/1"
 
-REP_SOURCES = ("auto", "triangle", "polygon", "file")
+OBSTRUCTION_SAMPLES = 10  # pairs (o, q) the obstruction scan averages o/q over
 
 
 class PipelineError(RuntimeError):
@@ -98,24 +96,12 @@ class LedgerEntry:
 class AnalysisRequest:
     input_text: str
     signature: OrbifoldSignature | None = None
-    presentation: GroupPresentation | None = None
     hd_order: int | None = None
-    rep_source: str = "auto"
     rep_path: str | None = None
-    n: int = 3
     embedding: str | None = None
     policy: RankPolicy = field(default_factory=RankPolicy)
     seed: int = 0
     checks: tuple[str, ...] = ("core",)
-    obstruction_samples: int = 10
-
-    def __post_init__(self):
-        if self.rep_source not in REP_SOURCES:
-            raise PipelineError(f"unknown representation source {self.rep_source!r}")
-        if self.rep_source == "file" and not self.rep_path:
-            raise PipelineError("file source needs a path")
-        if self.obstruction_samples < 2:
-            raise PipelineError("need at least two obstruction samples")
 
 
 _HD = re.compile(r"^HD\((\d+)\)$")
@@ -135,6 +121,7 @@ def request_from_text(text: str, **kwargs) -> AnalysisRequest:
 @dataclass(frozen=True)
 class AnalysisReport:
     request: AnalysisRequest
+    n: int
     embedding: str
     group: dict
     residuals: dict
@@ -152,8 +139,6 @@ class AnalysisReport:
 
 
 def _presentation_for(req: AnalysisRequest) -> GroupPresentation | None:
-    if req.presentation is not None:
-        return req.presentation
     if req.hd_order is not None:
         return half_mirrored_disc_presentation(req.hd_order)
     if req.signature is not None:
@@ -162,25 +147,12 @@ def _presentation_for(req: AnalysisRequest) -> GroupPresentation | None:
 
 
 def _build_rep(req: AnalysisRequest, pres: GroupPresentation | None) -> Representation:
-    sig = req.signature
-    if req.rep_source == "file":
+    if req.rep_path is not None:
         return load_representation(req.rep_path, pres)
-    if req.rep_source == "triangle":
-        if sig is None or sig.kind != "orientable" or sig.genus or sig.boundary_circles:
-            raise PipelineError("triangle source needs a closed genus-0 orientable signature")
-        if sig.cone_count != 3:
-            raise PipelineError("triangle source needs exactly three cone points")
-        return triangle_group(*sig.cone_orders)
-    if req.rep_source == "polygon":
-        if sig is None or sig.kind != "orientable" or sig.genus or sig.boundary_circles:
-            raise PipelineError("polygon source needs a closed genus-0 orientable signature")
-        if sig.cone_count < 4:
-            raise PipelineError("polygon source needs at least four cone points")
-        return polygon_group(sig.cone_orders)
     if req.hd_order is not None:
         return half_mirrored_disc(req.hd_order)
-    if sig is not None:
-        return build_representation(sig, req.seed)
+    if req.signature is not None:
+        return build_representation(req.signature, req.seed)
     raise PipelineError("raw presentations need a representation file")
 
 
@@ -214,7 +186,7 @@ def _bracket_gram(sd, bracket, table, labels) -> np.ndarray:
     return lifted.T @ bracket @ lifted
 
 
-def _obstruction_scan(pres, sd, table, cross, seed: int, samples: int) -> dict:
+def _obstruction_scan(pres, sd, table, cross, seed: int) -> dict:
     """Samples z = z_c + z_r and reads the obstruction of z and the
     duality pairing of its row block against its column block (through
     the invariant form; the self-pairing of z vanishes by graded
@@ -230,7 +202,7 @@ def _obstruction_scan(pres, sd, table, cross, seed: int, samples: int) -> dict:
         # q has root mean square |pairing|_F; far below it, o/q is rounding
         floor = max(1e-10, 1e-3 * float(np.linalg.norm(pairing)))
         attempts = 0
-        while len(pairs) < samples and attempts < 6 * samples:
+        while len(pairs) < OBSTRUCTION_SAMPLES and attempts < 6 * OBSTRUCTION_SAMPLES:
             attempts += 1
             a = rng.standard_normal(basis_c.shape[1])
             b = rng.standard_normal(basis_r.shape[1])
@@ -276,8 +248,6 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     rep = _build_rep(req, pres)
     if pres is None:
         pres = rep.presentation
-    if rep.n != req.n:
-        raise PipelineError(f"representation is into SL_{rep.n}, request says n={req.n}")
 
     emb = _resolve_embedding(req, pres)
     orientable = pres.orientable
@@ -286,7 +256,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 
     # hypothesis block: fails closed
     res_base = rep.relator_residual
-    ok = check("relator-residual-base", res_base <= rep.residual_bound, res_base)
+    ok = check("relator-residual-base", res_base <= RESIDUAL_BOUND, res_base)
     det_dev = max(abs(abs(float(np.linalg.det(m))) - 1.0) for m in rep.matrices)
     ok &= check("determinant-signs", det_dev <= 1e-9, det_dev, f"tag {rep.group_tag}")
 
@@ -316,10 +286,9 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         )
 
     sd = decompose_sl(rep, emb)
-    embedded = sd.embedded
-    res_emb = embedded.relator_residual
-    check("relator-residual-embedded", res_emb <= embedded.residual_bound, res_emb)
-    emb_commutant = commutant_dim(embedded.matrices, policy)
+    res_emb = sd.embedded.relator_residual
+    check("relator-residual-embedded", res_emb <= RESIDUAL_BOUND, res_emb)
+    emb_commutant = commutant_dim(sd.embedded.matrices, policy)
     check("embedded-commutant", emb_commutant == 2, float(emb_commutant), "two blocks")
 
     equivariance, bound = sd.block_equivariance()
@@ -368,7 +337,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     if orientable and pres.closed:
         # the duality pairing of m_r against m_c, on stacked cocycles
         cross = fundamental_form(pres, sd.m_r, sd.m_c, sd.cross_form)
-        obstruction = _obstruction_scan(pres, sd, table, cross, req.seed, req.obstruction_samples)
+        obstruction = _obstruction_scan(pres, sd, table, cross, req.seed)
         scale = obstruction["scale"]
         if obstruction["ratios"]:
             check(
@@ -397,6 +366,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     }
     return AnalysisReport(
         request=req,
+        n=rep.n,
         embedding=emb,
         group=group_info,
         residuals={"base": res_base, "embedded": res_emb},
@@ -604,9 +574,9 @@ def report_to_json(report: AnalysisReport) -> dict:
     return {
         "schema": SCHEMA,
         "input": req.input_text,
-        "n": req.n,
+        "n": report.n,
         "embedding": report.embedding,
-        "rep_source": req.rep_source,
+        "rep_source": "auto" if req.rep_path is None else "file",
         "seed": req.seed,
         "policy": {"relative": req.policy.relative, "absolute": req.policy.absolute},
         "group": report.group,

@@ -208,7 +208,6 @@ class GroupPresentation:
     peripheral_words: tuple[Word, ...] = ()
     long_relator_index: int | None = None
     cells: tuple[Cell, ...] = ()
-    declared_full_boundary: int | None = None
     signature: OrbifoldSignature | None = None
 
     def __post_init__(self):
@@ -262,8 +261,6 @@ class GroupPresentation:
                 1 for c in self.cells if c.dim == 1 and c.stabilizer.reverses_orientation
             )
             return v - e
-        if self.declared_full_boundary is not None:
-            return self.declared_full_boundary
         return 0
 
     @property
@@ -405,7 +402,6 @@ def presentation_from_raw(
     peripheral_words=(),
     long_relator_index=None,
     cells=(),
-    full_boundary_count=None,
 ) -> GroupPresentation:
     names = tuple(generator_names)
     if orientation_character is None:
@@ -418,7 +414,6 @@ def presentation_from_raw(
         peripheral_words=tuple(tuple(w) for w in peripheral_words),
         long_relator_index=long_relator_index,
         cells=tuple(cells),
-        declared_full_boundary=full_boundary_count,
     )
 
 

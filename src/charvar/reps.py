@@ -46,7 +46,7 @@ __all__ = [
     "BuildError",
     "Representation",
     "BurnsideReport",
-    "triangle_group",
+    "RESIDUAL_BOUND",
     "polygon_group",
     "build_representation",
     "half_mirrored_disc_presentation",
@@ -56,13 +56,14 @@ __all__ = [
     "burnside_irreducible",
     "commutant_dim",
     "invariant_form",
-    "lorentz_residual",
     "representation_to_json",
     "representation_from_json",
     "load_representation",
 ]
 
 J3 = np.diag([1.0, 1.0, -1.0])
+
+RESIDUAL_BOUND = 1e-8  # the relator gate, for built and file representations alike
 
 
 class RepError(ValueError):
@@ -124,10 +125,6 @@ def _comm(a, b) -> np.ndarray:
     return a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
 
 
-def lorentz_residual(m) -> float:
-    return float(np.abs(np.asarray(m).T @ J3 @ np.asarray(m) - J3).max())
-
-
 GROUP_TAGS = ("SL", "SLpm")
 
 
@@ -143,7 +140,6 @@ class Representation:
     matrices: tuple[np.ndarray, ...]
     group_tag: str = "SL"
     lineage: tuple[str, ...] = ()
-    residual_bound: float = 1e-8
     build_info: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -167,8 +163,8 @@ class Representation:
                     f"violates the {self.group_tag} convention"
                 )
         res = self.relator_residual
-        if res > self.residual_bound:
-            raise RepError(f"relator residual {res:.3e} exceeds bound {self.residual_bound:.1e}")
+        if res > RESIDUAL_BOUND:
+            raise RepError(f"relator residual {res:.3e} exceeds bound {RESIDUAL_BOUND:.1e}")
         self._check_torsion()
 
     @property
@@ -288,11 +284,6 @@ def _require_hyperbolic(sig: OrbifoldSignature):
     chi = euler_characteristic(sig)
     if chi >= 0:
         raise BuildError(f"{sig.to_text()} has Euler characteristic {chi} >= 0, not hyperbolic")
-
-
-def triangle_group(p: int, q: int, r: int) -> Representation:
-    """The three-cone-point case of polygon_group."""
-    return polygon_group((p, q, r))
 
 
 def _tangential_sides(angles) -> list[np.ndarray]:
@@ -569,7 +560,7 @@ def embed(rep: Representation, kind: str) -> Representation:
         mats.append(big)
     return Representation(
         rep.presentation, tuple(mats), "SLpm" if kind == "type_preserving" else "SL",
-        rep.lineage + (f"embed:{kind}",), rep.residual_bound,
+        rep.lineage + (f"embed:{kind}",),
     )
 
 
@@ -623,9 +614,11 @@ def representation_from_json(data: dict, pres: GroupPresentation | None = None) 
     try:
         n = int(data["n"])
         mats = [np.array([float(x) for x in flat]) for flat in data["matrices"]]
-        residual_bound = float(data.get("residual_bound", 1e-8))
-    except (TypeError, ValueError) as err:
-        raise RepError(f"representation file has a non-numeric entry: {err}") from None
+        lineage = data.get("lineage", [])
+        if not isinstance(lineage, list) or not all(isinstance(x, str) for x in lineage):
+            raise TypeError(f"lineage must be a list of strings, not {lineage!r}")
+    except (TypeError, ValueError, OverflowError) as err:
+        raise RepError(f"representation file has a malformed entry: {err}") from None
     if n < 1:
         raise RepError(f"representation rank n={n} must be positive")
     for m in mats:
@@ -637,8 +630,7 @@ def representation_from_json(data: dict, pres: GroupPresentation | None = None) 
         pres,
         tuple(m.reshape(n, n) for m in mats),
         data.get("group_tag", "SL"),
-        tuple(data.get("lineage", ())),
-        residual_bound,
+        tuple(lineage),
     )
 
 

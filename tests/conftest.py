@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings
 
-from charvar import analyze, decompose_sl, request_from_text, triangle_group
+from charvar import analyze, decompose_sl, polygon_group, request_from_text
 from charvar.presentation import parse_signature, presentation_of
 from charvar.reps import build_representation
 
@@ -35,7 +35,7 @@ EVERY_INPUT = [(t, "standard") for t in ORIENTABLE_INPUTS] + [
 
 @pytest.fixture(scope="session")
 def triangle334():
-    return triangle_group(3, 3, 4)
+    return polygon_group((3, 3, 4))
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,16 @@
-"""Command-line surface: exit codes, JSON output, seed precedence."""
+"""Command-line surface: exit codes, JSON output, representation files."""
 
 from __future__ import annotations
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from charvar.cli import build_parser, main
-from charvar.reps import embed, representation_to_json
+from charvar.presentation import parse_signature
+from charvar.reps import build_representation, embed, representation_to_json
 
 
 def run(argv, capsys):
@@ -65,7 +68,7 @@ def test_verify_pass_exit_zero(capsys):
 
 def test_verify_reducible_rep_exit_two(capsys, reducible_rep_file):
     rc, out, _ = run(
-        ["verify", "S2(3,3,4)", "--rep", reducible_rep_file, "--n", "4"], capsys
+        ["verify", "S2(3,3,4)", "--rep", reducible_rep_file], capsys
     )
     assert rc == 2
     assert "FAIL" in out
@@ -73,7 +76,7 @@ def test_verify_reducible_rep_exit_two(capsys, reducible_rep_file):
 
 def test_analyze_reducible_rep_exit_two(capsys, reducible_rep_file):
     rc, _, err = run(
-        ["analyze", "S2(3,3,4)", "--rep", reducible_rep_file, "--n", "4"], capsys
+        ["analyze", "S2(3,3,4)", "--rep", reducible_rep_file], capsys
     )
     assert rc == 2
     assert "hypothesis" in err
@@ -126,18 +129,28 @@ def test_seed_flag_beats_environment(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 5
 
 
-def test_environment_seed_applies(capsys, monkeypatch):
+def test_environment_seed_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("CHARVAR_SEED", "7")
     rc, out, _ = run(["analyze", "S2(3,3,4)", "--json"], capsys)
     assert rc == 0
-    assert json.loads(out)["seed"] == 7
+    monkeypatch.delenv("CHARVAR_SEED")
+    assert run(["analyze", "S2(3,3,4)", "--json", "--seed", "0"], capsys) == (0, out, "")
 
 
-def test_invalid_environment_seed_exit_one(capsys, monkeypatch):
-    monkeypatch.setenv("CHARVAR_SEED", "not-a-number")
-    rc, _, err = run(["analyze", "S2(3,3,4)", "--json"], capsys)
+def test_rank_option_is_gone(capsys):
+    """The rank is the representation's own."""
+    rc, out, err = run(["analyze", "S2(3,3,4)", "--n", "3"], capsys)
     assert rc == 1
-    assert "CHARVAR_SEED" in err
+    assert out == ""
+    assert "unrecognized arguments: --n 3" in err
+
+
+def test_rep_takes_only_a_file(capsys):
+    rc, out, err = run(["analyze", "S2(3,3,4)", "--rep", "triangle"], capsys)
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "'triangle'" in err
+    assert "Traceback" not in out + err
 
 
 def test_five_cone_point_mirrored_disc_builds(capsys):
@@ -179,3 +192,40 @@ def test_parser_carries_no_state_between_calls(capsys):
     assert rc == 1
     assert "embed" in err
     assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("lineage", 5), ("lineage", ["polygon", 5]), ("n", float("inf"))],
+    ids=["lineage-number", "lineage-non-string", "infinite-n"],
+)
+def test_rep_file_with_a_malformed_field_exit_one(capsys, tmp_path, triangle334, key, value):
+    data = representation_to_json(triangle334)
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # an infinite n is written as Infinity
+    rc, out, err = run(["analyze", "S2(3,3,4)", "--rep", str(path)], capsys)
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in out + err
+
+
+def test_rep_file_cannot_loosen_the_relator_gate(capsys, tmp_path):
+    """A boundary generator off by 1e-6 breaks the long relator at about
+    1e-6; the file's own residual_bound is not read, so the gate holds."""
+    data = representation_to_json(build_representation(parse_signature("D2(3,3)")))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(data))
+    assert run(["analyze", "D2(3,3)", "--rep", str(good)], capsys)[0] == 0
+
+    c1 = np.array([float(x) for x in data["matrices"][2]]).reshape(3, 3)
+    bent = c1 @ (np.eye(3) + 1e-6 * np.random.default_rng(0).standard_normal((3, 3)))
+    bent /= np.cbrt(np.linalg.det(bent))
+    data["matrices"][2] = [f"{x:.17g}" for x in bent.ravel()]
+    data["residual_bound"] = 1.0
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(data))
+    rc, out, err = run(["analyze", "D2(3,3)", "--rep", str(loose)], capsys)
+    assert rc == 1
+    assert re.search(r"relator residual \S+ exceeds bound 1\.0e-08", err)
+    assert "Traceback" not in out + err

@@ -14,7 +14,6 @@ from charvar.linalg import (
     kernel_basis,
     rank,
     rank_cut,
-    rank_report,
 )
 
 POLICY = RankPolicy()
@@ -69,24 +68,27 @@ def test_rank_matches_exact_oracle(rows):
     assert rank(np.array(rows, dtype=float), POLICY) == rank_by_elimination(rows)
 
 
-def test_rank_report_gap_is_infinite_without_a_cut():
-    assert rank_report(np.eye(3), POLICY).gap == np.inf
-    assert rank_report(np.zeros((2, 2)), POLICY).gap == np.inf
+def singular_values(m):
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def test_rank_cut_gap_is_infinite_without_a_cut():
+    assert rank_cut(singular_values(np.eye(3)), POLICY)[1] == np.inf
+    assert rank_cut(singular_values(np.zeros((2, 2))), POLICY)[1] == np.inf
     # a threshold above s_max drops everything: rank 0, nothing kept
-    everything_dropped = rank_report(np.eye(2), RankPolicy(relative=2.0))
-    assert everything_dropped.rank == 0 and everything_dropped.gap == np.inf
+    assert rank_cut(singular_values(np.eye(2)), RankPolicy(relative=2.0)) == (0, np.inf)
 
 
-def test_rank_report_gap_across_a_cut():
-    report = rank_report(np.diag([1.0, 1e-15]), POLICY)
-    assert report.rank == 1
-    assert report.gap > 1e10
+def test_rank_cut_gap_across_a_cut():
+    r, gap = rank_cut(singular_values(np.diag([1.0, 1e-15])), POLICY)
+    assert r == 1
+    assert gap > 1e10
 
 
-def test_rank_report_respects_policy():
-    mat = np.diag([1.0, 1e-6])
-    assert rank_report(mat, POLICY).rank == 2
-    assert rank_report(mat, RankPolicy(relative=1e-3, absolute=1e-12)).rank == 1
+def test_rank_cut_respects_policy():
+    s = singular_values(np.diag([1.0, 1e-6]))
+    assert rank_cut(s, POLICY)[0] == 2
+    assert rank_cut(s, RankPolicy(relative=1e-3, absolute=1e-12))[0] == 1
 
 
 def test_kernel_basis_contract():
@@ -104,11 +106,10 @@ def test_rank_cut_reads_descending_singular_values():
     assert rank_cut(np.array([3.0, 1.0]), POLICY) == (2, np.inf)
     assert rank_cut(np.zeros(2), POLICY) == (0, np.inf)
     assert rank_cut(np.array([]), POLICY) == (0, np.inf)
-    # rank_report and kernel_basis make the same decision
+    # rank and kernel_basis make the same decision
     mat = np.diag([1.0, 1e-6, 1e-13])
-    s = np.linalg.svd(mat, compute_uv=False)
-    r, gap = rank_cut(s, POLICY)
-    assert (r, gap) == (rank_report(mat, POLICY).rank, rank_report(mat, POLICY).gap)
+    r, _ = rank_cut(singular_values(mat), POLICY)
+    assert r == rank(mat, POLICY)
     assert kernel_basis(mat, POLICY).shape[1] == 3 - r
 
 

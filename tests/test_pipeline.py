@@ -21,7 +21,7 @@ from charvar.pipeline import (
     request_from_text,
     verify_suite,
 )
-from charvar.reps import J3, embed, polygon_group, representation_to_json, triangle_group
+from charvar.reps import J3, embed, polygon_group, representation_to_json
 from conftest import EVERY_INPUT
 
 
@@ -126,9 +126,7 @@ def test_analyze_boundary_disc_frozen(analyses):
 
 
 def test_hypothesis_gate_rejects_reducible_rep(reducible_rep_file):
-    req = request_from_text(
-        "S2(3,3,4)", rep_source="file", rep_path=reducible_rep_file, n=4
-    )
+    req = request_from_text("S2(3,3,4)", rep_path=reducible_rep_file)
     with pytest.raises(HypothesisError) as err:
         analyze(req)
     failed = [e.name for e in err.value.ledger if not e.passed]
@@ -136,9 +134,7 @@ def test_hypothesis_gate_rejects_reducible_rep(reducible_rep_file):
 
 
 def test_verify_suite_reports_failures_as_data(reducible_rep_file):
-    req = request_from_text(
-        "S2(3,3,4)", rep_source="file", rep_path=reducible_rep_file, n=4
-    )
+    req = request_from_text("S2(3,3,4)", rep_path=reducible_rep_file)
     ledger = verify_suite(req)
     assert any(not e.passed for e in ledger)
     assert [e.name for e in ledger if not e.passed] == ["irreducible-base"]
@@ -405,7 +401,7 @@ def test_cup_antisymmetry_takes_the_form_every_generator_keeps(monkeypatch, tmp_
             return out + 1e-6 * np.eye(out.shape[0]) if m1.label == m2.label == "m_c" else out
 
         monkeypatch.setattr(pipeline, "fundamental_form", form)
-    ledger = {e.name: e for e in verify_suite(request_from_text("S2(3,3,3,3)", rep_source="file", rep_path=path))}
+    ledger = {e.name: e for e in verify_suite(request_from_text("S2(3,3,3,3)", rep_path=path))}
     assert ledger["cup-antisymmetry"].passed != perturbed
     assert all(e.passed for name, e in ledger.items() if name != "cup-antisymmetry")
 
@@ -419,7 +415,7 @@ def test_cup_antisymmetry_skipped_without_an_invariant_form(tmp_path):
     w, v = np.real(w), np.real(v)
     C = v @ np.diag(np.exp(0.5 * np.where(np.abs(w - 1) < 1e-6, -2.0, 1.0))) @ np.linalg.inv(v)
     path = conjugated_quad_file(tmp_path, lambda i, m: C @ m @ np.linalg.inv(C) if i >= 2 else m)
-    req = request_from_text("S2(3,3,3,3)", rep_source="file", rep_path=path, checks=("all",))
+    req = request_from_text("S2(3,3,3,3)", rep_path=path, checks=("all",))
     report = analyze(req)
     assert "cup-antisymmetry" not in {e.name for e in report.ledger}
     assert "cup-antisymmetry-skipped" in report.flags
