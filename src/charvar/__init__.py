@@ -55,7 +55,6 @@ from .presentation import (
     OrbifoldSignature,
     orientation_cover_generators,
     parse_signature,
-    presentation_from_raw,
     presentation_of,
 )
 from .reps import (

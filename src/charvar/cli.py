@@ -29,7 +29,7 @@ from .pipeline import (
     request_from_text,
     verify_suite,
 )
-from .presentation import PresentationError, SignatureError, parse_signature
+from .presentation import PresentationError, SignatureError
 from .reps import BuildError, RepError
 
 __all__ = ["main", "build_parser"]
@@ -98,15 +98,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _nonorientable_input(text: str) -> bool:
-    if text.strip().startswith("HD("):
-        return True
-    try:
-        return not parse_signature(text).orientable
-    except SignatureError:
-        return False
-
-
 def _request(args):
     policy = RankPolicy(relative=args.tol, absolute=args.tol * 1e-3)
     return request_from_text(
@@ -157,11 +148,11 @@ def _print_report(report: AnalysisReport, as_json: bool, dims_only: bool, show_m
 
 
 def _cmd_analyze(args, dims_only: bool) -> int:
-    show_model = True
-    if dims_only and args.embed is None and _nonorientable_input(args.signature):
-        args.embed = "orientable"
-        show_model = False
     req = _request(args)
+    # dims reports d_oe and d_tp under either embedding, so it picks one
+    show_model = not (dims_only and req.embedding is None and not req.signature.orientable)
+    if not show_model:
+        req = replace(req, embedding="orientable")
     report = analyze(req)
     _print_report(report, args.json, dims_only, show_model)
     return 0

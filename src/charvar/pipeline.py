@@ -15,7 +15,6 @@ never raises on a failed check; failures are data in the ledger.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,13 +24,7 @@ from .coeffmodules import decompose_sl, twist_by_character
 from .cohomology import BLOCKS, BlockComplex, CohomologyReport, cocycle_from_stack, cohomology_report, cup
 from .cohomology import cocycle_residual, fundamental_form, pair_fundamental_class, weil_slope
 from .linalg import RankPolicy
-from .presentation import (
-    GroupPresentation,
-    OrbifoldSignature,
-    orientation_cover_generators,
-    parse_signature,
-    presentation_of,
-)
+from .presentation import GroupPresentation, OrbifoldSignature, orientation_cover_generators, parse_signature
 from .reps import (
     EMBEDDINGS,
     RESIDUAL_BOUND,
@@ -39,8 +32,6 @@ from .reps import (
     build_representation,
     burnside_irreducible,
     commutant_dim,
-    half_mirrored_disc,
-    half_mirrored_disc_presentation,
     invariant_form,
     load_representation,
 )
@@ -94,28 +85,21 @@ class LedgerEntry:
 
 @dataclass(frozen=True)
 class AnalysisRequest:
-    input_text: str
-    signature: OrbifoldSignature | None = None
-    hd_order: int | None = None
+    signature: OrbifoldSignature
     rep_path: str | None = None
     embedding: str | None = None
     policy: RankPolicy = field(default_factory=RankPolicy)
     seed: int = 0
     checks: tuple[str, ...] = ("core",)
 
-
-_HD = re.compile(r"^HD\((\d+)\)$")
+    @property
+    def input_text(self) -> str:
+        return self.signature.to_text()
 
 
 def request_from_text(text: str, **kwargs) -> AnalysisRequest:
-    """Canonical-text front door; HD(n) names the half-mirrored disc."""
-    text = text.strip()
-    m = _HD.match(text)
-    if m:
-        order = int(m.group(1))
-        return AnalysisRequest(input_text=f"HD({order})", hd_order=order, **kwargs)
-    sig = parse_signature(text)
-    return AnalysisRequest(input_text=sig.to_text(), signature=sig, **kwargs)
+    """Canonical-text front door: the signature grammar of parse_signature."""
+    return AnalysisRequest(parse_signature(text), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -136,24 +120,6 @@ class AnalysisReport:
 
 # ---------------------------------------------------------------------------
 # request resolution
-
-
-def _presentation_for(req: AnalysisRequest) -> GroupPresentation | None:
-    if req.hd_order is not None:
-        return half_mirrored_disc_presentation(req.hd_order)
-    if req.signature is not None:
-        return presentation_of(req.signature)
-    return None
-
-
-def _build_rep(req: AnalysisRequest, pres: GroupPresentation | None) -> Representation:
-    if req.rep_path is not None:
-        return load_representation(req.rep_path, pres)
-    if req.hd_order is not None:
-        return half_mirrored_disc(req.hd_order)
-    if req.signature is not None:
-        return build_representation(req.signature, req.seed)
-    raise PipelineError("raw presentations need a representation file")
 
 
 def _resolve_embedding(req: AnalysisRequest, pres: GroupPresentation) -> str:
@@ -244,10 +210,11 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         entries.append(LedgerEntry(name, bool(passed), float(margin), note))
         return bool(passed)
 
-    pres = _presentation_for(req)
-    rep = _build_rep(req, pres)
-    if pres is None:
-        pres = rep.presentation
+    if req.rep_path is not None:
+        rep = load_representation(req.rep_path, req.signature)
+    else:
+        rep = build_representation(req.signature, req.seed)
+    pres = rep.presentation
 
     emb = _resolve_embedding(req, pres)
     orientable = pres.orientable

@@ -23,7 +23,6 @@ __all__ = [
     "GroupPresentation",
     "parse_signature",
     "presentation_of",
-    "presentation_from_raw",
     "euler_characteristic",
     "underlying_euler",
     "inverse_word",
@@ -57,9 +56,10 @@ class OrbifoldSignature:
     """A compact 2-orbifold without corner reflectors.
 
     kind "orientable": genus handles, kind "nonorientable": genus counts
-    crosscaps (>= 1), kind "mirrored": disc with fully mirrored boundary
-    (a closed non-orientable orbifold); there genus and boundary_circles
-    are forced to 0.
+    crosscaps (>= 1), kind "mirrored": disc with mirrored boundary and no
+    handles.  A mirrored disc is closed (D(...;mirror)) or keeps one free
+    arc of its boundary (boundary_circles 1, HD(n)); the latter has
+    exactly one cone point.
     """
 
     kind: str
@@ -76,8 +76,10 @@ class OrbifoldSignature:
             raise SignatureError("genus must be non-negative")
         if self.boundary_circles < 0:
             raise SignatureError("boundary count must be non-negative")
-        if self.kind == "mirrored" and (self.genus or self.boundary_circles):
-            raise SignatureError("mirrored disc carries no handles or extra boundary")
+        if self.kind == "mirrored" and (self.genus or self.boundary_circles > 1):
+            raise SignatureError("mirrored disc carries no handles and at most one free arc")
+        if self.kind == "mirrored" and self.boundary_circles and self.cone_count != 1:
+            raise SignatureError("half-mirrored disc HD(n) has exactly one cone point")
         if any(n < 2 for n in self.cone_orders):
             raise SignatureError("cone orders must be >= 2")
 
@@ -96,7 +98,7 @@ class OrbifoldSignature:
     def to_text(self) -> str:
         cones = ",".join(str(n) for n in self.cone_orders)
         if self.kind == "mirrored":
-            return f"D({cones};mirror)"
+            return f"HD({cones})" if self.boundary_circles else f"D({cones};mirror)"
         if self.kind == "orientable" and self.genus == 0 and self.boundary_circles == 0:
             return f"S2({cones})"
         if self.kind == "orientable":
@@ -130,7 +132,8 @@ def _parse_kv(body: str, ctx: str) -> dict:
 
 def parse_signature(text: str) -> OrbifoldSignature:
     """Grammar: S2(3,3,4) | O(g=2;b=1;cone=[3,3]) | N(k=1;b=0;cone=[2,5])
-    | D(3,4;mirror) | D2(3,3) (disc with cone points, one boundary circle)."""
+    | D(3,4;mirror) | D2(3,3) (disc with cone points, one boundary circle)
+    | HD(3) (disc with one cone point, boundary half mirror, half free)."""
     s = text.strip()
     m = re.match(r"^S2\((.*)\)$", s)
     if m:
@@ -141,6 +144,9 @@ def parse_signature(text: str) -> OrbifoldSignature:
     m = re.match(r"^D\((.*);\s*mirror\s*\)$", s)
     if m:
         return OrbifoldSignature("mirrored", 0, 0, _parse_orders(m.group(1), s))
+    m = re.match(r"^HD\((.*)\)$", s)
+    if m:
+        return OrbifoldSignature("mirrored", 0, 1, _parse_orders(m.group(1), s))
     m = re.match(r"^O\((.*)\)$", s)
     if m:
         kv = _parse_kv(m.group(1), s)
@@ -156,6 +162,8 @@ def parse_signature(text: str) -> OrbifoldSignature:
 
 def euler_characteristic(sig: OrbifoldSignature) -> Fraction:
     chi = Fraction(underlying_euler(sig))
+    if sig.kind == "mirrored":
+        chi -= Fraction(sig.boundary_circles, 2)  # a mirror arc, unlike a circle, counts half
     for n in sig.cone_orders:
         chi -= Fraction(n - 1, n)
     return chi
@@ -309,6 +317,11 @@ def _surface_cells(sig: OrbifoldSignature, cone_gen_offset: int) -> tuple[Cell, 
 def _mirrored_cells(sig: OrbifoldSignature, ref_index: int) -> tuple[Cell, ...]:
     ref = CellStabilizer("reflection", 2, (ref_index,))
     cells = [Cell("v0", 0), Cell("v_mirror", 0, ref), Cell("e_mirror", 1, ref)]
+    if not sig.closed:
+        # HD(n): the free arc ends on the mirror twice, the far end fixed by
+        # x s x^-1, so two reflection vertices face one reflection edge
+        ref_conj = CellStabilizer("reflection", 2, (1, ref_index, -1))
+        cells += [Cell("v_mirror_end", 0, ref_conj), Cell("e_bdry", 1)]
     for j, n in enumerate(sig.cone_orders):
         cells.append(Cell(f"v_cone{j + 1}", 0, CellStabilizer("cyclic", n, (j + 1,))))
         cells.append(Cell(f"e_cone{j + 1}", 1))
@@ -324,20 +337,25 @@ def presentation_of(sig: OrbifoldSignature) -> GroupPresentation:
     [a_1,b_1]...[a_g,b_g] x_1...x_c c_1...c_b.  Non-orientable surface:
     crosscap generators m_i with m_1^2...m_k^2 x_1...x_c c_1...c_b and
     character -1 on each m_i.  Mirrored disc: x_j, s with x_j^{n_j}, s^2
-    and the requirement that x_1...x_c commute with s.
+    and the requirement that x_1...x_c commute with s.  HD(n): x, s with
+    x^n and s^2 alone, since the free arc leaves them unrelated.
     """
     cones = sig.cone_orders
     c = len(cones)
     if sig.kind == "mirrored":
-        names = tuple(f"x{j + 1}" for j in range(c)) + ("s",)
         s_idx = c + 1
         relators = [word_power((j + 1,), n) for j, n in enumerate(cones)]
         relators.append(word_power((s_idx,), 2))
-        w = tuple(range(1, c + 1))
-        commute = (s_idx,) + w + (-s_idx,) + inverse_word(w)
-        relators.append(commute)
         torsion = {j + 1: n for j, n in enumerate(cones)}
         torsion[s_idx] = 2
+        if not sig.closed:
+            return GroupPresentation(
+                ("x", "s"), tuple(relators), (1, -1), torsion,
+                cells=_mirrored_cells(sig, s_idx), signature=sig,
+            )
+        names = tuple(f"x{j + 1}" for j in range(c)) + ("s",)
+        w = tuple(range(1, c + 1))
+        relators.append((s_idx,) + w + (-s_idx,) + inverse_word(w))
         return GroupPresentation(
             generator_names=names,
             relators=tuple(relators),
@@ -391,29 +409,6 @@ def presentation_of(sig: OrbifoldSignature) -> GroupPresentation:
         long_relator_index=len(relators) - 1,
         cells=_surface_cells(sig, cone_offset),
         signature=sig,
-    )
-
-
-def presentation_from_raw(
-    generator_names,
-    relators,
-    orientation_character=None,
-    torsion_orders=None,
-    peripheral_words=(),
-    long_relator_index=None,
-    cells=(),
-) -> GroupPresentation:
-    names = tuple(generator_names)
-    if orientation_character is None:
-        orientation_character = (1,) * len(names)
-    return GroupPresentation(
-        generator_names=names,
-        relators=tuple(tuple(r) for r in relators),
-        orientation_character=tuple(orientation_character),
-        torsion_orders=dict(torsion_orders or {}),
-        peripheral_words=tuple(tuple(w) for w in peripheral_words),
-        long_relator_index=long_relator_index,
-        cells=tuple(cells),
     )
 
 

@@ -7,7 +7,8 @@ closed and mirrored builders are explicit geometry with no optimizer:
 spheres with cone points and mirrored discs take products of reflections
 in the sides of one tangential polygon, genus two takes the side pairings
 of the regular octagon, and the torus with one cone point takes two
-perpendicular translations of a length given in closed form.  Groups
+perpendicular translations of a length given in closed form.  HD(n)
+takes a rotation and a reflection in generic position.  Other groups
 with boundary place their generators from the seed and solve the long
 relator for the last one.  Every builder returns generators that satisfy
 the torsion relators exactly and the long relator to at least 1e-9.
@@ -30,15 +31,11 @@ import numpy as np
 
 from .linalg import RankPolicy, kernel_basis, rank, rank_cut
 from .presentation import (
-    Cell,
-    CellStabilizer,
     GroupPresentation,
     OrbifoldSignature,
     euler_characteristic,
     parse_signature,
-    presentation_from_raw,
     presentation_of,
-    word_power,
 )
 
 __all__ = [
@@ -49,7 +46,6 @@ __all__ = [
     "RESIDUAL_BOUND",
     "polygon_group",
     "build_representation",
-    "half_mirrored_disc_presentation",
     "half_mirrored_disc",
     "EMBEDDINGS",
     "embed",
@@ -207,9 +203,11 @@ class Representation:
                 raise RepError(
                     f"generator {g} should have order {order}, power residual {res:.3e}"
                 )
+            power = m
             for k in range(1, order):
-                if float(np.abs(np.linalg.matrix_power(m, k) - eye).max()) < 1e-3:
+                if float(np.abs(power - eye).max()) < 1e-3:
                     raise RepError(f"generator {g} has order dividing {k} < {order}")
+                power = power @ m
 
 
 # ---------------------------------------------------------------------------
@@ -399,41 +397,15 @@ def _mirrored_disc(orders) -> Representation:
     )
 
 
-def half_mirrored_disc_presentation(n: int) -> GroupPresentation:
-    """Disc with one cone point of order n whose boundary is half mirror,
-    half free: one rotation x, one reflection s, no long relator.  The
-    free boundary interval has mirrored endpoints, so the cell structure
-    carries two reflection vertices against one reflection edge."""
-    ref = CellStabilizer("reflection", 2, (2,))
-    ref_conj = CellStabilizer("reflection", 2, (1, 2, -1))
-    cells = (
-        Cell("v0", 0),
-        Cell("v_cone", 0, CellStabilizer("cyclic", n, (1,))),
-        Cell("v_end1", 0, ref),
-        Cell("v_end2", 0, ref_conj),
-        Cell("e_mirror", 1, ref),
-        Cell("e_bdry", 1),
-        Cell("e_cone", 1),
-        Cell("e_to_mirror", 1),
-        Cell("face", 2),
-    )
-    return presentation_from_raw(
-        ("x", "s"),
-        [word_power((1,), n), (2, 2)],
-        orientation_character=(1, -1),
-        torsion_orders={1: n, 2: 2},
-        cells=cells,
-    )
-
-
 def half_mirrored_disc(n: int) -> Representation:
-    """Free product of a rotation and a reflection in generic position."""
-    if n < 3:
-        raise BuildError("half-mirrored disc needs cone order >= 3 to be hyperbolic")
+    """HD(n), a free product of a rotation and a reflection, in generic
+    position."""
+    sig = OrbifoldSignature("mirrored", 0, 1, (n,))
+    _require_hyperbolic(sig)
     s = np.diag([1.0, -1.0, 1.0])
     x = rotation_about(_point_above_axis(0.3, 0.9), 2.0 * np.pi / n)
     return Representation(
-        half_mirrored_disc_presentation(n),
+        presentation_of(sig),
         (x, s),
         group_tag="SLpm",
         lineage=(f"half_mirrored_disc({n})",),
@@ -511,7 +483,7 @@ def build_representation(sig: OrbifoldSignature, seed: int = 0) -> Representatio
     for shapes with no builtin construction (supply a file instead)."""
     _require_hyperbolic(sig)
     if sig.kind == "mirrored":
-        return _mirrored_disc(sig.cone_orders)
+        return _mirrored_disc(sig.cone_orders) if sig.closed else half_mirrored_disc(sig.cone_orders[0])
     if sig.boundary_circles > 0:
         return _boundary_rep(sig, seed)
     if sig.kind == "nonorientable":
@@ -569,49 +541,33 @@ def embed(rep: Representation, kind: str) -> Representation:
 
 
 def representation_to_json(rep: Representation) -> dict:
-    pres = rep.presentation
-    out = {
+    sig = rep.presentation.signature
+    if sig is None:
+        raise RepError("a representation file names its group by signature; this presentation has none")
+    return {
         "group_tag": rep.group_tag,
         "lineage": list(rep.lineage),
         "matrices": [[f"{x:.17g}" for x in m.ravel()] for m in rep.matrices],
         "n": rep.n,
+        "signature": sig.to_text(),
     }
-    if pres.signature is not None:
-        out["signature"] = pres.signature.to_text()
-    else:
-        out["presentation"] = {
-            "generators": list(pres.generator_names),
-            "relators": [list(r) for r in pres.relators],
-            "orientation_character": list(pres.orientation_character),
-            "torsion_orders": {str(k): v for k, v in pres.torsion_orders.items()},
-            "peripheral_words": [list(w) for w in pres.peripheral_words],
-            "long_relator_index": pres.long_relator_index,
-        }
-    return out
 
 
-def representation_from_json(data: dict, pres: GroupPresentation | None = None) -> Representation:
+def representation_from_json(data: dict, sig: OrbifoldSignature | None = None) -> Representation:
+    """The file names its group by "signature"; a caller that names the
+    group too may leave that out, but a file that has it must agree."""
     if not isinstance(data, dict):
         raise RepError(f"representation file must hold a JSON object, not a {type(data).__name__}")
-    missing = [key for key in ("n", "matrices") if key not in data]
+    required = ("n", "matrices") + (() if sig is not None else ("signature",))
+    missing = [key for key in required if key not in data]
     if missing:
         raise RepError(f"representation file lacks {', '.join(map(repr, missing))}")
-    if pres is None:
-        if "signature" in data:
-            pres = presentation_of(parse_signature(data["signature"]))
-        elif "presentation" in data:
-            p = data["presentation"]
-            pres = presentation_from_raw(
-                p["generators"],
-                [tuple(r) for r in p["relators"]],
-                orientation_character=tuple(p.get("orientation_character", [1] * len(p["generators"]))),
-                torsion_orders={int(k): v for k, v in p.get("torsion_orders", {}).items()},
-                peripheral_words=[tuple(w) for w in p.get("peripheral_words", [])],
-                long_relator_index=p.get("long_relator_index"),
-            )
-        else:
-            raise RepError("representation file needs a signature or a presentation")
+    named = sig
     try:
+        if "signature" in data:
+            if not isinstance(data["signature"], str):
+                raise TypeError(f"signature must be a string, not {data['signature']!r}")
+            named = parse_signature(data["signature"])
         n = int(data["n"])
         mats = [np.array([float(x) for x in flat]) for flat in data["matrices"]]
         lineage = data.get("lineage", [])
@@ -619,6 +575,8 @@ def representation_from_json(data: dict, pres: GroupPresentation | None = None) 
             raise TypeError(f"lineage must be a list of strings, not {lineage!r}")
     except (TypeError, ValueError, OverflowError) as err:
         raise RepError(f"representation file has a malformed entry: {err}") from None
+    if sig is not None and named != sig:
+        raise RepError(f"file is for {named.to_text()}, not {sig.to_text()}")
     if n < 1:
         raise RepError(f"representation rank n={n} must be positive")
     for m in mats:
@@ -627,13 +585,13 @@ def representation_from_json(data: dict, pres: GroupPresentation | None = None) 
         if not np.isfinite(m).all():
             raise RepError("representation file has a non-finite entry")
     return Representation(
-        pres,
+        presentation_of(named),
         tuple(m.reshape(n, n) for m in mats),
         data.get("group_tag", "SL"),
         tuple(lineage),
     )
 
 
-def load_representation(path, pres: GroupPresentation | None = None) -> Representation:
+def load_representation(path, sig: OrbifoldSignature | None = None) -> Representation:
     with open(path, "r", encoding="utf-8") as fh:
-        return representation_from_json(json.load(fh), pres)
+        return representation_from_json(json.load(fh), sig)

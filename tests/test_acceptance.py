@@ -31,7 +31,6 @@ from charvar.reps import (
     burnside_irreducible,
     commutant_dim,
     embed,
-    half_mirrored_disc,
 )
 
 POLICY = RankPolicy()
@@ -290,10 +289,7 @@ def test_embedded_commutant_matches_oracle(analyses, setups, text, embedding):
     """The embedded-commutant gate reads commutant_dim alone; it must agree
     with the Sylvester-system oracle and with the full Burnside report."""
     report = analyses(text, embedding, checks=("all",))
-    if text.startswith("HD("):
-        embedded = list(embed(half_mirrored_disc(int(text[3:-1])), embedding).matrices)
-    else:
-        embedded = list(setups(text, report.embedding).sd.embedded.matrices)
+    embedded = list(setups(text, report.embedding).sd.embedded.matrices)
     assert report.irreducibility["embedded_commutant"] == commutation_system_nullity(embedded) == 2
     assert commutant_dim(embedded, POLICY) == burnside_irreducible(embedded, POLICY).commutant_dim
 

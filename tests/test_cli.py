@@ -196,8 +196,8 @@ def test_parser_carries_no_state_between_calls(capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("lineage", 5), ("lineage", ["polygon", 5]), ("n", float("inf"))],
-    ids=["lineage-number", "lineage-non-string", "infinite-n"],
+    [("lineage", 5), ("lineage", ["polygon", 5]), ("n", float("inf")), ("signature", 5)],
+    ids=["lineage-number", "lineage-non-string", "infinite-n", "signature-number"],
 )
 def test_rep_file_with_a_malformed_field_exit_one(capsys, tmp_path, triangle334, key, value):
     data = representation_to_json(triangle334)
@@ -228,4 +228,40 @@ def test_rep_file_cannot_loosen_the_relator_gate(capsys, tmp_path):
     rc, out, err = run(["analyze", "D2(3,3)", "--rep", str(loose)], capsys)
     assert rc == 1
     assert re.search(r"relator residual \S+ exceeds bound 1\.0e-08", err)
+    assert "Traceback" not in out + err
+
+
+def test_rep_file_for_another_group_exit_one(capsys, tmp_path):
+    path = tmp_path / "s237.json"
+    path.write_text(json.dumps(representation_to_json(build_representation(parse_signature("S2(2,3,7)")))))
+    rc, out, err = run(["analyze", "S2(3,3,4)", "--rep", str(path)], capsys)
+    assert rc == 1
+    assert err.startswith("error: file is for S2(2,3,7), not S2(3,3,4)")
+    assert "Traceback" not in out + err
+
+
+def test_rep_file_may_spell_its_group_by_an_alias(capsys, tmp_path):
+    data = representation_to_json(build_representation(parse_signature("D2(3,3)")))
+    assert data["signature"] == "O(g=0;b=1;cone=[3,3])"
+    data["signature"] = "D2(3,3)"
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps(data))
+    assert run(["dims", "O(g=0;b=1;cone=[3,3])", "--rep", str(path)], capsys)[0] == 0
+
+
+def test_half_mirrored_disc_round_trips_through_a_file(capsys, tmp_path):
+    data = representation_to_json(build_representation(parse_signature("HD(3)")))
+    assert data["signature"] == "HD(3)"
+    path = tmp_path / "hd.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", "HD(3)", "--embed", "orientable", "--rep", str(path)], capsys)[0] == 0
+    builtin = run(["dims", "HD(3)", "--json"], capsys)
+    assert builtin[0] == 0
+    assert run(["dims", "HD(3)", "--json", "--rep", str(path)], capsys) == builtin
+
+
+def test_non_hyperbolic_half_mirrored_disc_exit_one(capsys):
+    rc, out, err = run(["dims", "HD(2)"], capsys)
+    assert rc == 1
+    assert err.startswith("error: HD(2) has Euler characteristic 0 >= 0, not hyperbolic")
     assert "Traceback" not in out + err

@@ -17,7 +17,7 @@ import pytest
 from charvar.cohomology import BlockComplex, cocycle_residual
 from charvar.pipeline import analyze, request_from_text, verify_suite
 from charvar.presentation import orientation_cover_generators, parse_signature
-from charvar.reps import build_representation, burnside_irreducible, half_mirrored_disc
+from charvar.reps import build_representation, burnside_irreducible
 
 # the closed-verify benchmark inputs
 CLOSED_INPUTS = (
@@ -99,10 +99,7 @@ def test_mirrored_discs_match_the_closed_formulas(cones, embedding):
 def test_mirrored_builders_are_irreducible_on_base_and_cover(text):
     """The mirrored builders run no Burnside check of their own; the
     base group and its orientation cover both generate all of M_3."""
-    if text.startswith("HD("):
-        rep = half_mirrored_disc(int(text[3:-1]))
-    else:
-        rep = build_representation(parse_signature(text))
+    rep = build_representation(parse_signature(text))
     cover = [rep.word_image(w) for w in orientation_cover_generators(rep.presentation)]
     assert burnside_irreducible(rep).algebra_dim == 9
     assert burnside_irreducible(cover).algebra_dim == 9

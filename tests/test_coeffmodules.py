@@ -23,7 +23,7 @@ from charvar.coeffmodules import (
 )
 from charvar.cohomology import BLOCKS
 from charvar.presentation import parse_signature
-from charvar.reps import build_representation, embed, half_mirrored_disc
+from charvar.reps import build_representation, embed
 from conftest import EVERY_INPUT, NONORIENTABLE_INPUTS
 
 short_words = st.lists(
@@ -206,10 +206,7 @@ def reps_by_text():
 
     def get(text):
         if text not in cache:
-            if text.startswith("HD("):
-                cache[text] = half_mirrored_disc(int(text[3:-1]))
-            else:
-                cache[text] = build_representation(parse_signature(text), seed=0)
+            cache[text] = build_representation(parse_signature(text), seed=0)
         return cache[text]
 
     return get

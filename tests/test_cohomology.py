@@ -32,12 +32,12 @@ from charvar.cohomology import (
 from charvar.coeffmodules import CoefficientModule, decompose_sl, trivial_module
 from charvar.linalg import RankPolicy, kernel_basis
 from charvar.presentation import (
+    GroupPresentation,
     parse_signature,
-    presentation_from_raw,
     presentation_of,
     underlying_euler,
 )
-from charvar.reps import build_representation, half_mirrored_disc
+from charvar.reps import build_representation
 from conftest import EVERY_INPUT
 
 POLICY = RankPolicy()
@@ -85,14 +85,14 @@ def test_fox_matrix_hand_computed_commutator():
     # r = a b a^-1 b^-1 with one dimensional actions a -> 2, b -> 3:
     # d/da = 1 - a b a^-1       = 1 - 3  = -2
     # d/db = a - a b a^-1 b^-1  = 2 - 1  =  1
-    pres = presentation_from_raw(("a", "b"), [(1, 2, -1, -2)])
+    pres = GroupPresentation(("a", "b"), ((1, 2, -1, -2),), (1, 1))
     m = CoefficientModule("custom", (np.array([[2.0]]), np.array([[3.0]])))
     np.testing.assert_allclose(fox_matrix(pres, m), [[-2.0, 1.0]], atol=1e-14)
 
 
 def test_fox_matrix_hand_computed_torsion_power():
     # r = x^3: the Fox derivative is 1 + x + x^2
-    pres = presentation_from_raw(("x",), [(1, 1, 1)], torsion_orders={1: 3})
+    pres = GroupPresentation(("x",), ((1, 1, 1),), (1,), {1: 3})
     mat = np.array([[0.0, 1.0], [-1.0, -1.0]])  # order 3
     m = CoefficientModule("custom", (mat,))
     np.testing.assert_allclose(
@@ -161,7 +161,7 @@ def test_complex_boundary_h2_vanishes(setups):
 
 
 def test_complex_degenerate_no_generators():
-    pres = presentation_from_raw((), [])
+    pres = GroupPresentation((), (), ())
     block = BlockComplex(pres, trivial_module(0), POLICY)
     assert (block.dims.h0, block.dims.h1, block.dims.h2) == (0, 0, 0)
     assert block.dims.degenerate
@@ -169,7 +169,7 @@ def test_complex_degenerate_no_generators():
 
 
 def test_twisted_euler_trivial_coefficients_recovers_underlying_space():
-    for text in ("S2(3,3,4)", "S2(3,3,3,3)", "O(g=2)", "D2(3,3)"):
+    for text in ("S2(3,3,4)", "S2(3,3,3,3)", "O(g=2)", "D2(3,3)", "HD(3)"):
         sig = parse_signature(text)
         pres = presentation_of(sig)
         m = trivial_module(pres.num_generators)
@@ -212,10 +212,7 @@ def test_twisted_euler_characters_match_the_svd_kernels(text, embedding):
     """Every benchmark input, HD(3) and D(2,3,3;mirror): the character
     mean and the SVD kernel give one twisted Euler characteristic per
     block and for full_g."""
-    if text.startswith("HD("):
-        rep = half_mirrored_disc(int(text[3:-1]))
-    else:
-        rep = build_representation(parse_signature(text), seed=0)
+    rep = build_representation(parse_signature(text), seed=0)
     sd = decompose_sl(rep, embedding)
     for label in ("g0", "m_c", "m_r", "d", "full_g"):
         m = getattr(sd, label)
@@ -240,7 +237,7 @@ def test_twisted_euler_order_gate(quad, perturbed):
 
 
 def test_twisted_euler_requires_cells():
-    pres = presentation_from_raw(("a",), [(1, 1)], torsion_orders={1: 2})
+    pres = GroupPresentation(("a",), ((1, 1),), (1,), {1: 2})
     with pytest.raises(CohomologyError):
         twisted_euler(pres, trivial_module(1))
 
@@ -273,8 +270,8 @@ def test_fundamental_class_requires_closed_orientable(setups, mirrored):
 
 
 def test_fundamental_class_rejects_unbalanced_free_generator():
-    pres = presentation_from_raw(
-        ("a", "b"), [(1, 1, 2, -2, 1)], long_relator_index=0
+    pres = GroupPresentation(
+        ("a", "b"), ((1, 1, 2, -2, 1),), (1, 1), long_relator_index=0
     )
     m = trivial_module(2)
     z = cocycle_from_stack(m, np.eye(2)[0])

@@ -21,6 +21,7 @@ from charvar.pipeline import (
     request_from_text,
     verify_suite,
 )
+from charvar.presentation import OrbifoldSignature
 from charvar.reps import J3, embed, polygon_group, representation_to_json
 from conftest import EVERY_INPUT
 
@@ -35,8 +36,8 @@ def reducible_rep_file(tmp_path_factory, triangle334):
 
 def test_request_parsing():
     req = request_from_text("HD(4)")
-    assert req.hd_order == 4
-    assert req.signature is None
+    assert req.signature == OrbifoldSignature("mirrored", 0, 1, (4,))
+    assert req.input_text == "HD(4)"
     req2 = request_from_text("D2(3,3)")
     assert req2.input_text == "O(g=0;b=1;cone=[3,3])"
     with pytest.raises(Exception):

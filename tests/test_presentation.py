@@ -9,18 +9,18 @@ import pytest
 
 from charvar.presentation import (
     CellStabilizer,
+    GroupPresentation,
+    OrbifoldSignature,
     PresentationError,
     SignatureError,
     euler_characteristic,
     inverse_word,
     orientation_cover_generators,
     parse_signature,
-    presentation_from_raw,
     presentation_of,
     underlying_euler,
     word_power,
 )
-from charvar.reps import half_mirrored_disc_presentation
 
 
 def orbifold_euler_by_hand(genus, crosscaps, boundary, orders):
@@ -39,6 +39,7 @@ def test_signature_round_trip():
         "O(g=1;b=1;cone=[5])",
         "N(k=2;b=1;cone=[3])",
         "D(3,3;mirror)",
+        "HD(3)",
     ):
         sig = parse_signature(text)
         assert parse_signature(sig.to_text()) == sig
@@ -48,10 +49,22 @@ def test_signature_canonical_spellings():
     assert parse_signature("S2(3,3,3,3)").to_text() == "S2(3,3,3,3)"
     assert parse_signature("D2(3,3)").to_text() == "O(g=0;b=1;cone=[3,3])"
     assert parse_signature("O(g=2)").to_text() == "O(g=2;b=0;cone=[])"
+    assert parse_signature("HD(3)").to_text() == "HD(3)"
+
+
+def test_half_mirrored_disc_is_a_mirrored_signature():
+    """HD(n) is a mirrored disc that keeps one free arc: one cone point,
+    neither closed nor orientable, and chi = 1/n - 1/2, so HD(2) is not
+    hyperbolic."""
+    sig = parse_signature("HD(5)")
+    assert sig == OrbifoldSignature("mirrored", 0, 1, (5,))
+    assert not sig.closed and not sig.orientable
+    assert euler_characteristic(sig) == Fraction(1, 5) - Fraction(1, 2)
+    assert euler_characteristic(parse_signature("HD(2)")) == 0
 
 
 def test_signature_rejects_bad_input():
-    for text in ("S2(1,2)", "X(3)", "N(k=0;b=1)", "O(g=-1)", "D(3;mirror;mirror)"):
+    for text in ("S2(1,2)", "X(3)", "N(k=0;b=1)", "O(g=-1)", "D(3;mirror;mirror)", "HD(3,4)", "HD()"):
         with pytest.raises(SignatureError):
             parse_signature(text)
 
@@ -69,6 +82,29 @@ def test_signature_rejects_bad_input():
 def test_euler_characteristic_values(text, genus, crosscaps, boundary, orders):
     sig = parse_signature(text)
     assert euler_characteristic(sig) == orbifold_euler_by_hand(genus, crosscaps, boundary, orders)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "S2(3,3,4)",
+        "S2(2,3,7)",
+        "O(g=2)",
+        "O(g=1;b=2;cone=[3,5])",
+        "N(k=3)",
+        "N(k=2;b=1;cone=[3])",
+        "D(3,3;mirror)",
+        "D(2,3,3;mirror)",
+        "D2(3,3)",
+    ]
+    + [f"HD({n})" for n in range(3, 9)],
+)
+def test_euler_characteristic_is_the_weighted_cell_count(text):
+    """chi is the sum over cells of (-1)^dim / |stabilizer|, so the
+    signature's formula and the presentation's cells agree on every kind."""
+    sig = parse_signature(text)
+    cells = presentation_of(sig).cells
+    assert euler_characteristic(sig) == sum(Fraction((-1) ** c.dim, c.stabilizer.order) for c in cells)
 
 
 def test_underlying_euler_values():
@@ -113,7 +149,7 @@ def test_mirrored_presentation_structure():
 
 
 def test_half_mirrored_presentation_structure():
-    pres = half_mirrored_disc_presentation(3)
+    pres = presentation_of(parse_signature("HD(3)"))
     assert pres.generator_names == ("x", "s")
     assert pres.orientation_character == (1, -1)
     assert not pres.closed
@@ -130,7 +166,7 @@ def test_stabilizer_kinds_exclude_corner_reflectors():
 
 
 def test_cells_cover_all_dimensions():
-    for text in ("S2(3,3,4)", "O(g=2)", "D2(3,3)", "D(3,3;mirror)"):
+    for text in ("S2(3,3,4)", "O(g=2)", "D2(3,3)", "D(3,3;mirror)", "HD(3)"):
         pres = presentation_of(parse_signature(text))
         dims = {c.dim for c in pres.cells}
         assert dims <= {0, 1, 2} and 0 in dims and 2 in dims
@@ -140,7 +176,7 @@ def test_cells_cover_all_dimensions():
 def test_orientation_cover_words_are_even():
     for pres in (
         presentation_of(parse_signature("D(3,3;mirror)")),
-        half_mirrored_disc_presentation(3),
+        presentation_of(parse_signature("HD(3)")),
     ):
         alpha = pres.orientation_character
         words = orientation_cover_generators(pres)
@@ -165,20 +201,15 @@ def test_word_helpers():
     assert word_power((1,), 0) == ()
 
 
-def test_presentation_from_raw_validates_letters():
-    presentation_from_raw(("a", "b"), [(1, -2)])
+def test_presentation_validates_letters():
+    GroupPresentation(("a", "b"), ((1, -2),), (1, 1))
     with pytest.raises(PresentationError):
-        presentation_from_raw(("a", "b"), [(0,)])
+        GroupPresentation(("a", "b"), ((0,),), (1, 1))
     with pytest.raises(PresentationError):
-        presentation_from_raw(("a", "b"), [(3,)])
+        GroupPresentation(("a", "b"), ((3,),), (1, 1))
 
 
-def test_presentation_from_raw_carries_flags():
-    pres = presentation_from_raw(
-        ("a", "b"),
-        [(1, 2, -1, -2)],
-        torsion_orders={},
-        long_relator_index=0,
-    )
+def test_presentation_carries_flags():
+    pres = GroupPresentation(("a", "b"), ((1, 2, -1, -2),), (1, 1), long_relator_index=0)
     assert pres.orientable
     assert pres.long_relator == (1, 2, -1, -2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from charvar.linalg import RankPolicy, kernel_basis, rank
-from charvar.presentation import parse_signature
+from charvar.presentation import GroupPresentation, parse_signature
 from charvar.reps import (
     J3,
     RESIDUAL_BOUND,
@@ -20,9 +20,11 @@ from charvar.reps import (
     half_mirrored_disc,
     invariant_form,
     load_representation,
+    Representation,
     polygon_group,
     representation_from_json,
     representation_to_json,
+    rot_origin,
 )
 
 
@@ -123,6 +125,19 @@ def test_half_mirrored_disc_contract():
     assert rep.relator_residual < 1e-10
     dets = [round(float(np.linalg.det(m))) for m in rep.matrices]
     assert dets == [1, -1]
+    assert rep.presentation.signature == parse_signature("HD(3)")
+    with pytest.raises(BuildError, match="not hyperbolic"):
+        build_representation(parse_signature("HD(2)"))
+
+
+def test_torsion_check_names_the_true_order():
+    """A rotation by 2 pi/3 declared to have order 6: its sixth power is
+    the identity, but its cube already is, and the refusal says so."""
+    pres = GroupPresentation(("x",), ((1,) * 6,), (1,), {1: 6})
+    third = rot_origin(2.0 * np.pi / 3.0)
+    with pytest.raises(RepError, match="order dividing 3 < 6"):
+        Representation(pres, (third,))
+    assert Representation(pres, (rot_origin(np.pi / 3.0),)).relator_residual < 1e-12
 
 
 def test_mirrored_disc_contract(mirrored):
@@ -220,6 +235,20 @@ def test_construction_rejects_broken_relators(triangle334):
     data["matrices"][0][0] = f"{float(data['matrices'][0][0]) + 0.5:.17g}"
     with pytest.raises(RepError):
         representation_from_json(data)
+
+
+def test_json_names_the_group_by_signature(triangle334):
+    """A presentation without a signature cannot be written; a file
+    without one loads only when the caller names the group."""
+    pres = GroupPresentation(("x",), ((1, 1, 1),), (1,), {1: 3})
+    with pytest.raises(RepError, match="signature"):
+        representation_to_json(Representation(pres, (rot_origin(2.0 * np.pi / 3.0),)))
+    data = representation_to_json(triangle334)
+    assert data["signature"] == "S2(3,3,4)"
+    del data["signature"]
+    with pytest.raises(RepError, match="lacks 'signature'"):
+        representation_from_json(data)
+    assert representation_from_json(data, parse_signature("S2(3,3,4)")).presentation.signature == parse_signature("S2(3,3,4)")
 
 
 def test_burnside_on_raw_matrices():
