@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .reps import Representation, embed
+from .reps import Representation, _derived, embed
 
 __all__ = [
     "CoeffModuleError",
@@ -93,21 +93,27 @@ class CoefficientModule:
         return out
 
 
+def _module(label: str, action) -> CoefficientModule:
+    """A module made from a checked module or representation, whose
+    checks it would only repeat; only the new label is checked."""
+    if label not in MODULE_LABELS:
+        raise CoeffModuleError(f"unknown module label {label!r}")
+    return _derived(CoefficientModule, label=label, action=tuple(action))
+
+
 def trivial_module(num_generators: int, dim: int = 1) -> CoefficientModule:
-    eye = np.eye(dim)
-    return CoefficientModule("trivial", tuple(eye for _ in range(num_generators)))
+    return _module("trivial", (np.eye(dim),) * num_generators)
 
 
 def contragredient(m: CoefficientModule, label: str = "custom") -> CoefficientModule:
-    return CoefficientModule(label, tuple(a.T for a in m._inverses))
+    return _module(label, (a.T for a in m._inverses))
 
 
 def twist_by_character(m: CoefficientModule, signs, label: str | None = None) -> CoefficientModule:
     signs = tuple(signs)
     if len(signs) != m.num_generators or any(s not in (1, -1) for s in signs):
         raise CoeffModuleError("character must give +1 or -1 per generator")
-    mats = tuple(s * a for s, a in zip(signs, m.action))
-    return CoefficientModule(label or m.label, mats)
+    return _module(label or m.label, (s * a for s, a in zip(signs, m.action)))
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +168,7 @@ def adjoint_module(rep_or_matrices, label: str = "custom") -> CoefficientModule:
     images = np.einsum("gac,gdb->gcdab", mats, np.linalg.inv(mats)).reshape(g, m * m, m, m)
     cols = np.concatenate([images[:, off], images[:, diag[:-1]] - images[:, diag[1:]]], axis=1)
     action = np.ascontiguousarray(sl_coords(cols).transpose(0, 2, 1))
-    return CoefficientModule(label, tuple(action))
+    return _module(label, action)
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +268,7 @@ def decompose_sl(rep: Representation, embedding: str = "standard") -> SlDecompos
     m_c is acted on by c A, m_r by its contragredient."""
     embedded = embed(rep, embedding)
     n = rep.n
-    m_c = CoefficientModule("m_c", tuple(H[n, n] * H[:n, :n] for H in embedded.matrices))
+    m_c = _module("m_c", (H[n, n] * H[:n, :n] for H in embedded.matrices))
     return SlDecomposition(
         n=n,
         embedding=embedding,
@@ -270,7 +276,7 @@ def decompose_sl(rep: Representation, embedding: str = "standard") -> SlDecompos
         g0=adjoint_module(rep, label="g0"),
         m_c=m_c,
         m_r=contragredient(m_c, label="m_r"),
-        d=CoefficientModule("d", trivial_module(rep.num_generators).action),
+        d=_module("d", trivial_module(rep.num_generators).action),
         full_g=adjoint_module(embedded, label="full_g"),
         killing_multiplier=2.0 * (n + 1),
     )

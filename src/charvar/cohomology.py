@@ -5,10 +5,12 @@ image of the coboundary map v -> (gv - v)_g, and H^0 the joint fixed
 space of the generators.  H^2 is never assembled from bar-resolution
 cochains: with a boundary it vanishes, and for closed groups it is the
 fixed space of the (orientation-twisted) contragredient module, by
-duality.  A BlockComplex factors both matrices of one coefficient block
-once; dimensions, the H^1 basis and the verify checks all read it.  The
-ambient algebra full_g = g0 + m_c + m_r + d is a direct sum of modules,
-so its row of the table is the sum of the block rows.
+duality, read off one rank.  A BlockComplex factors both matrices of one
+coefficient block once; dimensions, the H^1 basis and the verify checks
+all read it.  The ambient algebra full_g = g0 + m_c + m_r + d is a
+direct sum of modules: the table walks its relators and stabilizer
+powers once, in the block-diagonal sum, and its row is the sum of the
+block rows.
 
 Evaluation of a 2-cocycle against the fundamental class transgresses
 the long relator r = l_1...l_L as sum of c(l_1...l_{t-1}, l_t), then
@@ -35,9 +37,10 @@ from typing import Callable
 
 import numpy as np
 
-from .coeffmodules import CoefficientModule, contragredient, twist_by_character
-from .linalg import RankPolicy, rank_cut
+from .coeffmodules import CoefficientModule
+from .linalg import RankPolicy, rank, rank_cut
 from .presentation import GroupPresentation, Word
+from .reps import _derived
 
 __all__ = [
     "CohomologyError",
@@ -183,22 +186,16 @@ class HDims:
         return self.h0 - self.h1 + self.h2
 
 
-def _alpha_contragredient(pres: GroupPresentation, m: CoefficientModule) -> CoefficientModule:
-    dual = contragredient(m)
-    if pres.orientable:
-        return dual
-    return twist_by_character(dual, pres.orientation_character)
-
-
 class BlockComplex:
     """C^0 -> C^1 -> C^2 of one coefficient block in low degree, each map
     built and factored once, on first use.
 
     The coboundary matrix (columns span B^1) goes through one thin SVD,
     the Fox matrix (kernel Z^1) through one full SVD; dims, the H^1 basis
-    and the verify checks all read these two factorizations.  H^2 is 0
-    with a boundary and, for a closed group, h0 of the complex of the
-    alpha-contragredient module, by duality."""
+    and the verify checks all read these two factorizations; the table
+    hands each block its Fox matrix.  H^2 is 0 with a boundary and, for
+    a closed group, by duality h0 of the alpha-contragredient module: the
+    kernel of the stacked alpha_i A_i^T - 1."""
 
     def __init__(
         self, pres: GroupPresentation, module: CoefficientModule, policy: RankPolicy | None = None
@@ -234,10 +231,6 @@ class BlockComplex:
         """Orthonormal basis of Z^1, one stacked cocycle per column."""
         return self._z1[0]
 
-    @property
-    def h0(self) -> int:
-        return self.module.dim - self._b1[0].shape[1]
-
     @cached_property
     def dims(self) -> HDims:
         m = self.module
@@ -248,12 +241,13 @@ class BlockComplex:
         if z1 < b1:
             raise CohomologyError(f"negative h1 = {z1 - b1}; rank policy inconsistent")
         if self.pres.closed:
-            h2 = BlockComplex(self.pres, _alpha_contragredient(self.pres, m), self.policy).h0
-            how = "duality"
+            eye = np.eye(m.dim)
+            dual = np.vstack([s * a.T - eye for s, a in zip(self.pres.orientation_character, m.action)])
+            h2, how = m.dim - rank(dual, self.policy), "duality"
         else:
             h2, how = 0, "boundary_vanishing"
         methods = {"h0": "fox", "h1": "fox", "h2": how}
-        return HDims(self.h0, z1 - b1, h2, z1, b1, methods, min(self._z1[1], self._b1[1]))
+        return HDims(m.dim - b1, z1 - b1, h2, z1, b1, methods, min(self._z1[1], self._b1[1]))
 
     @cached_property
     def h1_basis(self) -> np.ndarray:
@@ -285,40 +279,47 @@ class BlockComplex:
         return [cocycle_from_stack(self.module, col) for col in self.h1_basis.T]
 
 
-def _stabilizer_invariant_dim(m: CoefficientModule, word: Word, order: int) -> int:
-    """dim M^<w> for a stabilizer <w> of the given order, by the character
+def _stabilizer_invariant_dims(m: CoefficientModule, word: Word, order: int, ends) -> np.ndarray:
+    """dim M_k^<w> of each summand M_k of m, in coordinates ends[k] to
+    ends[k + 1], for a stabilizer <w> of the given order, by the character
     rule: the mean of tr w^j over j < order (Serre, Linear Representations
     of Finite Groups, 2.3).  The powers come from repeated multiplication,
-    and the last, w^order, must be the identity."""
+    and the last, w^order, must be the identity on each summand."""
     a = m.evaluate_word(word)
-    power, total = a, float(m.dim)
+    power, total = a, np.diff(ends).astype(float)
     for _ in range(order - 1):
-        total += power.trace()
+        total += np.add.reduceat(power.diagonal(), ends[:-1])
         power = power @ a
-    res = float(np.abs(power - np.eye(m.dim)).max())
-    if res > 1e-6:
-        raise CohomologyError(f"stabilizer word {word} is not of order {order}: residual {res:.3e}")
-    return int(np.rint(total / order))
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        res = float(np.abs(power[lo:hi, lo:hi] - np.eye(hi - lo)).max())
+        if res > 1e-6:
+            raise CohomologyError(f"stabilizer word {word} is not of order {order}: residual {res:.3e}")
+    return np.rint(total / order).astype(int)
+
+
+def _cell_euler(pres: GroupPresentation, m: CoefficientModule, ends) -> list[int]:
+    """twisted_euler of each summand of m, split as in _stabilizer_invariant_dims."""
+    if not pres.cells:
+        raise CohomologyError("presentation carries no cell structure")
+    total, invariant = np.zeros(len(ends) - 1, dtype=int), {}
+    for cell in pres.cells:
+        st = cell.stabilizer
+        if st.kind == "trivial":
+            d = np.diff(ends)
+        else:
+            # a mirror's vertex and edge share one stabilizer
+            key = (st.word, 2 if st.kind == "reflection" else st.order)
+            if key not in invariant:
+                invariant[key] = _stabilizer_invariant_dims(m, *key, ends)
+            d = invariant[key]
+        total += (-1) ** cell.dim * d
+    return total.tolist()
 
 
 def twisted_euler(pres: GroupPresentation, m: CoefficientModule) -> int:
     """Alternating sum over cells of the invariant dimension of the cell
     stabilizer; equals h0 - h1 + h2."""
-    if not pres.cells:
-        raise CohomologyError("presentation carries no cell structure")
-    total, invariant = 0, {}
-    for cell in pres.cells:
-        st = cell.stabilizer
-        if st.kind == "trivial":
-            d = m.dim
-        else:
-            # a mirror's vertex and edge share one stabilizer
-            key = (st.word, 2 if st.kind == "reflection" else st.order)
-            if key not in invariant:
-                invariant[key] = _stabilizer_invariant_dim(m, *key)
-            d = invariant[key]
-        total += (-1) ** cell.dim * d
-    return total
+    return _cell_euler(pres, m, [0, m.dim])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +465,38 @@ def _direct_sum(rows: list[ModuleCohomology]) -> ModuleCohomology:
     return ModuleCohomology("full_g", total, None if None in cells else sum(cells))
 
 
+def _block_sum(modules, ends) -> CoefficientModule:
+    """The direct sum of the modules, summand k in coordinates ends[k] to
+    ends[k + 1].  Its inverses are the summands' own: inverted as a whole,
+    the sum moved g0's h1-cocycle-residual on O(g=2) (condition number
+    2.3e5) from 5.6e-12 to 3.5e-7."""
+    action, inverses = np.zeros((2, modules[0].num_generators, ends[-1], ends[-1]))
+    for m, lo, hi in zip(modules, ends[:-1], ends[1:]):
+        action[:, lo:hi, lo:hi] = m.action
+        inverses[:, lo:hi, lo:hi] = m._inverses
+    return _derived(CoefficientModule, label="custom", action=tuple(action), _inverses=tuple(inverses))
+
+
 def cohomology_report(
     pres: GroupPresentation, decomposition, policy: RankPolicy | None = None
 ) -> CohomologyReport:
     """The table of the blocks of an SlDecomposition, one factored
-    complex each, closed by the full_g row as their direct sum; twisted
-    Euler is filled in whenever the presentation carries cells."""
+    complex each, closed by the full_g row as their direct sum.  The
+    Fox matrix of the blocks' sum holds each block's on its diagonal,
+    and one stabilizer power pass of the sum gives every block's twisted
+    Euler characteristic whenever the presentation carries cells."""
     policy = policy or RankPolicy()
-    complexes = {label: BlockComplex(pres, getattr(decomposition, label), policy) for label in BLOCKS}
-    rows = [
-        ModuleCohomology(label, c.dims, twisted_euler(pres, c.module) if pres.cells else None)
-        for label, c in complexes.items()
-    ]
+    modules = [getattr(decomposition, label) for label in BLOCKS]
+    ends = np.cumsum([0] + [m.dim for m in modules]).tolist()
+    total = _block_sum(modules, ends)
+    r, g, n = len(pres.relators), pres.num_generators, total.dim
+    fox = fox_matrix(pres, total).reshape(r, n, g, n)
+    eulers = _cell_euler(pres, total, ends) if pres.cells else [None] * len(modules)
+    complexes, rows = {}, []
+    for label, m, lo, hi, euler in zip(BLOCKS, modules, ends[:-1], ends[1:], eulers):
+        c = complexes[label] = BlockComplex(pres, m, policy)
+        c.fox = fox[:, lo:hi, :, lo:hi].reshape(r * (hi - lo), g * (hi - lo))
+        rows.append(ModuleCohomology(label, c.dims, euler))
     return CohomologyReport((*rows, _direct_sum(rows)), complexes)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -122,6 +122,16 @@ def _comm(a, b) -> np.ndarray:
 
 
 GROUP_TAGS = ("SL", "SLpm")
+
+
+def _derived(cls, **fields):
+    """An instance of the frozen dataclass cls whose fields follow from an
+    already checked object: __post_init__ is skipped, since its checks
+    would only repeat what that object implies."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +294,10 @@ def _require_hyperbolic(sig: OrbifoldSignature):
         raise BuildError(f"{sig.to_text()} has Euler characteristic {chi} >= 0, not hyperbolic")
 
 
-def _tangential_sides(angles) -> list[np.ndarray]:
-    """Reflections in the sides of the hyperbolic polygon with the given
-    vertex angles whose incircle is centered at the origin (Poincare's
+@lru_cache(maxsize=256)
+def _tangential_sides(orders: tuple[int, ...]) -> np.ndarray:
+    """Reflections in the sides of the hyperbolic polygon with vertex
+    angles pi/n_i whose incircle is centered at the origin (Poincare's
     polygon theorem; Beardon, The Geometry of Discrete Groups).  The right
     triangle of the center, vertex i and a tangent point has angle d_i =
     arcsin(cos(a_i/2) / cosh r) at the center, and the d_i fill a half
@@ -294,8 +305,9 @@ def _tangential_sides(angles) -> list[np.ndarray]:
     angles sum to less than (c - 2) pi, so bisection finds the inradius r
     to the last bit.  Side i runs from vertex i to vertex i + 1, and the
     reflections in sides i - 1 and i compose to the rotation by 2 a_i
-    about vertex i."""
-    cos_half = np.cos(np.asarray(angles, dtype=float) / 2.0)
+    about vertex i.  The sides depend on the orders only, so they are
+    solved once per orders tuple and shared, read-only."""
+    cos_half = np.cos(np.pi / np.array(orders, dtype=float) / 2.0)
     lo, hi = 0.0, 50.0
     while True:
         mid = 0.5 * (lo + hi)
@@ -309,10 +321,11 @@ def _tangential_sides(angles) -> list[np.ndarray]:
     d = np.arcsin(cos_half / np.cosh(r))
     # side i touches the circle at polar angle phi_i, between vertices i and i + 1
     phis = np.cumsum(np.concatenate([[0.0], d[:-1] + d[1:]])) + d
-    return [
-        reflection_in((np.cos(phi) * np.cosh(r), np.sin(phi) * np.cosh(r), np.sinh(r)))
-        for phi in phis
-    ]
+    sides = np.array(
+        [reflection_in((np.cos(phi) * np.cosh(r), np.sin(phi) * np.cosh(r), np.sinh(r))) for phi in phis]
+    )
+    sides.flags.writeable = False
+    return sides
 
 
 def polygon_group(orders) -> Representation:
@@ -325,7 +338,7 @@ def polygon_group(orders) -> Representation:
         raise BuildError("polygon builder needs at least 3 cone points")
     sig = OrbifoldSignature("orientable", 0, 0, orders)
     _require_hyperbolic(sig)
-    sides = _tangential_sides(np.pi / np.array(orders, dtype=float))
+    sides = _tangential_sides(orders)
     return Representation(
         presentation_of(sig),
         tuple(sides[i - 1] @ sides[i] for i in range(c)),
@@ -386,7 +399,7 @@ def _mirrored_disc(orders) -> Representation:
     sig = OrbifoldSignature("mirrored", 0, 0, orders)
     _require_hyperbolic(sig)
     c = len(orders)
-    sides = _tangential_sides(np.pi / np.array((2,) + orders + (2,), dtype=float))
+    sides = _tangential_sides((2,) + orders + (2,))
     gens = [sides[i] @ sides[i + 1] for i in range(c)]
     s = sides[c + 1]
     return Representation(
@@ -515,7 +528,9 @@ def embed(rep: Representation, kind: str) -> Representation:
     """A -> diag(A, c) in rank n + 1.  The corner c is the orientation
     character (= det A) for the orientable embedding, which lands in SL,
     and 1 otherwise.  "standard" takes an SL representation; the other
-    two take a type-preserving SLpm one."""
+    two take a type-preserving SLpm one.  The checked input fixes every
+    determinant, relator residual and torsion order of the result, so
+    the constructor's checks are not repeated."""
     if kind not in EMBEDDINGS:
         raise RepError(f"unknown embedding {kind!r}")
     want = "SL" if kind == "standard" else "SLpm"
@@ -524,16 +539,12 @@ def embed(rep: Representation, kind: str) -> Representation:
     corners = (1,) * rep.num_generators
     if kind == "orientable":
         corners = rep.presentation.orientation_character
-    mats = []
-    for m, c in zip(rep.matrices, corners):
-        big = np.zeros((rep.n + 1, rep.n + 1))
-        big[: rep.n, : rep.n] = m
-        big[rep.n, rep.n] = float(c)
-        mats.append(big)
-    return Representation(
-        rep.presentation, tuple(mats), "SLpm" if kind == "type_preserving" else "SL",
-        rep.lineage + (f"embed:{kind}",),
-    )
+    mats = np.zeros((rep.num_generators, rep.n + 1, rep.n + 1))
+    mats[:, : rep.n, : rep.n] = rep.matrices
+    mats[:, rep.n, rep.n] = corners
+    tag = "SLpm" if kind == "type_preserving" else "SL"
+    return _derived(Representation, presentation=rep.presentation, matrices=tuple(mats), group_tag=tag,
+                    lineage=rep.lineage + (f"embed:{kind}",), build_info={})
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +579,9 @@ def representation_from_json(data: dict, sig: OrbifoldSignature | None = None) -
             if not isinstance(data["signature"], str):
                 raise TypeError(f"signature must be a string, not {data['signature']!r}")
             named = parse_signature(data["signature"])
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:
+            raise TypeError(f"n must be a JSON integer, not {n!r}")
         mats = [np.array([float(x) for x in flat]) for flat in data["matrices"]]
         lineage = data.get("lineage", [])
         if not isinstance(lineage, list) or not all(isinstance(x, str) for x in lineage):

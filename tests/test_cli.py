@@ -196,8 +196,16 @@ def test_parser_carries_no_state_between_calls(capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("lineage", 5), ("lineage", ["polygon", 5]), ("n", float("inf")), ("signature", 5)],
-    ids=["lineage-number", "lineage-non-string", "infinite-n", "signature-number"],
+    [
+        ("lineage", 5),
+        ("lineage", ["polygon", 5]),
+        ("n", float("inf")),
+        ("n", 3.9),
+        ("n", "3"),
+        ("n", True),
+        ("signature", 5),
+    ],
+    ids=["lineage-number", "lineage-non-string", "infinite-n", "float-n", "string-n", "boolean-n", "signature-number"],
 )
 def test_rep_file_with_a_malformed_field_exit_one(capsys, tmp_path, triangle334, key, value):
     data = representation_to_json(triangle334)

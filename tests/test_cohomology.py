@@ -8,6 +8,8 @@ number downstream is only trustworthy because of this test.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,13 @@ from charvar.cohomology import (
     twisted_euler,
     weil_slope,
 )
-from charvar.coeffmodules import CoefficientModule, decompose_sl, trivial_module
+from charvar.coeffmodules import (
+    CoefficientModule,
+    contragredient,
+    decompose_sl,
+    trivial_module,
+    twist_by_character,
+)
 from charvar.linalg import RankPolicy, kernel_basis
 from charvar.presentation import (
     GroupPresentation,
@@ -130,8 +138,8 @@ def test_cocycle_inverse_word_rule(quad):
 
 
 def test_complex_h0_trivial_module(quad):
-    assert BlockComplex(quad.pres, trivial_module(4), POLICY).h0 == 1
-    assert BlockComplex(quad.pres, quad.sd.m_c, POLICY).h0 == 0
+    assert BlockComplex(quad.pres, trivial_module(4), POLICY).dims.h0 == 1
+    assert BlockComplex(quad.pres, quad.sd.m_c, POLICY).dims.h0 == 0
 
 
 def test_complex_dims_frozen_triangle(triangle334):
@@ -408,3 +416,73 @@ def test_cohomology_report_table(quad):
     assert report.min_gap > 1e3
     assert report.module("g0").dims.h1 == 8
     assert report.module("full_g").dims.methods == dict.fromkeys(("h0", "h1", "h2"), "direct_sum")
+
+
+# every kind of signature: spheres, handles, boundary circles, crosscaps,
+# mirrored discs and HD(n), both embeddings for the non-orientable ones
+TABLE_PANEL = EVERY_INPUT + [
+    ("S2(3,3,4)", "standard"),
+    ("O(g=1;b=1)", "standard"),
+    *(
+        (text, e)
+        for text in ("D(2,3,3;mirror)", "N(k=1;b=1;cone=[3])", "N(k=3;b=1)")
+        for e in ("orientable", "type_preserving")
+    ),
+]
+
+
+@pytest.mark.parametrize("text, embedding", TABLE_PANEL)
+def test_table_reads_each_block_from_one_walk_of_the_sum(setups, text, embedding):
+    """The Fox matrix each block complex gets from the walk of the blocks'
+    sum is bit for bit the block's own, and the twisted Euler
+    characteristic each block reads from one power pass of the sum is
+    twisted_euler of the block alone."""
+    s = setups(text, embedding)
+    report = cohomology_report(s.pres, s.sd, POLICY)
+    for label in BLOCKS:
+        module = getattr(s.sd, label)
+        assert np.array_equal(report.complexes[label].fox, fox_matrix(s.pres, module))
+        assert report.module(label).euler_cells == twisted_euler(s.pres, module)
+
+
+def test_stacked_walk_keeps_genus_two_cocycles_exact(analyses):
+    """O(g=2)'s adjoint actions have condition number about 2.3e5; the
+    sum's inverses are the blocks' own, so its cocycles stay exact."""
+    entry = next(e for e in analyses("O(g=2)", checks=("all",)).ledger if e.name == "h1-cocycle-residual")
+    assert entry.passed and entry.margin <= 1e-10
+
+
+def alpha_contragredient_h0(pres, m):
+    dual = contragredient(m)
+    if not pres.orientable:
+        dual = twist_by_character(dual, pres.orientation_character)
+    return BlockComplex(pres, dual, POLICY).dims.h0
+
+
+def test_h2_by_duality_is_the_alpha_contragredient_h0(setups):
+    """h2 of a closed group, read as one rank of the stacked
+    alpha_i A_i^T - 1, equals h0 of the alpha-contragredient module's own
+    complex on every block and on full_g."""
+    seen = []
+    for text, embedding in TABLE_PANEL:
+        s = setups(text, embedding)
+        if not s.pres.closed:
+            continue
+        for label in BLOCKS + ("full_g",):
+            module = getattr(s.sd, label)
+            h2 = BlockComplex(s.pres, module, POLICY).dims.h2
+            assert h2 == alpha_contragredient_h0(s.pres, module), (text, embedding, label)
+            seen.append(h2)
+    assert len(seen) >= 40 and 0 in seen and max(seen) > 0
+
+
+@pytest.mark.parametrize("label", BLOCKS)
+def test_table_order_gate_holds_on_every_block(quad, label):
+    """A cone generator moved 1e-4 off its order in any one block fails
+    that block's order check inside the stacked power pass."""
+    module = getattr(quad.sd, label)
+    action = list(module.action)
+    action[0] = action[0] @ (np.eye(module.dim) + 1e-4 * np.ones((module.dim, module.dim)))
+    broken = replace(quad.sd, **{label: CoefficientModule(label, tuple(action))})
+    with pytest.raises(CohomologyError, match="is not of order 3"):
+        cohomology_report(quad.pres, broken, POLICY)

@@ -252,16 +252,16 @@ def test_full_g_direct_sum_gate_catches_the_wrong_twist(
 @pytest.mark.parametrize(
     "run, text, embedding, expected",
     [
-        (analyze, "S2(3,3,3,3)", None, 4),
-        (analyze, "D(3,3;mirror)", "orientable", 5),
-        (analyze, "HD(5)", "type_preserving", 5),
-        (verify_suite, "S2(3,3,3,3)", None, 5),
+        (analyze, "S2(3,3,3,3)", None, 1),
+        (analyze, "D(3,3;mirror)", "orientable", 2),
+        (analyze, "HD(5)", "type_preserving", 2),
+        (verify_suite, "S2(3,3,3,3)", None, 2),
     ],
 )
-def test_fox_matrix_built_once_per_block(monkeypatch, run, text, embedding, expected):
-    """One Fox matrix per block complex: the four blocks, plus the other
-    embedding's column block on non-orientable input, plus the directly
-    computed full_g complex in verify."""
+def test_fox_walks_per_run(monkeypatch, run, text, embedding, expected):
+    """One Fox walk for the whole table, in the sum of the four blocks;
+    one more for the other embedding's column block on non-orientable
+    input, and one for the directly computed full_g complex in verify."""
     import charvar.cohomology as cohomology
 
     calls = []

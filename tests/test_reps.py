@@ -3,6 +3,8 @@ irreducibility verdicts, and serialization."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from charvar.reps import (
     invariant_form,
     load_representation,
     Representation,
+    _tangential_sides,
     polygon_group,
     representation_from_json,
     representation_to_json,
@@ -200,6 +203,33 @@ def test_embed_orientable_requires_a_sign_to_carry(kind, group_tag, triangle334,
         embed(rep, kind)
 
 
+@pytest.mark.parametrize("kind, rep", [("standard", "triangle"), ("orientable", "mirrored"), ("type_preserving", "mirrored")])
+def test_embed_fields_pass_the_validating_constructor(kind, rep, triangle334, mirrored):
+    """embed skips the constructor's checks; the validating constructor
+    accepts its fields and rebuilds them unchanged."""
+    emb = embed(triangle334 if rep == "triangle" else mirrored.rep, kind)
+    checked = Representation(emb.presentation, emb.matrices, emb.group_tag, emb.lineage)
+    for f in dataclasses.fields(Representation):
+        a, b = getattr(emb, f.name), getattr(checked, f.name)
+        if f.name == "matrices":
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        else:
+            assert a == b
+    assert emb.relator_residual == checked.relator_residual
+
+
+def test_tangential_sides_are_memoized_read_only():
+    """The polygon sides depend on the orders only: one solve per orders
+    tuple, shared by every build, so nothing may write into them."""
+    sides = _tangential_sides((2, 3, 3, 2))
+    assert _tangential_sides((2, 3, 3, 2)) is sides
+    for side in sides:
+        assert not side.flags.writeable
+        with pytest.raises(ValueError):
+            side[0, 0] = 0.0
+    assert np.array_equal(_tangential_sides.__wrapped__((2, 3, 3, 2)), sides)
+
+
 def test_lorentz_residual_small_for_builtin_reps(triangle334, quad):
     assert max(lorentz_residual(m) for m in triangle334.matrices) < 1e-6
     assert max(lorentz_residual(m) for m in quad.rep.matrices) < 1e-6
@@ -228,6 +258,18 @@ def test_json_round_trip(triangle334, tmp_path):
     assert loaded.group_tag == triangle334.group_tag
     for x, y in zip(loaded.matrices, triangle334.matrices):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n", [3.9, 3.0, "3", True])
+def test_json_rank_must_be_an_integer(triangle334, n):
+    """A float rank is not truncated, a string not parsed, and a boolean
+    is not an integer: each is a malformed entry."""
+    data = representation_to_json(triangle334)
+    data["n"] = n
+    with pytest.raises(RepError, match="malformed entry"):
+        representation_from_json(data)
+    data["n"] = 3
+    assert representation_from_json(data).n == 3
 
 
 def test_construction_rejects_broken_relators(triangle334):
