@@ -22,8 +22,9 @@ corrections are the load-bearing part of the formula and are gated by
 the coboundary-vanishing test.  A cup product c(a, b) = phi(z1(a),
 a.z2(b)) is bilinear in the two cocycles, so fundamental_form walks the
 chain once and returns its matrix on stacked cocycles; the pipeline reads
-the duality pairing, the cup antisymmetry and the obstruction (phi the
-d-component of the bracket) from these matrices.  pair_fundamental_class
+the duality pairing and the obstruction (phi the d-component of the
+bracket) from these matrices, and the cup antisymmetry from the two cross
+forms, m_r against m_c and m_c against m_r.  pair_fundamental_class
 evaluates one cocycle word by word: the reference the form is checked
 against, in the tests and once per verify.  weil_slope deforms along
 every tangent direction in one stacked pass.
@@ -232,14 +233,22 @@ class BlockComplex:
         return self._z1[0]
 
     @cached_property
+    def h1(self) -> int:
+        """dim H^1 = z1 - b1, read from the two factorizations without
+        the rank that dims takes for h2."""
+        if self.module.num_generators == 0:
+            return 0
+        h1 = self.z_basis.shape[1] - self._b1[0].shape[1]
+        if h1 < 0:
+            raise CohomologyError(f"negative h1 = {h1}; rank policy inconsistent")
+        return h1
+
+    @cached_property
     def dims(self) -> HDims:
         m = self.module
         if m.num_generators == 0:
             return HDims(0, 0, 0, 0, 0, {"all": "degenerate"}, degenerate=True)
-        z1 = self.z_basis.shape[1]
-        b1 = self._b1[0].shape[1]
-        if z1 < b1:
-            raise CohomologyError(f"negative h1 = {z1 - b1}; rank policy inconsistent")
+        h1, z1, b1 = self.h1, self.z_basis.shape[1], self._b1[0].shape[1]
         if self.pres.closed:
             eye = np.eye(m.dim)
             dual = np.vstack([s * a.T - eye for s, a in zip(self.pres.orientation_character, m.action)])
@@ -247,7 +256,7 @@ class BlockComplex:
         else:
             h2, how = 0, "boundary_vanishing"
         methods = {"h0": "fox", "h1": "fox", "h2": how}
-        return HDims(m.dim - b1, z1 - b1, h2, z1, b1, methods, min(self._z1[1], self._b1[1]))
+        return HDims(m.dim - b1, h1, h2, z1, b1, methods, min(self._z1[1], self._b1[1]))
 
     @cached_property
     def h1_basis(self) -> np.ndarray:
@@ -260,7 +269,7 @@ class BlockComplex:
         the count is taken from the dimension count, never from a rank cut
         on the projected matrix, whose noise tail reflects only the
         relator residual of the representation."""
-        h1 = self.dims.h1
+        h1 = self.h1
         if h1 <= 0:
             return np.zeros((self.module.dim * self.module.num_generators, 0))
         z_basis, b_basis = self.z_basis, self._b1[0]
@@ -337,22 +346,21 @@ class TwoCocycle:
         return float(self.evaluate(a, b))
 
 
-def _as_form(phi, dim1: int, dim2: int) -> Callable[[np.ndarray, np.ndarray], float]:
-    if callable(phi):
-        return lambda u, v: float(phi(u, v))
+def _as_form(phi, dim1: int, dim2: int) -> np.ndarray:
+    """phi as the matrix of a bilinear form pairing R^dim1 with R^dim2."""
     mat = np.asarray(phi, dtype=float)
     if mat.shape != (dim1, dim2):
         raise CohomologyError(f"form shape {mat.shape} does not pair R^{dim1} with R^{dim2}")
-    return lambda u, v: float(u @ mat @ v)
+    return mat
 
 
 def cup(z1: Cocycle, z2: Cocycle, phi) -> TwoCocycle:
-    """c(a, b) = phi(z1(a), a.z2(b)), the word 'a' acting through z2's
-    module."""
+    """c(a, b) = z1(a) . phi (a.z2(b)) for the matrix phi, the word 'a'
+    acting through z2's module."""
     form = _as_form(phi, z1.module.dim, z2.module.dim)
 
     def evaluate(a: Word, b: Word) -> float:
-        return form(z1.on_word(a), z2.module.evaluate_word(a) @ z2.on_word(b))
+        return float(z1.on_word(a) @ form @ (z2.module.evaluate_word(a) @ z2.on_word(b)))
 
     return TwoCocycle(evaluate, "cup")
 
@@ -404,10 +412,8 @@ def fundamental_form(
     actions R_a; the term (a, x) adds F_a^T phi R_a G_x, where G_x reads
     z2(x) off s2, so R_a G_x is R_a on block x, or -R_{ax} on block -x for
     an inverse letter."""
-    phi = np.asarray(phi, dtype=float)
     n1, n2, g = m1.dim, m2.dim, m1.num_generators
-    if phi.shape != (n1, n2):
-        raise CohomologyError(f"form shape {phi.shape} does not pair R^{n1} with R^{n2}")
+    phi = _as_form(phi, n1, n2)
     out = np.zeros((n1 * g, n2 * g))
     for word, weight in _transgression_chain(pres):
         acts = [act for _, act in _fox_prefixes(word, m2)]

@@ -51,7 +51,6 @@ __all__ = [
     "embed",
     "burnside_irreducible",
     "commutant_dim",
-    "invariant_form",
     "representation_to_json",
     "representation_from_json",
     "load_representation",
@@ -269,19 +268,6 @@ def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
     eye = np.eye(n)
     rows = np.einsum("ik,gjl->gijkl", eye, mats) - np.einsum("gki,jl->gijkl", mats, eye)
     return kernel_basis(rows.reshape(-1, n * n), policy).shape[1]
-
-
-def invariant_form(mats, policy: RankPolicy | None = None) -> list[np.ndarray]:
-    """Basis of the symmetric forms X with M^T X M = X for every M: the
-    kernel of the vectorized invariance system, rows M^T (x) M^T - I for
-    every M, stacked on X = X^T."""
-    policy = policy or RankPolicy()
-    mats = np.array(mats, dtype=float)
-    n = mats.shape[-1]
-    eye = np.eye(n * n)
-    rows = np.einsum("gki,glj->gijkl", mats, mats).reshape(-1, n * n, n * n) - eye
-    system = np.vstack([*rows, eye - eye[np.arange(n * n).reshape(n, n).T.ravel()]])
-    return [v.reshape(n, n) for v in kernel_basis(system, policy).T]
 
 
 # ---------------------------------------------------------------------------

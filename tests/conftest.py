@@ -4,14 +4,16 @@ analyses) hangs off the two caches below."""
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from charvar import analyze, decompose_sl, polygon_group, request_from_text
 from charvar.presentation import parse_signature, presentation_of
-from charvar.reps import build_representation
+from charvar.reps import Representation, build_representation, representation_to_json
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -31,6 +33,48 @@ NONORIENTABLE_INPUTS = ("D(3,3;mirror)", "D(3,3,3;mirror)", "N(k=2;b=1;cone=[3])
 EVERY_INPUT = [(t, "standard") for t in ORIENTABLE_INPUTS] + [
     (t, e) for t in NONORIENTABLE_INPUTS for e in ("orientable", "type_preserving")
 ]
+
+# bulging paths (Goldman, "Bulging deformations of convex RP^2-manifolds",
+# arXiv:1302.0777): a word gamma whose image is hyperbolic and cuts the
+# surface, and the generators on one side of it, whose product is gamma^-1
+BULGING_PATHS = {
+    "S2(3,3,3,3)": ((1, 2), (3, 4)),
+    "S2(2,3,3,3)": ((1, 2), (3, 4)),
+    "S2(3,3,3,3,3)": ((1, 2), (3, 4, 5)),
+    "S2(3,3,3,3,3,3)": ((1, 2, 3), (4, 5, 6)),
+    "O(g=2)": ((1, 2, -1, -2), (3, 4)),
+}
+
+
+def bulge(rep: Representation, gamma, side, t: float) -> Representation:
+    """rep with the generators in side conjugated by C = exp(t diag(1, -2, 1))
+    in the eigenbasis of rep(gamma), eigenvalues in increasing order.  C
+    commutes with rep(gamma), so every relator and torsion order still
+    holds exactly, and t = 0 gives rep back up to rounding."""
+    w, v = np.linalg.eig(rep.word_image(gamma))
+    assert np.isrealobj(w), "gamma must be hyperbolic"
+    exponents = np.empty(3)
+    exponents[np.argsort(w)] = (1.0, -2.0, 1.0)
+    c = v @ np.diag(np.exp(t * exponents)) @ np.linalg.inv(v)
+    c_inv = np.linalg.inv(c)
+    mats = [c @ m @ c_inv if i + 1 in side else m for i, m in enumerate(rep.matrices)]
+    return Representation(rep.presentation, tuple(mats), rep.group_tag, rep.lineage + (f"bulge t={t}",))
+
+
+@pytest.fixture(scope="session")
+def bulged_file(tmp_path_factory):
+    """Path of a representation file: the builtin representation of text,
+    bulged along its path in BULGING_PATHS by t."""
+    directory = tmp_path_factory.mktemp("bulged")
+
+    def get(text, t):
+        path = directory / f"{text}-{t}.json"
+        if not path.exists():
+            rho = build_representation(parse_signature(text), seed=0)
+            path.write_text(json.dumps(representation_to_json(bulge(rho, *BULGING_PATHS[text], t))))
+        return str(path)
+
+    return get
 
 
 @pytest.fixture(scope="session")

@@ -268,6 +268,14 @@ def test_half_mirrored_disc_round_trips_through_a_file(capsys, tmp_path):
     assert run(["dims", "HD(3)", "--json", "--rep", str(path)], capsys) == builtin
 
 
+def test_verify_runs_cup_antisymmetry_off_the_fuchsian_locus(capsys, bulged_file):
+    """A bulged representation reaches the command through --rep, and the
+    antisymmetry gate runs on it and passes."""
+    rc, out, _ = run(["verify", "S2(2,3,3,3)", "--rep", bulged_file("S2(2,3,3,3)", 0.5)], capsys)
+    assert rc == 0
+    assert re.search(r"^PASS  cup-antisymmetry ", out, re.M)
+
+
 def test_non_hyperbolic_half_mirrored_disc_exit_one(capsys):
     rc, out, err = run(["dims", "HD(2)"], capsys)
     assert rc == 1

@@ -347,14 +347,15 @@ def test_fundamental_form_matches_the_word_by_word_pairing(setups, text):
             assert s1 @ form @ s2 == pytest.approx(ref, rel=1e-10), (text, m1.label, m2.label)
 
 
-def test_cup_accepts_matrix_and_callable_forms(quad):
+def test_cup_takes_a_matrix_form(quad):
+    """c(a, b) = z1(a) . phi (a.z2(b)); a matrix of the wrong shape is refused."""
     z1 = kernel_cocycles(quad.pres, quad.sd.m_r)[0]
     z2 = kernel_cocycles(quad.pres, quad.sd.m_c)[0]
     mat = np.diag([1.0, 2.0, 3.0])
     by_matrix = cup(z1, z2, mat)
-    by_callable = cup(z1, z2, lambda x, y: float(x @ mat @ y))
     for a, b in (((1,), (2,)), ((1, 2), (3, -4))):
-        assert by_matrix(a, b) == pytest.approx(by_callable(a, b), rel=1e-12)
+        expected = z1.on_word(a) @ mat @ (quad.sd.m_c.evaluate_word(a) @ z2.on_word(b))
+        assert by_matrix(a, b) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(CohomologyError):
         cup(z1, z2, np.eye(2))
 

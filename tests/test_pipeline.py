@@ -3,6 +3,7 @@ reports for the main fixtures, and deterministic JSON."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from charvar.coeffmodules import SlDecomposition, sl_basis
-from charvar.cohomology import BLOCKS
+from charvar.cohomology import BLOCKS, CohomologyError
 from charvar.pipeline import (
     HypothesisError,
     PipelineError,
@@ -21,9 +22,9 @@ from charvar.pipeline import (
     request_from_text,
     verify_suite,
 )
-from charvar.presentation import OrbifoldSignature
-from charvar.reps import J3, embed, polygon_group, representation_to_json
-from conftest import EVERY_INPUT
+from charvar.presentation import OrbifoldSignature, parse_signature
+from charvar.reps import J3, embed, load_representation, polygon_group, representation_to_json
+from conftest import BULGING_PATHS, EVERY_INPUT
 
 
 @pytest.fixture(scope="module")
@@ -276,14 +277,14 @@ def test_fox_walks_per_run(monkeypatch, run, text, embedding, expected):
     [
         (analyze, "S2(3,3,3,3)", 2),
         (analyze, "O(g=2)", 2),
-        (verify_suite, "S2(3,3,3,3)", 4),
-        (verify_suite, "O(g=2)", 4),
+        (verify_suite, "S2(3,3,3,3)", 3),
+        (verify_suite, "O(g=2)", 3),
     ],
 )
 def test_pairings_read_from_forms(monkeypatch, run, text, forms):
     """analyze builds the cross and bracket forms once each; verify adds the
-    invariant form of the column block and the cross form the other way
-    round.  Nothing walks the fundamental class per sample: only verify's
+    cross form the other way round, which the antisymmetry and the
+    transgression gates share.  Nothing walks the fundamental class per sample: only verify's
     pairing-form-reference entry calls the word-by-word pairing, once.  The
     Weil test is one stacked call."""
     import charvar.cohomology as cohomology
@@ -306,6 +307,21 @@ def test_pairings_read_from_forms(monkeypatch, run, text, forms):
     run(request_from_text(text))
     verify = int(run is verify_suite)
     assert calls == {"form": forms, "pair": verify, "weil": verify}
+
+
+def test_other_embedding_reads_h1_alone(monkeypatch):
+    """On non-orientable input the other embedding's column block gives
+    only its h1, from the Z^1 and B^1 factorizations, and takes no rank
+    for h2: 23 SVDs per analyze of D(3,3;mirror).  The d it reports is the
+    one the other embedding's own table gives."""
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    report = analyze(request_from_text("D(3,3;mirror)", embedding="orientable"))
+    assert len(calls) == 23
+    other = analyze(request_from_text("D(3,3;mirror)", embedding="type_preserving"))
+    assert report.dims["d_tp"] == other.dims["d_model"]
+    assert {**report.dims, "d_model": None} == {**other.dims, "d_model": None}
 
 
 def failed_gates(text):
@@ -381,11 +397,14 @@ def conjugated_quad_file(directory, conj) -> str:
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-def test_cup_antisymmetry_takes_the_form_every_generator_keeps(monkeypatch, tmp_path, perturbed):
-    """P rho P^-1, with P scaling the rotation plane of x_1 by 1.02, has
-    rho's character but keeps diag(1, 1, -1) on x_1 alone.  The gate runs
-    with the form that every generator keeps and passes; a Gram matrix
-    pushed off antisymmetry still fails it."""
+def test_cup_antisymmetry_takes_the_form_every_generator_keeps(monkeypatch, tmp_path, bulged_file, perturbed):
+    """The gate reads graded antisymmetry off the cross forms m_r x m_c and
+    m_c x m_r, the Killing pairing that every generator keeps, so it needs
+    no form on m_c alone.  It runs and passes on the Fuchsian quad, on
+    P rho P^-1 (P scales the rotation plane of x_1 by 1.02: rho's
+    character, but diag(1, 1, -1) is kept by x_1 alone) and on a bulged
+    quad, which keeps no symmetric form at all.  The m_c x m_r form scaled
+    by 1 + 1e-6 fails it, and no other gate."""
     import charvar.pipeline as pipeline
 
     x1 = polygon_group((3, 3, 3, 3)).matrices[0]
@@ -393,30 +412,60 @@ def test_cup_antisymmetry_takes_the_form_every_generator_keeps(monkeypatch, tmp_
     p = np.real(v[:, np.argmin(np.abs(w - 1))])
     p = p / np.sqrt(-(p @ J3 @ p))
     P = 1.02 * np.eye(3) + 0.02 * np.outer(p, p @ J3)
-    path = conjugated_quad_file(tmp_path, lambda i, m: P @ m @ np.linalg.inv(P))
+    paths = [
+        None,
+        conjugated_quad_file(tmp_path, lambda i, m: P @ m @ np.linalg.inv(P)),
+        bulged_file("S2(3,3,3,3)", 0.5),
+    ]
     if perturbed:
         real = pipeline.fundamental_form
 
         def form(pres, m1, m2, phi):
             out = real(pres, m1, m2, phi)
-            return out + 1e-6 * np.eye(out.shape[0]) if m1.label == m2.label == "m_c" else out
+            return out * (1 + 1e-6) if (m1.label, m2.label) == ("m_c", "m_r") else out
 
         monkeypatch.setattr(pipeline, "fundamental_form", form)
-    ledger = {e.name: e for e in verify_suite(request_from_text("S2(3,3,3,3)", rep_path=path))}
-    assert ledger["cup-antisymmetry"].passed != perturbed
-    assert all(e.passed for name, e in ledger.items() if name != "cup-antisymmetry")
+    for path in paths:
+        ledger = {e.name: e for e in verify_suite(request_from_text("S2(3,3,3,3)", rep_path=path))}
+        assert ledger["cup-antisymmetry"].passed != perturbed, path
+        assert all(e.passed for name, e in ledger.items() if name != "cup-antisymmetry"), path
 
 
-def test_cup_antisymmetry_skipped_without_an_invariant_form(tmp_path):
-    """Bulging x_3 and x_4 by C, which commutes with x_1 x_2, keeps every
-    relator but leaves no invariant symmetric form: the gate is skipped
-    and the report says so."""
-    rho = polygon_group((3, 3, 3, 3))
-    w, v = np.linalg.eig(rho.matrices[0] @ rho.matrices[1])
-    w, v = np.real(w), np.real(v)
-    C = v @ np.diag(np.exp(0.5 * np.where(np.abs(w - 1) < 1e-6, -2.0, 1.0))) @ np.linalg.inv(v)
-    path = conjugated_quad_file(tmp_path, lambda i, m: C @ m @ np.linalg.inv(C) if i >= 2 else m)
-    req = request_from_text("S2(3,3,3,3)", rep_path=path, checks=("all",))
-    report = analyze(req)
-    assert "cup-antisymmetry" not in {e.name for e in report.ledger}
-    assert "cup-antisymmetry-skipped" in report.flags
+def off_the_fuchsian_locus(rep) -> float:
+    """Largest |tr w - tr w^-1| over the positive words of length three:
+    0 on SO(2, 1), where w^-1 = J w^T J."""
+    return max(
+        abs(np.trace(rep.word_image(w)) - np.trace(rep.word_image(tuple(-x for x in reversed(w)))))
+        for w in itertools.product(range(1, rep.num_generators + 1), repeat=3)
+    )
+
+
+# the absolute 1e-6 of the table's stabilizer order check (ROADMAP item 2)
+# refuses the largest bulges of the longer spheres, at 3.8e-4 and 3.1e-5
+ORDER_BOUND_XFAIL = pytest.mark.xfail(
+    strict=True,
+    raises=CohomologyError,
+    reason="ROADMAP item 2: absolute bound of the stabilizer order check",
+)
+BULGED_POINTS = [
+    pytest.param(text, t, marks=ORDER_BOUND_XFAIL)
+    if t == 1.0 and text in ("S2(3,3,3,3,3)", "S2(3,3,3,3,3,3)")
+    else (text, t)
+    for text in BULGING_PATHS
+    for t in (0.2, 0.5, 1.0)
+]
+
+
+@pytest.mark.parametrize("text, t", BULGED_POINTS)
+def test_bulging_keeps_the_local_model(analyses, bulged_file, text, t):
+    """Bulging along a separating hyperbolic gamma leaves the Fuchsian
+    locus through C-irreducible representations.  The local model is the
+    same along the path: p, d and b, the obstruction constant c_3 =
+    -1/12, and every gate passes, cup-antisymmetry among them."""
+    path = bulged_file(text, t)
+    report = analyze(request_from_text(text, rep_path=path, checks=("all",)))
+    assert off_the_fuchsian_locus(load_representation(path, parse_signature(text))) > 1.0
+    assert report.dims == analyses(text).dims
+    assert report.obstruction["c_n"] == pytest.approx(-1 / 12, abs=1e-11)
+    assert "cup-antisymmetry" in {e.name for e in report.ledger}
+    assert all(e.passed for e in report.ledger), [e.line() for e in report.ledger if not e.passed]

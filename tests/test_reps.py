@@ -20,7 +20,6 @@ from charvar.reps import (
     commutant_dim,
     embed,
     half_mirrored_disc,
-    invariant_form,
     load_representation,
     Representation,
     _tangential_sides,
@@ -319,17 +318,6 @@ def kron_commutant_system(mats):
     return np.vstack([np.kron(eye, m) - np.kron(m.T, eye) for m in mats])
 
 
-def kron_invariant_system(mats):
-    """The invariance system of invariant_form, one np.kron per matrix,
-    stacked on the symmetry rows X = X^T."""
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    n = mats[0].shape[0]
-    eye = np.eye(n * n)
-    rows = [np.kron(m.T, m.T) - eye for m in mats]
-    rows.append(eye - eye[np.arange(n * n).reshape(n, n).T.ravel()])
-    return np.vstack(rows)
-
-
 def conjugated(mats, complex_):
     rng = np.random.default_rng(8)
     p = rng.standard_normal((len(mats[0]),) * 2)
@@ -341,10 +329,8 @@ def conjugated(mats, complex_):
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("reducible", [False, True], ids=["irreducible", "reducible"])
 def test_sylvester_systems_match_the_kron_construction(monkeypatch, triangle334, reducible, complex_):
-    """The broadcast systems are bit-identical to the np.kron ones, so the
-    kernels, and with them the commutant dimension and the invariant
-    forms, are too.  invariant_form is a real computation, so it runs on
-    the real inputs only."""
+    """The broadcast system is bit-identical to the np.kron one, so the
+    kernel, and with it the commutant dimension, is too."""
     import charvar.reps as reps
 
     rep = embed(triangle334, "standard") if reducible else triangle334
@@ -360,12 +346,6 @@ def test_sylvester_systems_match_the_kron_construction(monkeypatch, triangle334,
     assert np.array_equal(seen[-1], kron_commutant_system(mats))
     assert dim == kernel_basis(kron_commutant_system(mats), RankPolicy()).shape[1]
     assert dim == (2 if reducible else 1)
-    if not complex_:
-        forms = invariant_form(mats)
-        assert np.array_equal(seen[-1], kron_invariant_system(mats))
-        ref = kernel_basis(kron_invariant_system(mats), RankPolicy()).T
-        assert len(forms) == len(ref) == (2 if reducible else 1)
-        assert all(np.array_equal(f, v.reshape(f.shape)) for f, v in zip(forms, ref))
 
 
 def growth_steps(mats, policy):
