@@ -34,7 +34,6 @@ from .cohomology import (
     fox_matrix,
     fundamental_form,
     pair_fundamental_class,
-    twisted_euler,
     weil_slope,
 )
 from .linalg import RankPolicy, kernel_basis, rank

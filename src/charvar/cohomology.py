@@ -8,9 +8,10 @@ fixed space of the (orientation-twisted) contragredient module, by
 duality, read off one rank.  A BlockComplex factors both matrices of one
 coefficient block once; dimensions, the H^1 basis and the verify checks
 all read it.  The ambient algebra full_g = g0 + m_c + m_r + d is a
-direct sum of modules: the table walks its relators and stabilizer
-powers once, in the block-diagonal sum, and its row is the sum of the
-block rows.
+direct sum of modules: the table walks its relators once, in the
+block-diagonal sum, reads every block's stabilizer invariants from the
+characters of the embedded representation diag(A, c), and its row is
+the sum of the block rows.
 
 Evaluation of a 2-cocycle against the fundamental class transgresses
 the long relator r = l_1...l_L as sum of c(l_1...l_{t-1}, l_t), then
@@ -41,7 +42,7 @@ import numpy as np
 from .coeffmodules import CoefficientModule
 from .linalg import RankPolicy, rank, rank_cut
 from .presentation import GroupPresentation, Word
-from .reps import _derived
+from .reps import Representation, _derived
 
 __all__ = [
     "CohomologyError",
@@ -52,7 +53,6 @@ __all__ = [
     "fox_matrix",
     "coboundary_matrix",
     "BlockComplex",
-    "twisted_euler",
     "cup",
     "pair_fundamental_class",
     "fundamental_form",
@@ -288,47 +288,37 @@ class BlockComplex:
         return [cocycle_from_stack(self.module, col) for col in self.h1_basis.T]
 
 
-def _stabilizer_invariant_dims(m: CoefficientModule, word: Word, order: int, ends) -> np.ndarray:
-    """dim M_k^<w> of each summand M_k of m, in coordinates ends[k] to
-    ends[k + 1], for a stabilizer <w> of the given order, by the character
-    rule: the mean of tr w^j over j < order (Serre, Linear Representations
-    of Finite Groups, 2.3).  The powers come from repeated multiplication,
-    and the last, w^order, must be the identity on each summand."""
-    a = m.evaluate_word(word)
-    power, total = a, np.diff(ends).astype(float)
-    for _ in range(order - 1):
-        total += np.add.reduceat(power.diagonal(), ends[:-1])
-        power = power @ a
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        res = float(np.abs(power[lo:hi, lo:hi] - np.eye(hi - lo)).max())
-        if res > 1e-6:
-            raise CohomologyError(f"stabilizer word {word} is not of order {order}: residual {res:.3e}")
-    return np.rint(total / order).astype(int)
+def _invariant_dims(h: np.ndarray, order: int) -> np.ndarray:
+    """dim of the invariants of <w> in g0, m_c, m_r and d, for a stabilizer
+    word w of the given order with image h = diag(A, c) in the embedded
+    representation, by the character rule: the mean over j < order of the
+    block traces at w^j (Serre, Linear Representations of Finite Groups,
+    2.3), namely tr A^j tr A^-j - 1, c^j tr A^j, c^j tr A^-j and 1.  The
+    constructor checked A^order = I, so tr A^-j = tr A^(order - j) and one
+    walk of order powers of h gives every trace."""
+    n = h.shape[0] - 1
+    power, tr, c = np.eye(n + 1), np.empty(order), np.empty(order)
+    for j in range(order):
+        tr[j], c[j] = power[:n, :n].trace(), power[n, n]
+        power = power @ h
+    inv = tr[-np.arange(order)]
+    return np.rint(np.mean([tr * inv - 1.0, c * tr, c * inv, np.ones(order)], axis=1)).astype(int)
 
 
-def _cell_euler(pres: GroupPresentation, m: CoefficientModule, ends) -> list[int]:
-    """twisted_euler of each summand of m, split as in _stabilizer_invariant_dims."""
-    if not pres.cells:
-        raise CohomologyError("presentation carries no cell structure")
-    total, invariant = np.zeros(len(ends) - 1, dtype=int), {}
+def _cell_euler(pres: GroupPresentation, embedded: Representation) -> list[int]:
+    """The cellular Euler characteristic of g0, m_c, m_r and d: the
+    alternating sum over cells of the invariant dimension of the cell
+    stabilizer, read from the stabilizer's image in embedded."""
+    total, invariant = np.zeros(len(BLOCKS), dtype=int), {}
     for cell in pres.cells:
         st = cell.stabilizer
-        if st.kind == "trivial":
-            d = np.diff(ends)
-        else:
-            # a mirror's vertex and edge share one stabilizer
-            key = (st.word, 2 if st.kind == "reflection" else st.order)
-            if key not in invariant:
-                invariant[key] = _stabilizer_invariant_dims(m, *key, ends)
-            d = invariant[key]
-        total += (-1) ** cell.dim * d
+        # a trivial stabilizer is the empty word of order 1; a mirror's
+        # vertex and edge share one stabilizer
+        key = (st.word, 2 if st.kind == "reflection" else st.order)
+        if key not in invariant:
+            invariant[key] = _invariant_dims(embedded.word_image(st.word), key[1])
+        total += (-1) ** cell.dim * invariant[key]
     return total.tolist()
-
-
-def twisted_euler(pres: GroupPresentation, m: CoefficientModule) -> int:
-    """Alternating sum over cells of the invariant dimension of the cell
-    stabilizer; equals h0 - h1 + h2."""
-    return _cell_euler(pres, m, [0, m.dim])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +478,17 @@ def cohomology_report(
 ) -> CohomologyReport:
     """The table of the blocks of an SlDecomposition, one factored
     complex each, closed by the full_g row as their direct sum.  The
-    Fox matrix of the blocks' sum holds each block's on its diagonal,
-    and one stabilizer power pass of the sum gives every block's twisted
-    Euler characteristic whenever the presentation carries cells."""
+    Fox matrix of the blocks' sum holds each block's on its diagonal;
+    whenever the presentation carries cells, every block's twisted Euler
+    characteristic is read from the characters of the embedded
+    representation."""
     policy = policy or RankPolicy()
     modules = [getattr(decomposition, label) for label in BLOCKS]
     ends = np.cumsum([0] + [m.dim for m in modules]).tolist()
     total = _block_sum(modules, ends)
     r, g, n = len(pres.relators), pres.num_generators, total.dim
     fox = fox_matrix(pres, total).reshape(r, n, g, n)
-    eulers = _cell_euler(pres, total, ends) if pres.cells else [None] * len(modules)
+    eulers = _cell_euler(pres, decomposition.embedded) if pres.cells else [None] * len(modules)
     complexes, rows = {}, []
     for label, m, lo, hi, euler in zip(BLOCKS, modules, ends[:-1], ends[1:], eulers):
         c = complexes[label] = BlockComplex(pres, m, policy)

@@ -46,9 +46,36 @@ def test_six_cone_points_verify_at_the_seeds_the_optimizer_failed(seed):
 @pytest.mark.parametrize("text", ["S2(5,5,5)", "S2(7,7,7)"])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_equal_order_triangles_verify(text, seed):
-    """The law-of-cosines triangle, with a vertex at the origin, made the
-    stabilizer powers in twisted_euler miss their order on these."""
+    """The law-of-cosines triangle, with a vertex at the origin, built
+    these with cone generators that missed their order."""
     assert failed(verify_suite(request_from_text(text, seed=seed))) == []
+
+
+# spheres refused at the old torsion bounds: binary powering on the base
+# overshot 1e-8, or a stabilizer power of the adjoint missed an absolute 1e-6
+PAST_THE_OLD_ORDER_BOUND = (
+    "S2(11,13,17)",
+    "S2(13,17,19)",
+    "S2(3,3,3,3,3,3,3,3,3)",
+    "S2(3,3,3,3,3,3,3,3,3,3)",
+    "S2(2,3,7,7,7,7,7,7)",
+    "S2(2,3,100)",
+    "S2(7,7,7,7,7,7,7,7,7)",
+)
+
+
+@pytest.mark.parametrize("text", PAST_THE_OLD_ORDER_BOUND)
+def test_spheres_past_the_old_order_bound_get_the_weil_count(text):
+    """Every core gate passes and the dims are the Weil count: p = -16 +
+    sum over cone points of 4 (order 2) or 6, d = -6 + 2c, b = 0."""
+    orders = parse_signature(text).cone_orders
+    report = analyze(request_from_text(text))
+    assert failed(report.ledger) == []
+    assert report.dims == {"p": -16 + sum(4 if n == 2 else 6 for n in orders), "d": -6 + 2 * len(orders), "b": 0}
+
+
+def test_order_one_hundred_verifies():
+    assert failed(verify_suite(request_from_text("S2(2,3,100)"))) == []
 
 
 def test_closed_inputs_verify_without_scipy():

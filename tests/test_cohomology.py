@@ -8,8 +8,6 @@ number downstream is only trustworthy because of this test.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +26,6 @@ from charvar.cohomology import (
     fox_matrix,
     fundamental_form,
     pair_fundamental_class,
-    twisted_euler,
     weil_slope,
 )
 from charvar.coeffmodules import (
@@ -176,24 +173,27 @@ def test_complex_degenerate_no_generators():
     assert block.h1_cocycles == []
 
 
-def test_twisted_euler_trivial_coefficients_recovers_underlying_space():
-    for text in ("S2(3,3,4)", "S2(3,3,3,3)", "O(g=2)", "D2(3,3)", "HD(3)"):
-        sig = parse_signature(text)
-        pres = presentation_of(sig)
-        m = trivial_module(pres.num_generators)
-        assert twisted_euler(pres, m) == underlying_euler(sig)
+def test_twisted_euler_trivial_coefficients_recovers_underlying_space(setups):
+    """d is the trivial block: its cellular Euler characteristic in the
+    table is that of the underlying space."""
+    for text, embedding in (
+        ("S2(3,3,4)", "standard"), ("S2(3,3,3,3)", "standard"), ("O(g=2)", "standard"),
+        ("D2(3,3)", "standard"), ("HD(3)", "orientable"),
+    ):
+        s = setups(text, embedding)
+        assert cohomology_report(s.pres, s.sd, POLICY).module("d").euler_cells == underlying_euler(s.sig)
 
 
 def test_twisted_euler_matches_alternating_sum(quad):
-    for label in ("g0", "m_c", "m_r", "d", "full_g"):
-        m = getattr(quad.sd, label)
-        hd = BlockComplex(quad.pres, m, POLICY).dims
-        assert twisted_euler(quad.pres, m) == hd.euler
+    report = cohomology_report(quad.pres, quad.sd, POLICY)
+    for label in BLOCKS + ("full_g",):
+        hd = BlockComplex(quad.pres, getattr(quad.sd, label), POLICY).dims
+        assert report.module(label).euler_cells == hd.euler
 
 
 def svd_invariant_dim(m, word, order):
     """dim M^<w> as the kernel of w - 1, found by SVD: the rank decision
-    that the character rule of twisted_euler replaced."""
+    that the character rule of the table replaced."""
     a = m.evaluate_word(word)
     eye = np.eye(m.dim)
     assert np.abs(np.linalg.matrix_power(a, order) - eye).max() <= 1e-6
@@ -217,37 +217,15 @@ def svd_twisted_euler(pres, m):
     EVERY_INPUT + [("D(2,3,3;mirror)", e) for e in ("orientable", "type_preserving")],
 )
 def test_twisted_euler_characters_match_the_svd_kernels(text, embedding):
-    """Every benchmark input, HD(3) and D(2,3,3;mirror): the character
-    mean and the SVD kernel give one twisted Euler characteristic per
-    block and for full_g."""
+    """Every benchmark input, HD(3) and D(2,3,3;mirror): the table's
+    character means on the base and the SVD kernels of each block give
+    one twisted Euler characteristic per block, and the full_g row, the
+    sum of the blocks, is the SVD count on full_g itself."""
     rep = build_representation(parse_signature(text), seed=0)
     sd = decompose_sl(rep, embedding)
-    for label in ("g0", "m_c", "m_r", "d", "full_g"):
-        m = getattr(sd, label)
-        assert twisted_euler(rep.presentation, m) == svd_twisted_euler(rep.presentation, m)
-
-
-@pytest.mark.parametrize("perturbed", [False, True])
-def test_twisted_euler_order_gate(quad, perturbed):
-    """A cone generator whose action is moved 1e-4 off its order fails
-    the order check; the unperturbed g0 passes it."""
-    g0 = quad.sd.g0
-    action = list(g0.action)
-    if perturbed:
-        nudge = 1e-4 * np.random.default_rng(3).uniform(-1.0, 1.0, action[0].shape)
-        action[0] = action[0] @ (np.eye(g0.dim) + nudge)
-    m = CoefficientModule("g0", tuple(action))
-    if perturbed:
-        with pytest.raises(CohomologyError, match="is not of order"):
-            twisted_euler(quad.pres, m)
-    else:
-        assert twisted_euler(quad.pres, m) == BlockComplex(quad.pres, g0, POLICY).dims.euler
-
-
-def test_twisted_euler_requires_cells():
-    pres = GroupPresentation(("a",), ((1, 1),), (1,), {1: 2})
-    with pytest.raises(CohomologyError):
-        twisted_euler(pres, trivial_module(1))
+    report = cohomology_report(rep.presentation, sd, POLICY)
+    for label in BLOCKS + ("full_g",):
+        assert report.module(label).euler_cells == svd_twisted_euler(rep.presentation, getattr(sd, label))
 
 
 def test_fundamental_class_symplectic_sign():
@@ -436,14 +414,14 @@ TABLE_PANEL = EVERY_INPUT + [
 def test_table_reads_each_block_from_one_walk_of_the_sum(setups, text, embedding):
     """The Fox matrix each block complex gets from the walk of the blocks'
     sum is bit for bit the block's own, and the twisted Euler
-    characteristic each block reads from one power pass of the sum is
-    twisted_euler of the block alone."""
+    characteristic each block reads from the characters of the base is
+    the SVD count on the block alone."""
     s = setups(text, embedding)
     report = cohomology_report(s.pres, s.sd, POLICY)
     for label in BLOCKS:
         module = getattr(s.sd, label)
         assert np.array_equal(report.complexes[label].fox, fox_matrix(s.pres, module))
-        assert report.module(label).euler_cells == twisted_euler(s.pres, module)
+        assert report.module(label).euler_cells == svd_twisted_euler(s.pres, module)
 
 
 def test_stacked_walk_keeps_genus_two_cocycles_exact(analyses):
@@ -475,15 +453,3 @@ def test_h2_by_duality_is_the_alpha_contragredient_h0(setups):
             assert h2 == alpha_contragredient_h0(s.pres, module), (text, embedding, label)
             seen.append(h2)
     assert len(seen) >= 40 and 0 in seen and max(seen) > 0
-
-
-@pytest.mark.parametrize("label", BLOCKS)
-def test_table_order_gate_holds_on_every_block(quad, label):
-    """A cone generator moved 1e-4 off its order in any one block fails
-    that block's order check inside the stacked power pass."""
-    module = getattr(quad.sd, label)
-    action = list(module.action)
-    action[0] = action[0] @ (np.eye(module.dim) + 1e-4 * np.ones((module.dim, module.dim)))
-    broken = replace(quad.sd, **{label: CoefficientModule(label, tuple(action))})
-    with pytest.raises(CohomologyError, match="is not of order 3"):
-        cohomology_report(quad.pres, broken, POLICY)

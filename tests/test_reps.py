@@ -142,6 +142,19 @@ def test_torsion_check_names_the_true_order():
     assert Representation(pres, (rot_origin(np.pi / 3.0),)).relator_residual < 1e-12
 
 
+def test_torsion_check_bounds_the_walked_power():
+    """A rotation moved 1e-6 off order 5, under a presentation with no
+    relator to refuse it first, fails the order residual; the spheres
+    whose squared powers overshot 1e-8 (1.6e-8 on S2(2,3,100), 6.0e-8 on
+    S2(7^9)) build, their walked powers well inside it."""
+    pres = GroupPresentation(("x",), (), (1,), {1: 5})
+    with pytest.raises(RepError, match="should have order 5"):
+        Representation(pres, (rot_origin(2.0 * np.pi / 5.0 + 1e-6),))
+    assert Representation(pres, (rot_origin(2.0 * np.pi / 5.0),)).n == 3
+    for orders in ((2, 3, 100), (7,) * 9):
+        assert polygon_group(orders).relator_residual < RESIDUAL_BOUND
+
+
 def test_mirrored_disc_contract(mirrored):
     rep = mirrored.rep
     alpha = rep.presentation.orientation_character
