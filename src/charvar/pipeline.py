@@ -28,6 +28,7 @@ from .presentation import GroupPresentation, OrbifoldSignature, orientation_cove
 from .reps import (
     EMBEDDINGS,
     RESIDUAL_BOUND,
+    BurnsideReport,
     Representation,
     build_representation,
     burnside_irreducible,
@@ -226,24 +227,24 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     det_dev = max(abs(abs(float(np.linalg.det(m))) - 1.0) for m in rep.matrices)
     ok &= check("determinant-signs", det_dev <= 1e-9, det_dev, f"tag {rep.group_tag}")
 
-    base_burn = burnside_irreducible(rep.matrices, policy)
-    ok &= check(
-        "irreducible-base",
-        base_burn.irreducible_over_C,
-        float(rep.n**2 - base_burn.algebra_dim),
-        f"algebra {base_burn.algebra_dim}/{rep.n ** 2}",
-    )
+    # rho(Gamma+) lies in rho(Gamma): when the cover's span is the whole
+    # algebra and its commutant the scalars, so are the base's
     cover_burn = None
     if not orientable:
-        cover_words = orientation_cover_generators(pres)
-        cover_mats = [rep.word_image(w) for w in cover_words]
+        cover_mats = [rep.word_image(w) for w in orientation_cover_generators(pres)]
         cover_burn = burnside_irreducible(cover_mats, policy)
-        ok &= check(
-            "irreducible-cover",
-            cover_burn.irreducible_over_C,
-            float(rep.n**2 - cover_burn.algebra_dim),
-            f"algebra {cover_burn.algebra_dim}/{rep.n ** 2}",
-        )
+    if cover_burn is not None and cover_burn.irreducible_over_C and cover_burn.commutant_dim == 1:
+        base_burn = BurnsideReport(True, rep.n**2, 1)
+    else:
+        base_burn = burnside_irreducible(rep.matrices, policy)
+    for name, burn in (("irreducible-base", base_burn), ("irreducible-cover", cover_burn)):
+        if burn is not None:
+            ok &= check(
+                name,
+                burn.irreducible_over_C,
+                float(rep.n**2 - burn.algebra_dim),
+                f"algebra {burn.algebra_dim}/{rep.n ** 2}",
+            )
     if not ok:
         raise HypothesisError(
             "hypotheses not met: the representation fails a precondition "

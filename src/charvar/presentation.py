@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "Word",
@@ -234,6 +235,8 @@ class GroupPresentation:
         for g, order in self.torsion_orders.items():
             if not (1 <= g <= n) or order < 2:
                 raise PresentationError(f"bad torsion marker {g}:{order}")
+            if word_power((g,), order) not in self.relators:
+                raise PresentationError(f"torsion marker {g}:{order} has no relator g^{order}")
         if self.long_relator_index is not None and not (
             0 <= self.long_relator_index < len(self.relators)
         ):
@@ -330,8 +333,10 @@ def _mirrored_cells(sig: OrbifoldSignature, ref_index: int) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
+@lru_cache(maxsize=256)
 def presentation_of(sig: OrbifoldSignature) -> GroupPresentation:
-    """Standard presentation for the orbifold fundamental group.
+    """Standard presentation for the orbifold fundamental group, built once
+    per signature and shared.
 
     Orientable: a_i, b_i, x_j, c_l with x_j^{n_j} and
     [a_1,b_1]...[a_g,b_g] x_1...x_c c_1...c_b.  Non-orientable surface:

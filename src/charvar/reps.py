@@ -10,7 +10,9 @@ of the regular octagon, and the torus with one cone point takes two
 perpendicular translations of a length given in closed form.  HD(n)
 takes a rotation and a reflection in generic position.  Other groups
 with boundary place their generators from the seed and solve the long
-relator for the last one.  Every builder returns generators that satisfy
+relator for the last one; every other builder ignores the seed, so
+build_representation builds each of those groups once and shares it,
+read-only.  Every builder returns generators that satisfy
 the relators up to a rounding that grows with the entries (8.3e-9 on
 S2(7^9)).
 
@@ -33,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import RankPolicy, kernel_basis, rank, rank_cut
+from .linalg import RankPolicy, rank, rank_cut
 from .presentation import (
     GroupPresentation,
     OrbifoldSignature,
@@ -186,7 +188,11 @@ class Representation:
 
     @cached_property
     def _inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.linalg.inv(m) for m in self.matrices)
+        """Read-only, like the matrices of a shared representation."""
+        inverses = tuple(np.linalg.inv(m) for m in self.matrices)
+        for m in inverses:
+            m.flags.writeable = False
+        return inverses
 
     def gen(self, letter: int) -> np.ndarray:
         if letter > 0:
@@ -208,22 +214,17 @@ class Representation:
         return worst
 
     def _check_torsion(self):
-        """No proper power of a torsion generator may be the identity,
-        and the last must be, to 1e-8: one walk, since squaring amplifies
-        rounding (S2(2,3,100): 1.6e-8 by squaring, 9.5e-10 walked)."""
+        """No proper power of a torsion generator may be the identity.  That
+        the last power is, the relator g^order says, and every presentation
+        carries it, so relator_residual has held it to RESIDUAL_BOUND."""
         eye = np.eye(self.n)
         for g, order in self.presentation.torsion_orders.items():
             m = self.matrices[g - 1]
-            power = m
+            power = eye
             for k in range(1, order):
+                power = power @ m
                 if float(np.abs(power - eye).max()) < 1e-3:
                     raise RepError(f"generator {g} has order dividing {k} < {order}")
-                power = power @ m
-            res = float(np.abs(power - eye).max())
-            if res > 1e-8:
-                raise RepError(
-                    f"generator {g} should have order {order}, power residual {res:.3e}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,8 @@ class BurnsideReport:
 def burnside_irreducible(rep_or_matrices, policy: RankPolicy | None = None) -> BurnsideReport:
     """Span criterion over C: the generated matrix algebra has dimension n^2
     iff the representation is C-irreducible.  Word length is capped at 2 n^2;
-    the span always stabilizes before that for semisimple inputs.  A growth
+    the span always stabilizes before that for semisimple inputs, and
+    growing stops as soon as it reaches n^2, the whole algebra.  A growth
     step multiplies the span by every generator at once, and its one SVD
     gives both the new dimension and an orthonormal basis to grow from.
     Real input stays real: the R-span of real matrices has the dimension
@@ -253,6 +255,8 @@ def burnside_irreducible(rep_or_matrices, policy: RankPolicy | None = None) -> B
     basis = np.concatenate([np.eye(n, dtype=mats.dtype)[None], mats])
     dim = rank(basis.reshape(len(basis), -1), policy)
     for _ in range(2 * n * n - 1):
+        if dim == n * n:
+            break
         grown = np.concatenate([basis, (basis[:, None] @ mats[None]).reshape(-1, n, n)])
         _, s, vt = np.linalg.svd(grown.reshape(len(grown), -1), full_matrices=False)
         new_dim, _ = rank_cut(s, policy)
@@ -264,8 +268,8 @@ def burnside_irreducible(rep_or_matrices, policy: RankPolicy | None = None) -> B
 
 
 def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
-    """Dimension over C of {X : XM = MX for every M}: the kernel of the
-    vectorized Sylvester system, rows I (x) M - M^T (x) I for every M.
+    """Dimension over C of {X : XM = MX for every M}: n^2 minus the rank of
+    the vectorized Sylvester system, rows I (x) M - M^T (x) I for every M.
     Real input stays real: a real system's kernel has one dimension over
     R and over C."""
     policy = policy or RankPolicy()
@@ -274,7 +278,7 @@ def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
     n = mats.shape[-1]
     eye = np.eye(n)
     rows = np.einsum("ik,gjl->gijkl", eye, mats) - np.einsum("gki,jl->gijkl", mats, eye)
-    return kernel_basis(rows.reshape(-1, n * n), policy).shape[1]
+    return n * n - rank(rows.reshape(-1, n * n), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -486,27 +490,35 @@ def _boundary_rep(sig: OrbifoldSignature, seed: int = 0) -> Representation:
 
 def build_representation(sig: OrbifoldSignature, seed: int = 0) -> Representation:
     """Dispatch to the builder that covers the signature; raises BuildError
-    for shapes with no builtin construction (supply a file instead)."""
+    for shapes with no builtin construction (supply a file instead).  Only
+    groups with free boundary circles read the seed; every other group has
+    one representation, built once and shared, read-only."""
+    if sig.kind != "mirrored" and sig.boundary_circles > 0:
+        return _boundary_rep(sig, seed)
+    return _seed_free_rep(sig)
+
+
+@lru_cache(maxsize=256)
+def _seed_free_rep(sig: OrbifoldSignature) -> Representation:
     _require_hyperbolic(sig)
     if sig.kind == "mirrored":
-        return _mirrored_disc(sig.cone_orders) if sig.closed else half_mirrored_disc(sig.cone_orders[0])
-    if sig.boundary_circles > 0:
-        return _boundary_rep(sig, seed)
-    if sig.kind == "nonorientable":
+        rep = _mirrored_disc(sig.cone_orders) if sig.closed else half_mirrored_disc(sig.cone_orders[0])
+    elif sig.kind == "nonorientable":
         raise BuildError(
             f"no builtin construction for closed non-orientable {sig.to_text()}; "
             "supply a representation file"
         )
-    g, c = sig.genus, sig.cone_count
-    if g == 0:
-        return polygon_group(sig.cone_orders)
-    if g == 1 and c == 1:
-        return _torus_with_cone(sig.cone_orders[0])
-    if g == 2 and c == 0:
-        return _genus_two()
-    raise BuildError(
-        f"no builtin construction for {sig.to_text()}; supply a representation file"
-    )
+    elif sig.genus == 0:
+        rep = polygon_group(sig.cone_orders)
+    elif sig.genus == 1 and sig.cone_count == 1:
+        rep = _torus_with_cone(sig.cone_orders[0])
+    elif sig.genus == 2 and sig.cone_count == 0:
+        rep = _genus_two()
+    else:
+        raise BuildError(f"no builtin construction for {sig.to_text()}; supply a representation file")
+    for m in rep.matrices:
+        m.flags.writeable = False
+    return rep
 
 
 # ---------------------------------------------------------------------------

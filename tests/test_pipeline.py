@@ -14,6 +14,7 @@ from charvar.coeffmodules import SlDecomposition, sl_basis
 from charvar.cohomology import BLOCKS
 from charvar.pipeline import (
     HypothesisError,
+    LedgerEntry,
     PipelineError,
     analyze,
     example_requests,
@@ -22,8 +23,17 @@ from charvar.pipeline import (
     request_from_text,
     verify_suite,
 )
-from charvar.presentation import OrbifoldSignature, parse_signature
-from charvar.reps import J3, embed, load_representation, polygon_group, representation_to_json
+from charvar.presentation import OrbifoldSignature, orientation_cover_generators, parse_signature
+from charvar.reps import (
+    J3,
+    build_representation,
+    burnside_irreducible,
+    embed,
+    load_representation,
+    polygon_group,
+    representation_to_json,
+    rot_origin,
+)
 from conftest import BULGING_PATHS, EVERY_INPUT
 
 
@@ -133,6 +143,84 @@ def test_hypothesis_gate_rejects_reducible_rep(reducible_rep_file):
         analyze(req)
     failed = [e.name for e in err.value.ledger if not e.passed]
     assert failed == ["irreducible-base"]
+
+
+def rep_file(directory, signature, mats) -> str:
+    """A type-preserving representation file of signature from mats."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    data = {
+        "signature": signature,
+        "n": len(mats[0]),
+        "group_tag": "SLpm",
+        "matrices": [[f"{x:.17g}" for x in m.ravel()] for m in mats],
+    }
+    path = directory / f"{signature}-{len(mats[0])}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def counted_burnside(monkeypatch):
+    """The matrix lists analyze hands to Burnside's criterion, in order."""
+    import charvar.pipeline as pipeline
+
+    calls = []
+    real = pipeline.burnside_irreducible
+    monkeypatch.setattr(pipeline, "burnside_irreducible", lambda mats, pol: calls.append(mats) or real(mats, pol))
+    return calls
+
+
+def irreducibility_gates(err):
+    return {e.name: (e.passed, e.note) for e in err.ledger if e.name.startswith("irreducible-")}
+
+
+def test_irreducible_base_may_restrict_reducibly_to_the_cover(monkeypatch, tmp_path):
+    """Clifford's case: at even n an irreducible base can restrict
+    reducibly to the orientation cover.  The rank-2 HD(4) with x the
+    quarter turn and s = diag(1, -1) spans all of M_2, but the cover sees
+    x and s x s^-1 = x^-1 alone.  The failed cover gate leaves the base's
+    verdict to the base's own Burnside run."""
+    path = rep_file(tmp_path, "HD(4)", [[[0, -1], [1, 0]], np.diag([1, -1])])
+    calls = counted_burnside(monkeypatch)
+    with pytest.raises(HypothesisError) as err:
+        analyze(request_from_text("HD(4)", embedding="orientable", rep_path=path))
+    assert irreducibility_gates(err.value) == {
+        "irreducible-base": (True, "algebra 4/4"),
+        "irreducible-cover": (False, "algebra 2/4"),
+    }
+    assert [e.name for e in err.value.ledger if not e.passed] == ["irreducible-cover"]
+    rep = load_representation(path, parse_signature("HD(4)"))
+    assert len(calls) == 2 and np.array_equal(calls[1], rep.matrices)
+
+
+def test_reducible_base_fails_both_gates(tmp_path):
+    """diag(R(2 pi/3), 1) and diag(1, -1, 1) keep a plane and a line: the
+    base spans 4 + 1 dimensions, the cover only the powers of x."""
+    x = np.eye(3)
+    x[:2, :2] = rot_origin(2 * np.pi / 3)[:2, :2]
+    path = rep_file(tmp_path, "HD(3)", [x, np.diag([1, -1, 1])])
+    with pytest.raises(HypothesisError) as err:
+        analyze(request_from_text("HD(3)", embedding="type_preserving", rep_path=path))
+    assert irreducibility_gates(err.value) == {
+        "irreducible-base": (False, "algebra 5/9"),
+        "irreducible-cover": (False, "algebra 3/9"),
+    }
+
+
+@pytest.mark.parametrize("embedding", ["orientable", "type_preserving"])
+def test_irreducible_cover_certifies_the_base(monkeypatch, embedding):
+    """rho(Gamma+) lies in rho(Gamma), so a full cover algebra with scalar
+    commutant makes the base's report (True, n^2, 1): Burnside runs once,
+    on the cover, and the base's ledger entry and report are the ones its
+    own run gives."""
+    rep = build_representation(parse_signature("D(3,3;mirror)"))
+    own = burnside_irreducible(rep.matrices)
+    calls = counted_burnside(monkeypatch)
+    report = analyze(request_from_text("D(3,3;mirror)", embedding=embedding))
+    assert len(calls) == 1 and len(calls[0]) == len(orientation_cover_generators(rep.presentation))
+    assert report.irreducibility["base"] == own
+    entry = next(e for e in report.ledger if e.name == "irreducible-base")
+    assert entry == LedgerEntry("irreducible-base", True, 0.0, "algebra 9/9")
+    assert [e.name for e in report.ledger][2:4] == ["irreducible-base", "irreducible-cover"]
 
 
 def test_verify_suite_reports_failures_as_data(reducible_rep_file):
@@ -312,13 +400,15 @@ def test_pairings_read_from_forms(monkeypatch, run, text, forms):
 def test_other_embedding_reads_h1_alone(monkeypatch):
     """On non-orientable input the other embedding's column block gives
     only its h1, from the Z^1 and B^1 factorizations, and takes no rank
-    for h2: 23 SVDs per analyze of D(3,3;mirror).  The d it reports is the
-    one the other embedding's own table gives."""
+    for h2: 18 SVDs per analyze of D(3,3;mirror), where the base's
+    irreducibility is read off the cover's Burnside run and that run stops
+    at the full algebra.  The d it reports is the one the other
+    embedding's own table gives."""
     calls = []
     real = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     report = analyze(request_from_text("D(3,3;mirror)", embedding="orientable"))
-    assert len(calls) == 23
+    assert len(calls) == 18
     other = analyze(request_from_text("D(3,3;mirror)", embedding="type_preserving"))
     assert report.dims["d_tp"] == other.dims["d_model"]
     assert {**report.dims, "d_model": None} == {**other.dims, "d_model": None}

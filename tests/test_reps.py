@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from charvar.linalg import RankPolicy, kernel_basis, rank
-from charvar.presentation import GroupPresentation, parse_signature
+from charvar.presentation import GroupPresentation, PresentationError, parse_signature, presentation_of
 from charvar.reps import (
     J3,
     RESIDUAL_BOUND,
@@ -143,16 +143,26 @@ def test_torsion_check_names_the_true_order():
 
 
 def test_torsion_check_bounds_the_walked_power():
-    """A rotation moved 1e-6 off order 5, under a presentation with no
-    relator to refuse it first, fails the order residual; the spheres
-    whose squared powers overshot 1e-8 (1.6e-8 on S2(2,3,100), 6.0e-8 on
-    S2(7^9)) build, their walked powers well inside it."""
-    pres = GroupPresentation(("x",), (), (1,), {1: 5})
-    with pytest.raises(RepError, match="should have order 5"):
+    """A rotation moved 1e-6 off order 5 is refused by the relator x^5,
+    which every presentation with a torsion marker carries, and the exact
+    rotation builds; the spheres whose squared powers overshot 1e-8 (1.6e-8
+    on S2(2,3,100), 6.0e-8 on S2(7^9)) build, their walked relators well
+    inside it."""
+    pres = GroupPresentation(("x",), ((1,) * 5,), (1,), {1: 5})
+    with pytest.raises(RepError, match="relator residual"):
         Representation(pres, (rot_origin(2.0 * np.pi / 5.0 + 1e-6),))
     assert Representation(pres, (rot_origin(2.0 * np.pi / 5.0),)).n == 3
     for orders in ((2, 3, 100), (7,) * 9):
         assert polygon_group(orders).relator_residual < RESIDUAL_BOUND
+
+
+def test_torsion_marker_needs_its_relator():
+    """A torsion marker g:k without the relator g^k is refused, so no
+    order goes unchecked by the relator residual."""
+    with pytest.raises(PresentationError, match="torsion marker 1:5 has no relator"):
+        GroupPresentation(("x",), (), (1,), {1: 5})
+    with pytest.raises(PresentationError, match="torsion marker 1:5"):
+        GroupPresentation(("x",), ((1,) * 4,), (1,), {1: 5})
 
 
 def test_mirrored_disc_contract(mirrored):
@@ -240,6 +250,56 @@ def test_tangential_sides_are_memoized_read_only():
         with pytest.raises(ValueError):
             side[0, 0] = 0.0
     assert np.array_equal(_tangential_sides.__wrapped__((2, 3, 3, 2)), sides)
+
+
+# one signature per seed-free builder: polygon, torus with a cone point,
+# genus two, mirrored disc, half-mirrored disc
+SEED_FREE = ("S2(3,3,4)", "O(g=1;cone=[3])", "O(g=2)", "D(3,3;mirror)", "HD(3)")
+
+
+@pytest.mark.parametrize("text", SEED_FREE)
+def test_seed_free_builds_are_shared_read_only(text):
+    """A group whose builder reads no seed is built once per signature, on
+    its one presentation, and shared: nothing may write into its matrices
+    or their inverses."""
+    sig = parse_signature(text)
+    rep = build_representation(sig, 0)
+    assert build_representation(parse_signature(text), 5) is rep
+    assert rep.presentation is presentation_of(sig)
+    for m in rep.matrices + tuple(rep.gen(-g) for g in range(1, rep.num_generators + 1)):
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
+
+def test_boundary_builds_read_the_seed():
+    sig = parse_signature("D2(3,3)")
+    a, b = build_representation(sig, 0), build_representation(sig, 1)
+    assert a is not b
+    assert not all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
+    assert a.presentation is b.presentation
+
+
+def test_examples_construct_each_seed_free_group_once(monkeypatch, capsys):
+    """examples --json analyzes D(3,3;mirror) and HD(3) under both
+    embeddings, and constructs each once."""
+    from collections import Counter
+
+    import charvar.reps as reps
+    from charvar.cli import main
+
+    built = Counter()
+    real = Representation.__post_init__
+
+    def counted(self):
+        built[self.presentation.signature.to_text()] += 1
+        real(self)
+
+    reps._seed_free_rep.cache_clear()
+    monkeypatch.setattr(Representation, "__post_init__", counted)
+    assert main(["examples", "--json"]) == 0
+    capsys.readouterr()
+    assert built == {"S2(3,3,3,3)": 1, "D(3,3;mirror)": 1, "O(g=0;b=1;cone=[3,3])": 1, "HD(3)": 1}
 
 
 def test_lorentz_residual_small_for_builtin_reps(triangle334, quad):
@@ -342,8 +402,9 @@ def conjugated(mats, complex_):
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("reducible", [False, True], ids=["irreducible", "reducible"])
 def test_sylvester_systems_match_the_kron_construction(monkeypatch, triangle334, reducible, complex_):
-    """The broadcast system is bit-identical to the np.kron one, so the
-    kernel, and with it the commutant dimension, is too."""
+    """The broadcast system is bit-identical to the np.kron one, so its
+    rank, and with it the commutant dimension n^2 - rank, is too; that
+    dimension is the column count of the system's kernel basis."""
     import charvar.reps as reps
 
     rep = embed(triangle334, "standard") if reducible else triangle334
@@ -352,9 +413,9 @@ def test_sylvester_systems_match_the_kron_construction(monkeypatch, triangle334,
 
     def recorded(a, policy):
         seen.append(np.array(a))
-        return kernel_basis(a, policy)
+        return rank(a, policy)
 
-    monkeypatch.setattr(reps, "kernel_basis", recorded)
+    monkeypatch.setattr(reps, "rank", recorded)
     dim = commutant_dim(mats)
     assert np.array_equal(seen[-1], kron_commutant_system(mats))
     assert dim == kernel_basis(kron_commutant_system(mats), RankPolicy()).shape[1]
@@ -363,17 +424,20 @@ def test_sylvester_systems_match_the_kron_construction(monkeypatch, triangle334,
 
 def growth_steps(mats, policy):
     """Growth steps of burnside_irreducible, from the dimensions of the
-    spans of all positive words of length at most L: the first step k
-    with dim(k + 1) == dim(k), or the cap 2 n^2 - 1."""
+    spans of all positive words of length at most L: none if the
+    generators already span all n^2, else the first step k with
+    dim(k) == n^2 or dim(k) == dim(k - 1), or the cap 2 n^2 - 1."""
     n = mats[0].shape[0]
     words = [np.eye(n, dtype=complex)] + [np.asarray(m, dtype=complex) for m in mats]
     dims = [rank(np.array([w.ravel() for w in words]), policy)]
+    if dims[0] == n * n:
+        return 0
     frontier = words[1:]
     for k in range(1, 2 * n * n):
         frontier = [a @ m for a in frontier for m in mats]
         words += frontier
         dims.append(rank(np.array([w.ravel() for w in words]), policy))
-        if dims[-1] == dims[-2]:
+        if dims[-1] in (n * n, dims[-2]):
             return k
     return 2 * n * n - 1
 
@@ -381,14 +445,15 @@ def growth_steps(mats, policy):
 @pytest.mark.parametrize("case", ["irreducible", "reducible", "identity"])
 def test_burnside_takes_one_svd_per_growth_step(monkeypatch, triangle334, case):
     """One SVD for the initial span, one per growth step (it gives both the
-    rank and the compressed span) and one for the commutant."""
+    rank and the compressed span) and one for the commutant.  An
+    irreducible span stops growing at n^2, with no step to confirm it."""
     mats = {
         "irreducible": triangle334.matrices,
         "reducible": embed(triangle334, "standard").matrices,
         "identity": (np.eye(3),),
     }[case]
     steps = growth_steps(mats, RankPolicy())
-    assert steps == {"irreducible": 2, "reducible": 2, "identity": 1}[case]
+    assert steps == {"irreducible": 1, "reducible": 2, "identity": 1}[case]
     calls = {"svd": 0}
     real = np.linalg.svd
 
