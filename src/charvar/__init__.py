@@ -36,7 +36,7 @@ from .cohomology import (
     pair_fundamental_class,
     weil_slope,
 )
-from .linalg import RankPolicy, kernel_basis, rank
+from .linalg import RankPolicy, rank
 from .pipeline import (
     AnalysisReport,
     AnalysisRequest,

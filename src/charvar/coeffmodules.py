@@ -255,11 +255,12 @@ class SlDecomposition:
         """How far each block is from a submodule of full_g: the largest
         |full_g(g) Inc_b - Inc_b b(g)| over generators g and blocks b,
         divided by max(1, max|full_g|), and the bound it is held to."""
-        scale = max(1.0, max(float(np.abs(a).max()) for a in self.full_g.action))
+        amb = np.array(self.full_g.action)
+        scale = max(1.0, float(np.abs(amb).max()))
         worst = 0.0
         for label, inc in self.inclusions.items():
-            for amb, act in zip(self.full_g.action, getattr(self, label).action):
-                worst = max(worst, float(np.abs(amb @ inc - inc @ act).max()))
+            act = np.array(getattr(self, label).action)
+            worst = max(worst, float(np.abs(amb @ inc - inc @ act).max()))
         return worst / scale, EQUIVARIANCE_ULPS * float(np.finfo(float).eps) * scale
 
 

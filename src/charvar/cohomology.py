@@ -7,7 +7,9 @@ cochains: with a boundary it vanishes, and for closed groups it is the
 fixed space of the (orientation-twisted) contragredient module, by
 duality, read off one rank.  A BlockComplex factors both matrices of one
 coefficient block once; dimensions, the H^1 basis and the verify checks
-all read it.  The ambient algebra full_g = g0 + m_c + m_r + d is a
+all read it.  A run that reads no basis (analyze on any input but a
+closed orientable one) asks for none, and its factorizations are
+singular values alone.  The ambient algebra full_g = g0 + m_c + m_r + d is a
 direct sum of modules: the table walks its relators once, in the
 block-diagonal sum, reads every block's stabilizer invariants from the
 characters of the embedded representation diag(A, c), and its row is
@@ -163,12 +165,12 @@ def fox_matrix(pres: GroupPresentation, m: CoefficientModule) -> np.ndarray:
 
 
 def coboundary_matrix(pres: GroupPresentation, m: CoefficientModule) -> np.ndarray:
-    """Columns span B^1 inside the stacked generator-value space."""
+    """Columns span B^1 inside the stacked generator-value space: the
+    blocks g - 1, one per generator, stacked."""
     n = m.dim
-    out = np.zeros((n * m.num_generators, n))
-    for i in range(m.num_generators):
-        out[i * n : (i + 1) * n] = m.act(i + 1) - np.eye(n)
-    return out
+    if not m.num_generators:
+        return np.zeros((0, n))
+    return (np.array(m.action) - np.eye(n)).reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -191,19 +193,28 @@ class BlockComplex:
     """C^0 -> C^1 -> C^2 of one coefficient block in low degree, each map
     built and factored once, on first use.
 
-    The coboundary matrix (columns span B^1) goes through one thin SVD,
-    the Fox matrix (kernel Z^1) through one full SVD; dims, the H^1 basis
-    and the verify checks all read these two factorizations; the table
-    hands each block its Fox matrix.  H^2 is 0 with a boundary and, for
-    a closed group, by duality h0 of the alpha-contragredient module: the
-    kernel of the stacked alpha_i A_i^T - 1."""
+    The Fox matrix (kernel Z^1) and the coboundary matrix (columns span
+    B^1) each go through one SVD.  With bases (the default) it is a full
+    SVD of the Fox matrix and a thin one of the coboundary matrix, and
+    dims, the H^1 basis and the verify checks all read those two
+    factorizations.  Without, dims and h1 come from singular values
+    alone; a basis read anyway is factored then, and sliced at the ranks
+    dims reported, so its width is still dims.h1.  The table hands each
+    block its Fox matrix.  H^2 is 0 with a boundary and, for a closed
+    group, by duality h0 of the alpha-contragredient module: the kernel
+    of the stacked alpha_i A_i^T - 1."""
 
     def __init__(
-        self, pres: GroupPresentation, module: CoefficientModule, policy: RankPolicy | None = None
+        self,
+        pres: GroupPresentation,
+        module: CoefficientModule,
+        policy: RankPolicy | None = None,
+        bases: bool = True,
     ):
         self.pres = pres
         self.module = module
         self.policy = policy or RankPolicy()
+        self.bases = bases
 
     @cached_property
     def fox(self) -> np.ndarray:
@@ -214,31 +225,48 @@ class BlockComplex:
         return coboundary_matrix(self.pres, self.module)
 
     @cached_property
-    def _z1(self) -> tuple[np.ndarray, float]:
+    def _fox_cut(self) -> tuple[int, float, np.ndarray | None]:
+        """Rank of the Fox matrix, the gap at its cut, and V^T of its full
+        SVD (None without bases)."""
         if self.fox.shape[0] == 0:
-            return np.eye(self.fox.shape[1]), float("inf")
+            return 0, float("inf"), np.eye(self.fox.shape[1])
+        if not self.bases:
+            return *rank_cut(np.linalg.svd(self.fox, compute_uv=False), self.policy), None
         _, s, vt = np.linalg.svd(self.fox, full_matrices=True)
-        r, gap = rank_cut(s, self.policy)
-        return vt[r:].T, gap
+        return *rank_cut(s, self.policy), vt
 
     @cached_property
-    def _b1(self) -> tuple[np.ndarray, float]:
+    def _cob_cut(self) -> tuple[int, float, np.ndarray | None]:
+        """Rank of the coboundary matrix, the gap at its cut, and U of its
+        thin SVD (None without bases)."""
+        if not self.bases:
+            return *rank_cut(np.linalg.svd(self.cob, compute_uv=False), self.policy), None
         u, s, _ = np.linalg.svd(self.cob, full_matrices=False)
-        r, gap = rank_cut(s, self.policy)
-        return u[:, :r], gap
+        return *rank_cut(s, self.policy), u
 
-    @property
+    @cached_property
     def z_basis(self) -> np.ndarray:
         """Orthonormal basis of Z^1, one stacked cocycle per column."""
-        return self._z1[0]
+        r, _, vt = self._fox_cut
+        if vt is None:
+            vt = np.linalg.svd(self.fox, full_matrices=True)[2]
+        return vt[r:].T
+
+    @cached_property
+    def _b_basis(self) -> np.ndarray:
+        """Orthonormal basis of B^1, one stacked coboundary per column."""
+        r, _, u = self._cob_cut
+        if u is None:
+            u = np.linalg.svd(self.cob, full_matrices=False)[0]
+        return u[:, :r]
 
     @cached_property
     def h1(self) -> int:
-        """dim H^1 = z1 - b1, read from the two factorizations without
-        the rank that dims takes for h2."""
+        """dim H^1 = z1 - b1, read from the two rank cuts without the rank
+        that dims takes for h2."""
         if self.module.num_generators == 0:
             return 0
-        h1 = self.z_basis.shape[1] - self._b1[0].shape[1]
+        h1 = self.fox.shape[1] - self._fox_cut[0] - self._cob_cut[0]
         if h1 < 0:
             raise CohomologyError(f"negative h1 = {h1}; rank policy inconsistent")
         return h1
@@ -248,7 +276,8 @@ class BlockComplex:
         m = self.module
         if m.num_generators == 0:
             return HDims(0, 0, 0, 0, 0, {"all": "degenerate"}, degenerate=True)
-        h1, z1, b1 = self.h1, self.z_basis.shape[1], self._b1[0].shape[1]
+        (fox_rank, fox_gap, _), (b1, cob_gap, _) = self._fox_cut, self._cob_cut
+        h1, z1 = self.h1, self.fox.shape[1] - fox_rank
         if self.pres.closed:
             eye = np.eye(m.dim)
             dual = np.vstack([s * a.T - eye for s, a in zip(self.pres.orientation_character, m.action)])
@@ -256,7 +285,7 @@ class BlockComplex:
         else:
             h2, how = 0, "boundary_vanishing"
         methods = {"h0": "fox", "h1": "fox", "h2": how}
-        return HDims(m.dim - b1, h1, h2, z1, b1, methods, min(self._z1[1], self._b1[1]))
+        return HDims(m.dim - b1, h1, h2, z1, b1, methods, min(fox_gap, cob_gap))
 
     @cached_property
     def h1_basis(self) -> np.ndarray:
@@ -272,7 +301,7 @@ class BlockComplex:
         h1 = self.h1
         if h1 <= 0:
             return np.zeros((self.module.dim * self.module.num_generators, 0))
-        z_basis, b_basis = self.z_basis, self._b1[0]
+        z_basis, b_basis = self.z_basis, self._b_basis
         proj = z_basis - b_basis @ (b_basis.T @ z_basis)
         u, s, _ = np.linalg.svd(proj, full_matrices=False)
         if s[h1 - 1] < 0.5:
@@ -474,14 +503,15 @@ def _block_sum(modules, ends) -> CoefficientModule:
 
 
 def cohomology_report(
-    pres: GroupPresentation, decomposition, policy: RankPolicy | None = None
+    pres: GroupPresentation, decomposition, policy: RankPolicy | None = None, bases: bool = True
 ) -> CohomologyReport:
     """The table of the blocks of an SlDecomposition, one factored
     complex each, closed by the full_g row as their direct sum.  The
     Fox matrix of the blocks' sum holds each block's on its diagonal;
     whenever the presentation carries cells, every block's twisted Euler
     characteristic is read from the characters of the embedded
-    representation."""
+    representation.  bases is handed to every BlockComplex: without, the
+    rows come from singular values alone."""
     policy = policy or RankPolicy()
     modules = [getattr(decomposition, label) for label in BLOCKS]
     ends = np.cumsum([0] + [m.dim for m in modules]).tolist()
@@ -491,7 +521,7 @@ def cohomology_report(
     eulers = _cell_euler(pres, decomposition.embedded) if pres.cells else [None] * len(modules)
     complexes, rows = {}, []
     for label, m, lo, hi, euler in zip(BLOCKS, modules, ends[:-1], ends[1:], eulers):
-        c = complexes[label] = BlockComplex(pres, m, policy)
+        c = complexes[label] = BlockComplex(pres, m, policy, bases)
         c.fox = fox[:, lo:hi, :, lo:hi].reshape(r * (hi - lo), g * (hi - lo))
         rows.append(ModuleCohomology(label, c.dims, euler))
     return CohomologyReport((*rows, _direct_sum(rows)), complexes)
@@ -513,7 +543,11 @@ def weil_slope(
     eps = np.asarray(eps_list, dtype=float)
     # axes: eps, direction, generator, then the matrix
     deformed = (eye + eps[:, None, None, None, None] * np.asarray(deformations, dtype=float)) @ mats
-    inverses = np.linalg.inv(deformed)
+    # only the generators some relator reads inverted are inverted
+    inverted = sorted({-x - 1 for r in relators for x in r if x < 0})
+    inverses = np.empty_like(deformed)
+    if inverted:
+        inverses[:, :, inverted] = np.linalg.inv(deformed[:, :, inverted])
     worst = np.zeros(deformed.shape[:2])
     for r in relators:
         out = np.broadcast_to(eye, deformed.shape[:2] + eye.shape)

@@ -1,4 +1,4 @@
-"""Rank and kernel with an explicit tolerance policy.
+"""Rank with an explicit tolerance policy.
 
 Float (and complex) matrices go through the SVD.  Every numeric rank
 decision is made against a RankPolicy threaded in by the caller; there
@@ -16,7 +16,6 @@ __all__ = [
     "LinalgError",
     "rank",
     "rank_cut",
-    "kernel_basis",
 ]
 
 
@@ -60,13 +59,3 @@ def rank_cut(s, policy: RankPolicy) -> tuple[int, float]:
 def rank(m, policy: RankPolicy) -> int:
     return rank_cut(np.linalg.svd(_as_float_array(m), compute_uv=False), policy)[0]
 
-
-def kernel_basis(m, policy: RankPolicy) -> np.ndarray:
-    """Columns form an orthonormal basis of the (right) null space."""
-    a = _as_float_array(m)
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=a.dtype)
-    # only a wide matrix needs the full V: a tall one would pay for an unused U
-    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    r, _ = rank_cut(s, policy)
-    return vt[r:].conj().T

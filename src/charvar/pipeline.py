@@ -261,8 +261,11 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     equivariance, bound = sd.block_equivariance()
     check("block-equivariance", equivariance <= bound, equivariance, f"bound {bound:.1e}")
 
+    # the H^1 and Z^1 bases are read by the obstruction scan and by
+    # verify's checks; every other run needs only the dimensions
+    bases = (orientable and pres.closed) or "all" in req.checks
     # full_g's row is the block sum, so its Euler gate would repeat theirs
-    table = cohomology_report(pres, sd, policy)
+    table = cohomology_report(pres, sd, policy, bases)
     for mod in map(table.module, BLOCKS):
         if mod.euler_cells is not None:
             diff = abs(mod.dims.euler - mod.euler_cells)
@@ -292,7 +295,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     else:
         # the other embedding's column block differs by the orientation twist
         other_m_c = twist_by_character(sd.m_c, pres.orientation_character)
-        d_other = BlockComplex(pres, other_m_c, policy).h1
+        d_other = BlockComplex(pres, other_m_c, policy, bases).h1
         d_oe = d_here if emb == "orientable" else d_other
         d_tp = d_here if emb == "type_preserving" else d_other
         f = pres.full_boundary_count

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "Word",
@@ -246,7 +246,7 @@ class GroupPresentation:
     def num_generators(self) -> int:
         return len(self.generator_names)
 
-    @property
+    @cached_property
     def orientable(self) -> bool:
         return all(e == 1 for e in self.orientation_character)
 
@@ -256,7 +256,7 @@ class GroupPresentation:
             out *= self.orientation_character[abs(x) - 1]
         return out
 
-    @property
+    @cached_property
     def full_boundary_count(self) -> int:
         """Boundary components that are intervals with mirrored endpoints.
 
@@ -274,7 +274,7 @@ class GroupPresentation:
             return v - e
         return 0
 
-    @property
+    @cached_property
     def closed(self) -> bool:
         return not self.peripheral_words and self.full_boundary_count == 0
 

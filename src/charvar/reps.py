@@ -21,8 +21,9 @@ the cohomology table reads its stabilizer dimensions from their traces.
 
 Builders certify matrix identities, never discreteness.  Only the
 boundary builder, which restarts until a placement passes, runs Burnside's
-criterion; the others are C-irreducible by construction (the tests pin
-it), and analyze's irreducibility gates are the certificate of record.
+span criterion, and it computes the span alone, no commutant; the others
+are C-irreducible by construction (the tests pin it), and analyze's
+irreducibility gates are the certificate of record.
 Dimension counts depend only on the torsion conjugacy data, so any
 C-irreducible representative works.
 """
@@ -240,16 +241,24 @@ class BurnsideReport:
 
 def burnside_irreducible(rep_or_matrices, policy: RankPolicy | None = None) -> BurnsideReport:
     """Span criterion over C: the generated matrix algebra has dimension n^2
-    iff the representation is C-irreducible.  Word length is capped at 2 n^2;
-    the span always stabilizes before that for semisimple inputs, and
-    growing stops as soon as it reaches n^2, the whole algebra.  A growth
-    step multiplies the span by every generator at once, and its one SVD
-    gives both the new dimension and an orthonormal basis to grow from.
-    Real input stays real: the R-span of real matrices has the dimension
-    of their C-span, so the verdict is over C either way."""
+    iff the representation is C-irreducible; reported with the dimension
+    of the commutant.  Real input stays real: the R-span of real matrices
+    has the dimension of their C-span, so the verdict is over C either
+    way."""
     policy = policy or RankPolicy()
     mats = np.asarray(getattr(rep_or_matrices, "matrices", rep_or_matrices))
     mats = mats.astype(np.result_type(mats, float), copy=False)
+    dim, n = _span_dim(mats, policy), mats.shape[-1]
+    return BurnsideReport(dim == n * n, dim, commutant_dim(mats, policy))
+
+
+def _span_dim(mats: np.ndarray, policy: RankPolicy) -> int:
+    """Dimension of the matrix algebra a float or complex stack of n x n
+    generators spans.  Word length is capped at 2 n^2; the span always
+    stabilizes before that for semisimple inputs, and growing stops as
+    soon as it reaches n^2, the whole algebra.  A growth step multiplies
+    the span by every generator at once, and its one SVD gives both the
+    new dimension and an orthonormal basis to grow from."""
     n = mats.shape[-1]
 
     basis = np.concatenate([np.eye(n, dtype=mats.dtype)[None], mats])
@@ -263,8 +272,7 @@ def burnside_irreducible(rep_or_matrices, policy: RankPolicy | None = None) -> B
         if new_dim == dim:
             break
         basis, dim = vt[:new_dim].reshape(new_dim, n, n), new_dim
-
-    return BurnsideReport(dim == n * n, dim, commutant_dim(mats, policy))
+    return dim
 
 
 def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
@@ -477,7 +485,7 @@ def _boundary_rep(sig: OrbifoldSignature, seed: int = 0) -> Representation:
             check = even + [m1 @ m2 for m1 in odd for m2 in odd] + [
                 o @ m @ np.linalg.inv(o) for o in odd[:1] for m in even
             ]
-        if burnside_irreducible(check).algebra_dim == 9:
+        if _span_dim(np.array(check), RankPolicy()) == 9:
             return Representation(
                 pres,
                 tuple(mats),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import settings
 
 from charvar import analyze, decompose_sl, polygon_group, request_from_text
+from charvar.linalg import RankPolicy, rank_cut
 from charvar.presentation import parse_signature, presentation_of
 from charvar.reps import Representation, build_representation, representation_to_json
 
@@ -33,6 +34,18 @@ NONORIENTABLE_INPUTS = ("D(3,3;mirror)", "D(3,3,3;mirror)", "N(k=2;b=1;cone=[3])
 EVERY_INPUT = [(t, "standard") for t in ORIENTABLE_INPUTS] + [
     (t, e) for t in NONORIENTABLE_INPUTS for e in ("orientable", "type_preserving")
 ]
+
+def kernel_basis(m, policy: RankPolicy) -> np.ndarray:
+    """Orthonormal basis of the (right) null space, one column each, cut
+    by the package's rank rule: the tests' kernel reference."""
+    a = np.asarray(m)
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1], dtype=a.dtype)
+    # only a wide matrix needs the full V: a tall one would pay for an unused U
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    r, _ = rank_cut(s, policy)
+    return vt[r:].conj().T
+
 
 # bulging paths (Goldman, "Bulging deformations of convex RP^2-manifolds",
 # arXiv:1302.0777): a word gamma whose image is hyperbolic and cuts the

@@ -25,13 +25,14 @@ from charvar.cohomology import (
     fundamental_form,
     pair_fundamental_class,
 )
-from charvar.linalg import RankPolicy, kernel_basis
+from charvar.linalg import RankPolicy
 from charvar.presentation import parse_signature
 from charvar.reps import (
     burnside_irreducible,
     commutant_dim,
     embed,
 )
+from conftest import kernel_basis
 
 POLICY = RankPolicy()
 

@@ -230,6 +230,23 @@ def test_block_equivariance_catches_the_wrong_twist(reps_by_text, text, embeddin
     assert value > 1e3 * bound
 
 
+def looped_block_equivariance(sd):
+    """block_equivariance one generator at a time: the reference for the
+    form stacked over generators."""
+    scale = max(1.0, max(float(np.abs(a).max()) for a in sd.full_g.action))
+    worst = 0.0
+    for label, inc in sd.inclusions.items():
+        for amb, act in zip(sd.full_g.action, getattr(sd, label).action):
+            worst = max(worst, float(np.abs(amb @ inc - inc @ act).max()))
+    return worst / scale, 64 * float(np.finfo(float).eps) * scale
+
+
+@pytest.mark.parametrize("text, embedding", EVERY_INPUT)
+def test_block_equivariance_matches_the_looped_form(reps_by_text, text, embedding):
+    sd = decompose_sl(reps_by_text(text), embedding)
+    assert sd.block_equivariance() == looped_block_equivariance(sd)
+
+
 # Looped reference definitions: the per-element forms that the stacked
 # kernels of coeffmodules replace.  The stacked kernels must reproduce them.
 

@@ -8,6 +8,8 @@ number downstream is only trustworthy because of this test.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +37,7 @@ from charvar.coeffmodules import (
     trivial_module,
     twist_by_character,
 )
-from charvar.linalg import RankPolicy, kernel_basis
+from charvar.linalg import RankPolicy
 from charvar.presentation import (
     GroupPresentation,
     parse_signature,
@@ -43,7 +45,7 @@ from charvar.presentation import (
     underlying_euler,
 )
 from charvar.reps import build_representation
-from conftest import EVERY_INPUT
+from conftest import EVERY_INPUT, kernel_basis
 
 POLICY = RankPolicy()
 
@@ -453,3 +455,83 @@ def test_h2_by_duality_is_the_alpha_contragredient_h0(setups):
             assert h2 == alpha_contragredient_h0(s.pres, module), (text, embedding, label)
             seen.append(h2)
     assert len(seen) >= 40 and 0 in seen and max(seen) > 0
+
+
+@pytest.mark.parametrize(
+    "text, embedding",
+    [(t, e) for t, e in TABLE_PANEL if not (parse_signature(t).closed and parse_signature(t).orientable)],
+)
+def test_dims_only_table_matches_the_factored_one(setups, text, embedding):
+    """Without bases every row field but min_gap is the factored table's.
+    A basis read anyway is factored then and cut at the ranks dims
+    reported: width dims.h1 (dims.z1 for Z^1), bit for bit the factored
+    complex's basis."""
+    s = setups(text, embedding)
+    full = cohomology_report(s.pres, s.sd, POLICY)
+    dims_only = cohomology_report(s.pres, s.sd, POLICY, bases=False)
+    for row, other in zip(full.modules, dims_only.modules):
+        assert row == replace(other, dims=replace(other.dims, min_gap=row.dims.min_gap))
+        assert other.dims.min_gap >= 10.0
+    for label in BLOCKS:
+        c, ref = dims_only.complexes[label], full.complexes[label]
+        assert c.h1_basis.shape[1] == c.dims.h1 and c.z_basis.shape[1] == c.dims.z1
+        assert np.array_equal(c.h1_basis, ref.h1_basis)
+
+
+def test_a_basis_read_first_is_cut_at_the_dims_rank(setups):
+    """Read before dims, a dims-only complex's basis is still cut at the
+    rank dims makes."""
+    s = setups("HD(5)", "orientable")
+    c = BlockComplex(s.pres, s.sd.m_c, POLICY, bases=False)
+    basis = c.h1_basis
+    assert basis.shape[1] == c.dims.h1 == BlockComplex(s.pres, s.sd.m_c, POLICY).dims.h1 > 0
+
+
+def looped_coboundary_matrix(m):
+    n = m.dim
+    out = np.zeros((n * m.num_generators, n))
+    for i in range(m.num_generators):
+        out[i * n : (i + 1) * n] = m.act(i + 1) - np.eye(n)
+    return out
+
+
+@pytest.mark.parametrize("text, embedding", EVERY_INPUT)
+def test_coboundary_matrix_matches_the_looped_form(setups, text, embedding):
+    s = setups(text, embedding)
+    for label in BLOCKS + ("full_g",):
+        m = getattr(s.sd, label)
+        assert np.array_equal(coboundary_matrix(s.pres, m), looped_coboundary_matrix(m))
+    empty = CoefficientModule("custom", ())
+    assert coboundary_matrix(s.pres, empty).shape == looped_coboundary_matrix(empty).shape == (0, 0)
+
+
+def all_inverted_weil_slope(matrices, relators, deformations, eps_list=(1e-3, 1e-4, 1e-5)):
+    """weil_slope with every deformed generator inverted: the reference for
+    the form that inverts only the letters the relators read inverted."""
+    mats = np.asarray(matrices, dtype=float)
+    eye = np.eye(mats.shape[-1])
+    eps = np.asarray(eps_list, dtype=float)
+    deformed = (eye + eps[:, None, None, None, None] * np.asarray(deformations, dtype=float)) @ mats
+    inverses = np.linalg.inv(deformed)
+    worst = np.zeros(deformed.shape[:2])
+    for r in relators:
+        out = np.broadcast_to(eye, deformed.shape[:2] + eye.shape)
+        for x in r:
+            out = out @ (deformed[:, :, x - 1] if x > 0 else inverses[:, :, -x - 1])
+        worst = np.maximum(worst, np.abs(out - eye).max(axis=(-2, -1)))
+    residuals = np.maximum(worst, 1e-300)
+    slopes = np.polyfit(np.log(eps), np.log(residuals), 1)[0]
+    return slopes, residuals.T
+
+
+@pytest.mark.parametrize("text", ["S2(3,3,3,3,3)", "O(g=2)"])
+def test_weil_slope_inverts_only_what_the_relators_read(setups, text):
+    """Sphere relators read no inverse letter, genus two's read all four;
+    either way the slopes and residuals are the all-inverted ones, bit for
+    bit."""
+    s = setups(text)
+    directions = BlockComplex(s.pres, s.sd.full_g, POLICY).h1_basis.T
+    zmats = s.sd.to_matrix(directions.reshape(len(directions), s.pres.num_generators, -1))
+    got = weil_slope(s.sd.hat_matrices, s.pres.relators, zmats)
+    want = all_inverted_weil_slope(s.sd.hat_matrices, s.pres.relators, zmats)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -1,5 +1,6 @@
 """Numerical rank against an exact rational oracle, plus the rank-cut
-rule and the kernel contract the cohomology layer relies on."""
+rule and the contract of the kernel reference the tests check the
+cohomology layer against."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ from hypothesis import given, strategies as st
 
 from charvar.linalg import (
     RankPolicy,
-    kernel_basis,
     rank,
     rank_cut,
 )
+from conftest import kernel_basis
 
 POLICY = RankPolicy()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -412,6 +413,72 @@ def test_other_embedding_reads_h1_alone(monkeypatch):
     other = analyze(request_from_text("D(3,3;mirror)", embedding="type_preserving"))
     assert report.dims["d_tp"] == other.dims["d_model"]
     assert {**report.dims, "d_model": None} == {**other.dims, "d_model": None}
+
+
+def svd_calls_by_caller(monkeypatch):
+    """Records (calling function, with singular vectors) per np.linalg.svd call."""
+    calls = []
+    real = np.linalg.svd
+
+    def recorded(*args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, kwargs.get("compute_uv", True)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
+def test_dims_only_analyze_factors_no_singular_vectors(monkeypatch):
+    """On input that is not closed orientable, analyze reads no basis, so
+    every block of the table, and the other embedding's column block,
+    takes its Fox and coboundary ranks from singular values alone."""
+    calls = svd_calls_by_caller(monkeypatch)
+    report = analyze(request_from_text("D(3,3;mirror)", embedding="orientable"))
+    cuts = [uv for name, uv in calls if name in ("_fox_cut", "_cob_cut")]
+    assert cuts == [False] * 2 * (len(BLOCKS) + 1)
+    assert not any(report.cohomology.complexes[label].bases for label in BLOCKS)
+
+
+BASES_READ = [(analyze, "S2(3,3,3,3)", None)] + [(verify_suite, t, e) for t, e in EVERY_INPUT]
+
+
+@pytest.mark.parametrize("run, text, embedding", BASES_READ)
+def test_runs_that_read_bases_factor_each_block_once(monkeypatch, run, text, embedding):
+    """The obstruction scan and verify's checks read the H^1 and Z^1
+    bases: one full factorization of each matrix of every block they
+    factor (the four of the table, plus full_g in verify and the other
+    embedding's column block on non-orientable input), none values-only."""
+    calls = svd_calls_by_caller(monkeypatch)
+    run(request_from_text(text, embedding=embedding))
+    cuts = [uv for name, uv in calls if name in ("_fox_cut", "_cob_cut")]
+    blocks = len(BLOCKS) + (run is verify_suite) + (embedding not in (None, "standard"))
+    assert cuts == [True] * 2 * blocks
+
+
+# the inputs of the bounded-analyze benchmark workload
+BOUNDED_ANALYZE = [("O(g=2;b=2;cone=[3,5])", None), ("D2(3,3)", None)] + [
+    (t, e)
+    for t in ("D(3,3;mirror)", "D(3,3,3;mirror)", "N(k=2;b=1;cone=[3])", "HD(5)")
+    for e in ("orientable", "type_preserving")
+]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("text, embedding", BOUNDED_ANALYZE)
+def test_dims_only_rows_match_the_rows_verify_factors(text, embedding, seed):
+    """A dims-only table has the rows of the fully factored one verify
+    builds, every field but min_gap, whose noise digits come from another
+    LAPACK path; both clear the rank-gap gate."""
+    req = request_from_text(text, embedding=embedding, seed=seed)
+    dims_only, full = analyze(req), analyze(replace(req, checks=("all",)))
+    assert not dims_only.cohomology.complexes["g0"].bases and full.cohomology.complexes["g0"].bases
+
+    def rows(report):
+        return [replace(m, dims=replace(m.dims, min_gap=None)) for m in report.cohomology.modules]
+
+    assert rows(dims_only) == rows(full)
+    assert dims_only.dims == full.dims
+    assert min(dims_only.cohomology.min_gap, full.cohomology.min_gap) >= 10.0
 
 
 def failed_gates(text):

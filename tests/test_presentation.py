@@ -213,3 +213,21 @@ def test_presentation_carries_flags():
     pres = GroupPresentation(("a", "b"), ((1, 2, -1, -2),), (1, 1), long_relator_index=0)
     assert pres.orientable
     assert pres.long_relator == (1, 2, -1, -2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["S2(3,3,4)", "O(g=2)", "D2(3,3)", "D(3,3;mirror)", "HD(3)", "N(k=2;b=1;cone=[3])", "O(g=0;b=3)"],
+)
+def test_presentation_facts_are_read_once(text):
+    """orientable, full_boundary_count and closed are cached on the frozen
+    presentation and equal the walks of its character and cells."""
+    pres = presentation_of(parse_signature(text))
+    reverses = [c.dim for c in pres.cells if c.stabilizer.reverses_orientation]
+    walked = {
+        "orientable": all(e == 1 for e in pres.orientation_character),
+        "full_boundary_count": reverses.count(0) - reverses.count(1),
+    }
+    walked["closed"] = not pres.peripheral_words and walked["full_boundary_count"] == 0
+    assert {name: getattr(pres, name) for name in walked} == walked
+    assert {name: pres.__dict__[name] for name in walked} == walked

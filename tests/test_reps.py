@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from charvar.linalg import RankPolicy, kernel_basis, rank
+from charvar.linalg import RankPolicy, rank
 from charvar.presentation import GroupPresentation, PresentationError, parse_signature, presentation_of
 from charvar.reps import (
     J3,
@@ -28,6 +28,7 @@ from charvar.reps import (
     representation_to_json,
     rot_origin,
 )
+from conftest import kernel_basis
 
 
 def lorentz_residual(m) -> float:
@@ -278,6 +279,21 @@ def test_boundary_builds_read_the_seed():
     assert a is not b
     assert not all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
     assert a.presentation is b.presentation
+
+
+@pytest.mark.parametrize("text", ["D2(3,3)", "O(g=2;b=2;cone=[3,5])", "N(k=2;b=1;cone=[3])"])
+def test_boundary_builder_reads_only_the_span(monkeypatch, text):
+    """The restart test reads the algebra dimension alone: no commutant is
+    computed, and the placement it accepts spans all 9 dimensions."""
+    import charvar.reps as reps
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the boundary builder computed a commutant")
+
+    monkeypatch.setattr(reps, "commutant_dim", refused)
+    rep = build_representation(parse_signature(text), seed=3)
+    monkeypatch.undo()
+    assert burnside_irreducible(rep).algebra_dim == 9
 
 
 def test_examples_construct_each_seed_free_group_once(monkeypatch, capsys):
