@@ -13,7 +13,9 @@ singular values alone.  The ambient algebra full_g = g0 + m_c + m_r + d is a
 direct sum of modules: the table walks its relators once, in the
 block-diagonal sum, reads every block's stabilizer invariants from the
 characters of the embedded representation diag(A, c), and its row is
-the sum of the block rows.
+the sum of the block rows.  verify audits that sum with full_g's own
+complex from singular values alone; every H^1 basis it reads, the Weil
+directions' included, is a block's.
 
 Evaluation of a 2-cocycle against the fundamental class transgresses
 the long relator r = l_1...l_L as sum of c(l_1...l_{t-1}, l_t), then

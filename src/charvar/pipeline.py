@@ -92,6 +92,11 @@ class AnalysisRequest:
     seed: int = 0
     checks: tuple[str, ...] = ("core",)
 
+    def __post_init__(self):
+        # the seed reaches numpy's generators, which take none below zero
+        if self.seed < 0:
+            raise PipelineError(f"seed must be a non-negative integer, got {self.seed}")
+
     @property
     def input_text(self) -> str:
         return self.signature.to_text()
@@ -361,34 +366,35 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 def _extra_checks(pres, sd, table, cross, policy, seed) -> list[LedgerEntry]:
     entries: list[LedgerEntry] = []
     rng = np.random.default_rng(seed + 23)
-    # full_g's own complex, the one place it is factored: it audits the
-    # block sum and carries the Weil directions, which lifted block
-    # cocycles cannot (a pure m_c or m_r cocycle integrates exactly)
-    complexes = {**table.complexes, "full_g": BlockComplex(pres, sd.full_g, policy)}
+    # full_g is the sum of the table's blocks, the only bases verify
+    # factors: its own complex, values-only, audits that sum
+    full_g = BlockComplex(pres, sd.full_g, policy, bases=False)
 
     worst = 0.0
-    for c in complexes.values():
+    for c in (*table.complexes.values(), full_g):
         prod = c.fox @ c.cob
         if prod.size:
             scale = max(1.0, float(np.abs(c.fox).max()) * float(np.abs(c.cob).max()))
             worst = max(worst, float(np.abs(prod).max()) / scale)
-    entries.append(
-        LedgerEntry("fox-coboundary-exactness", worst <= 1e-11, worst, "B1 inside Z1")
-    )
+    entries.append(LedgerEntry("fox-coboundary-exactness", worst <= 1e-11, worst, "B1 inside Z1"))
 
     fields = ("h0", "h1", "h2", "z1", "b1")
-    direct = [getattr(complexes["full_g"].dims, f) for f in fields]
+    direct = [getattr(full_g.dims, f) for f in fields]
     summed = [getattr(table.module("full_g").dims, f) for f in fields]
     off = sum(abs(a - b) for a, b in zip(direct, summed))
     entries.append(
         LedgerEntry("full-g-direct-sum", off == 0, float(off), f"direct {direct} vs block sum {summed}")
     )
 
-    res = max(cocycle_residual(pres, c.module, c.h1_basis) for c in complexes.values())
+    res = max(cocycle_residual(pres, c.module, c.h1_basis) for c in table.complexes.values())
     entries.append(LedgerEntry("h1-cocycle-residual", res <= 1e-8, res))
 
-    directions = complexes["full_g"].h1_basis.T
-    if len(directions):
+    # the Weil directions: the block classes, lifted and mixed by a fixed
+    # draw, since a pure m_c or m_r cocycle integrates exactly
+    lifted = np.hstack([sd.lift(label, c.h1_basis) for label, c in table.complexes.items()])
+    if lifted.shape[1]:
+        mix = np.random.default_rng(seed + 29).standard_normal((lifted.shape[1],) * 2)
+        directions = (lifted @ mix).T
         zmats = sd.to_matrix(directions.reshape(len(directions), pres.num_generators, -1))
         slopes, _ = weil_slope(sd.hat_matrices, pres.relators, zmats)
         dev = float(np.abs(slopes - 2.0).max())

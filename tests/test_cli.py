@@ -137,6 +137,21 @@ def test_environment_seed_is_not_read(capsys, monkeypatch):
     assert run(["analyze", "S2(3,3,4)", "--json", "--seed", "0"], capsys) == (0, out, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "S2(3,3,3,3)", "--seed", "-30"],
+        ["analyze", "--json", "O(g=2;b=2;cone=[3,5])", "--seed", "-1"],
+        ["dims", "S2(3,3,4)", "--seed", "-1"],
+        ["examples", "--seed", "-100"],
+    ],
+)
+def test_negative_seed_exit_one(capsys, argv):
+    rc, out, err = run(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "seed" in err
+
+
 def test_rank_option_is_gone(capsys):
     """The rank is the representation's own."""
     rc, out, err = run(["analyze", "S2(3,3,4)", "--n", "3"], capsys)

@@ -165,13 +165,13 @@ def test_cocycle_residual_walks_every_column(quad):
 
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_h1_cocycle_gate_catches_one_perturbed_column(monkeypatch, perturbed):
-    """One basis column of full_g moved off Z^1 by 1e-6 fails the gate
-    even though every other column of every complex is a cocycle."""
+    """One basis column of g0 moved off Z^1 by 1e-6 fails the gate even
+    though every other column of every block is a cocycle."""
     real = BlockComplex.h1_basis.func
 
     def basis(self):
         out = real(self)
-        if perturbed and self.module.label == "full_g":
+        if perturbed and self.module.label == "g0":
             out = out.copy()
             out[0, -1] += 1e-6
         return out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from charvar.coeffmodules import SlDecomposition, sl_basis
-from charvar.cohomology import BLOCKS
+from charvar.cohomology import BLOCKS, BlockComplex
 from charvar.pipeline import (
     HypothesisError,
     LedgerEntry,
@@ -339,6 +339,93 @@ def test_full_g_direct_sum_gate_catches_the_wrong_twist(
     assert summed[HD_FIELDS.index("z1")] == summed_z1
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+def test_full_g_direct_sum_gate_reads_the_values_only_h1(monkeypatch, shifted):
+    """The direct side of the gate is full_g's own values-only complex: its
+    h1 off by one fails the gate, and the clean run passes."""
+    real = BlockComplex.h1.func
+    monkeypatch.setattr(
+        BlockComplex, "h1", property(lambda c: real(c) + (shifted and c.module.label == "full_g"))
+    )
+    ledger = verify_suite(request_from_text("S2(3,3,3,3)"))
+    entry = next(e for e in ledger if e.name == "full-g-direct-sum")
+    assert entry.passed != shifted and entry.margin == float(shifted)
+
+
+def weil_directions(monkeypatch, text, embedding=None, perturb=0.0):
+    """verify's report on text and the tangent directions its Weil test
+    deformed along, a (generator, matrix) stack per direction; perturb
+    moves the first direction's first generator off Z^1 by that much."""
+    import charvar.pipeline as pipeline
+
+    seen = []
+    real = pipeline.weil_slope
+
+    def recorded(matrices, relators, deformations):
+        deformations = np.array(deformations)
+        deformations[0, 0, 0, 1] += perturb
+        seen.append(deformations)
+        return real(matrices, relators, deformations)
+
+    monkeypatch.setattr(pipeline, "weil_slope", recorded)
+    report = analyze(request_from_text(text, embedding=embedding, checks=("all",)))
+    (directions,) = seen
+    return report, directions
+
+
+WEIL_INPUTS = [("S2(3,3,3,3)", None), ("O(g=2)", None), ("HD(5)", "orientable"), ("HD(5)", "type_preserving")]
+
+
+@pytest.mark.parametrize("text, embedding", WEIL_INPUTS)
+def test_weil_directions_span_h1_of_full_g(monkeypatch, text, embedding):
+    """One independent Weil direction per class of full_g: the table row's
+    h1, which full_g's values-only direct complex reads too."""
+    report, directions = weil_directions(monkeypatch, text, embedding)
+    h1 = report.cohomology.module("full_g").dims.h1
+    note = next(e.note for e in report.ledger if e.name == "full-g-direct-sum")
+    direct = json.loads(note.removeprefix("direct ").split(" vs block sum ")[0])
+    assert len(directions) == h1 == direct[HD_FIELDS.index("h1")] > 0
+    assert np.linalg.matrix_rank(directions.reshape(h1, -1)) == h1
+
+
+@pytest.mark.parametrize("text, embedding", WEIL_INPUTS)
+def test_every_weil_direction_mixes_blocks(monkeypatch, text, embedding):
+    """Each direction has a g0 part and an m_c + m_r part wherever those
+    blocks carry classes: a pure m_c or m_r cocycle integrates exactly,
+    and a direction along it would test nothing."""
+    report, directions = weil_directions(monkeypatch, text, embedding)
+    n = directions.shape[-1] - 1
+    corner = directions[..., :n, :n]
+    g0 = corner - np.trace(corner, axis1=-2, axis2=-1)[..., None, None] * np.eye(n) / n
+    off_diagonal = np.concatenate([directions[..., :n, n], directions[..., n, :n]], axis=-1)
+    size = np.abs(directions).max(axis=(1, 2, 3))
+    h1 = {label: report.cohomology.module(label).dims.h1 for label in BLOCKS}
+    assert (np.abs(g0).max(axis=(1, 2, 3)) > 1e-3 * size).all() == bool(h1["g0"])
+    assert (np.abs(off_diagonal).max(axis=(1, 2)) > 1e-3 * size).all() == bool(h1["m_c"] + h1["m_r"])
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("text", ["S2(3,3,3,3)", "O(g=2)"])
+def test_weil_slope_catches_one_direction_off_z1(monkeypatch, text, perturbed):
+    """One direction moved off Z^1 by 1e-3 deforms the relators at first
+    order, and its slope leaves 2; the clean directions pass."""
+    report, _ = weil_directions(monkeypatch, text, perturb=1e-3 if perturbed else 0.0)
+    entry = next(e for e in report.ledger if e.name == "weil-slope")
+    assert entry.passed != perturbed
+
+
+@pytest.mark.parametrize("seed", [-1, -30])
+def test_a_negative_seed_is_refused_at_the_request(seed):
+    """numpy's generators take no negative seed: the request refuses it
+    before anything is built."""
+    with pytest.raises(PipelineError, match="non-negative"):
+        request_from_text("S2(3,3,3,3)", seed=seed)
+    with pytest.raises(PipelineError, match="non-negative"):
+        replace(request_from_text("S2(3,3,3,3)"), seed=seed)
+    with pytest.raises(PipelineError, match="non-negative"):
+        example_requests(seed)
+
+
 @pytest.mark.parametrize(
     "run, text, embedding, expected",
     [
@@ -446,13 +533,18 @@ BASES_READ = [(analyze, "S2(3,3,3,3)", None)] + [(verify_suite, t, e) for t, e i
 def test_runs_that_read_bases_factor_each_block_once(monkeypatch, run, text, embedding):
     """The obstruction scan and verify's checks read the H^1 and Z^1
     bases: one full factorization of each matrix of every block they
-    factor (the four of the table, plus full_g in verify and the other
-    embedding's column block on non-orientable input), none values-only."""
+    factor (the four of the table, plus the other embedding's column
+    block on non-orientable input).  verify audits full_g, their sum,
+    with two values-only cuts of its own complex and reads no basis of it."""
     calls = svd_calls_by_caller(monkeypatch)
+    based = set()
+    real = BlockComplex.h1_basis.func
+    monkeypatch.setattr(BlockComplex, "h1_basis", property(lambda c: based.add(c.module.label) or real(c)))
     run(request_from_text(text, embedding=embedding))
     cuts = [uv for name, uv in calls if name in ("_fox_cut", "_cob_cut")]
-    blocks = len(BLOCKS) + (run is verify_suite) + (embedding not in (None, "standard"))
-    assert cuts == [True] * 2 * blocks
+    blocks = len(BLOCKS) + (embedding not in (None, "standard"))
+    assert cuts == [True] * 2 * blocks + [False] * 2 * (run is verify_suite)
+    assert "full_g" not in based and based <= set(BLOCKS)
 
 
 # the inputs of the bounded-analyze benchmark workload
