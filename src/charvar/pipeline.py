@@ -23,7 +23,7 @@ from .classifier import LocalModel, classify
 from .coeffmodules import decompose_sl, twist_by_character
 from .cohomology import BLOCKS, BlockComplex, CohomologyReport, cocycle_from_stack, cohomology_report, cup
 from .cohomology import cocycle_residual, fundamental_form, pair_fundamental_class, weil_slope
-from .linalg import RankPolicy
+from .linalg import RankPolicy, SeededDraws
 from .presentation import GroupPresentation, OrbifoldSignature, orientation_cover_generators, parse_signature
 from .reps import (
     EMBEDDINGS,
@@ -93,7 +93,8 @@ class AnalysisRequest:
     checks: tuple[str, ...] = ("core",)
 
     def __post_init__(self):
-        # the seed reaches numpy's generators, which take none below zero
+        # random.Random seeds with |seed|, so a negative seed would only
+        # repeat the draws of its positive twin
         if self.seed < 0:
             raise PipelineError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -162,31 +163,31 @@ def _obstruction_scan(pres, sd, table, cross, seed: int) -> dict:
     duality pairing of its row block against its column block (through
     the invariant form; the self-pairing of z vanishes by graded
     antisymmetry) from Gram matrices of the two forms on H^1 bases."""
-    rng = np.random.default_rng(seed + 7)
+    rng = SeededDraws(seed + 7)
     bracket = fundamental_form(pres, sd.full_g, sd.full_g, sd.bracket_d)
     basis_c = table.complexes["m_c"].h1_basis
     basis_r = table.complexes["m_r"].h1_basis
+    nc, nr = basis_c.shape[1], basis_r.shape[1]
     pairs = []
-    if basis_c.shape[1] and basis_r.shape[1]:
+    if nc and nr:
         obstruction = _bracket_gram(sd, bracket, table, ("m_c", "m_r"))
         pairing = basis_r.T @ cross @ basis_c
         # q has root mean square |pairing|_F; far below it, o/q is rounding
         floor = max(1e-10, 1e-3 * float(np.linalg.norm(pairing)))
-        attempts = 0
-        while len(pairs) < OBSTRUCTION_SAMPLES and attempts < 6 * OBSTRUCTION_SAMPLES:
-            attempts += 1
-            a = rng.standard_normal(basis_c.shape[1])
-            b = rng.standard_normal(basis_r.shape[1])
-            y = np.concatenate([a, b])
-            o = float(y @ obstruction @ y)
-            q = float(b @ pairing @ a)
-            if abs(q) >= floor:
-                pairs.append((o, q))
+        # candidate rows y = (a, b) come a chunk at a time, at most 6 chunks
+        for _ in range(6):
+            rows = rng.normal((OBSTRUCTION_SAMPLES, nc + nr))
+            o = ((rows @ obstruction) * rows).sum(axis=1)
+            q = ((rows[:, nc:] @ pairing) * rows[:, :nc]).sum(axis=1)
+            pairs += [(float(oi), float(qi)) for oi, qi in zip(o, q) if abs(qi) >= floor]
+            if len(pairs) >= OBSTRUCTION_SAMPLES:
+                break
+        pairs = pairs[:OBSTRUCTION_SAMPLES]
     scale = max([1.0] + [abs(q) for _, q in pairs] + [abs(o) for o, _ in pairs])
 
     def pure_max(label):
         form = _bracket_gram(sd, bracket, table, (label,))
-        return max(abs(float(c @ form @ c)) for c in rng.standard_normal((3, len(form))))
+        return max(abs(float(c @ form @ c)) for c in rng.normal((3, len(form))))
 
     ratios = [o / q for o, q in pairs]
     return {
@@ -298,9 +299,10 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         dims = {"p": p, "d": d_here, "b": b}
         d_model = d_here
     else:
-        # the other embedding's column block differs by the orientation twist
+        # the other embedding's column block differs by the orientation
+        # twist; only its h1 is read, so no basis is factored
         other_m_c = twist_by_character(sd.m_c, pres.orientation_character)
-        d_other = BlockComplex(pres, other_m_c, policy, bases).h1
+        d_other = BlockComplex(pres, other_m_c, policy, bases=False).h1
         d_oe = d_here if emb == "orientable" else d_other
         d_tp = d_here if emb == "type_preserving" else d_other
         f = pres.full_boundary_count
@@ -365,7 +367,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 
 def _extra_checks(pres, sd, table, cross, policy, seed) -> list[LedgerEntry]:
     entries: list[LedgerEntry] = []
-    rng = np.random.default_rng(seed + 23)
+    rng = SeededDraws(seed + 23)
     # full_g is the sum of the table's blocks, the only bases verify
     # factors: its own complex, values-only, audits that sum
     full_g = BlockComplex(pres, sd.full_g, policy, bases=False)
@@ -393,7 +395,7 @@ def _extra_checks(pres, sd, table, cross, policy, seed) -> list[LedgerEntry]:
     # draw, since a pure m_c or m_r cocycle integrates exactly
     lifted = np.hstack([sd.lift(label, c.h1_basis) for label, c in table.complexes.items()])
     if lifted.shape[1]:
-        mix = np.random.default_rng(seed + 29).standard_normal((lifted.shape[1],) * 2)
+        mix = SeededDraws(seed + 29).normal((lifted.shape[1],) * 2)
         directions = (lifted @ mix).T
         zmats = sd.to_matrix(directions.reshape(len(directions), pres.num_generators, -1))
         slopes, _ = weil_slope(sd.hat_matrices, pres.relators, zmats)
@@ -440,10 +442,10 @@ def _closed_orientable_checks(pres, sd, table, cross, rng) -> list[LedgerEntry]:
     if z1_r.shape[1]:
         left = cob.T @ cross_cr @ z1_r
         right = z1_r.T @ cross @ cob
-        for _ in range(4):
-            v = rng.standard_normal(sd.n)
-            w = rng.standard_normal(z1_r.shape[1])
-            worst = max(worst, abs(float(v @ left @ w)) / scale, abs(float(w @ right @ v)) / scale)
+        v, w = rng.normal((4, sd.n)), rng.normal((4, z1_r.shape[1]))
+        forward = ((v @ left) * w).sum(axis=1)
+        backward = ((w @ right) * v).sum(axis=1)
+        worst = float(np.abs(np.concatenate([forward, backward])).max()) / scale
     entries.append(
         LedgerEntry("transgression-coboundary", worst <= 1e-8, worst, "pairing kills B1")
     )
@@ -452,7 +454,7 @@ def _closed_orientable_checks(pres, sd, table, cross, rng) -> list[LedgerEntry]:
     # row cocycle drawn along the image of the column one so that the
     # pair pairs strongly and a relative error of the form shows in full
     if basis_c.shape[1] and basis_r.shape[1]:
-        a = rng.standard_normal(basis_c.shape[1])
+        a = rng.normal((basis_c.shape[1],))
         sc, sr = basis_c @ a, basis_r @ (duality @ a)
         zr, zc = cocycle_from_stack(sd.m_r, sr), cocycle_from_stack(sd.m_c, sc)
         ref = pair_fundamental_class(cup(zr, zc, sd.cross_form), pres)

@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import RankPolicy, rank, rank_cut
+from .linalg import RankPolicy, SeededDraws, rank, rank_cut
 from .presentation import (
     GroupPresentation,
     OrbifoldSignature,
@@ -448,7 +448,7 @@ def _boundary_rep(sig: OrbifoldSignature, seed: int = 0) -> Representation:
     b = sig.boundary_circles
     if b < 1:
         raise BuildError("boundary builder needs a boundary circle")
-    rng = np.random.default_rng(seed)
+    rng = SeededDraws(seed)
     nonor = sig.kind == "nonorientable"
     for attempt in range(24):
         mats = []

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,59 @@ def test_negative_seed_exit_one(capsys, argv):
     rc, out, err = run(argv, capsys)
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and "seed" in err
+
+
+# main in a fresh interpreter; the last line of standard error says
+# whether numpy.random was imported
+FRESH = (
+    "import sys\n"
+    "from charvar.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
+def fresh_run(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH, *argv], capture_output=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout, proc.stderr.decode().split()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--json", "O(g=2;b=2;cone=[3,5])"],
+        ["verify", "S2(2,3,7)"],
+        ["verify", "D(3,3;mirror)", "--embed", "orientable"],
+        ["examples", "--json"],
+        ["dims", "HD(5)"],
+    ],
+)
+def test_a_fresh_process_does_not_import_numpy_random(argv):
+    """The seeded draws come from the standard library's generator, which
+    numpy loads anyway, so no command pays for importing numpy.random."""
+    rc, out, loaded = fresh_run(argv)
+    assert rc == 0 and out
+    assert not loaded
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "7"])
+def test_examples_json_is_byte_identical_across_processes(seed):
+    first, second = (fresh_run(["examples", "--json", "--seed", seed]) for _ in range(2))
+    assert first[0] == 0 and first[1]
+    assert first == second
+
+
+def test_a_seed_past_64_bits_is_accepted_and_repeats(capsys):
+    argv = ["analyze", "--json", "O(g=2;b=2;cone=[3,5])", "--seed", str(2**70)]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0 and err == ""
+    assert json.loads(out)["seed"] == 2**70
+    assert run(argv, capsys) == (0, out, "")
 
 
 def test_rank_option_is_gone(capsys):
