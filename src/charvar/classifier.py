@@ -10,8 +10,7 @@ point or a line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Value
 from .reps import EMBEDDINGS
 
 __all__ = [
@@ -36,26 +35,34 @@ LINK_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(Value):
     """R^{smooth_dim} x R^{abelian_dim} x Cone(link of dimension built
     from link_dim); link_dim is the d that fed the cone."""
 
-    smooth_dim: int
-    abelian_dim: int
-    link: str
-    link_dim: int
-    smooth: bool
-    provenance: str
-    flags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.link not in LINK_KINDS:
-            raise ClassifierError(f"unknown link kind {self.link!r}")
-        if min(self.smooth_dim, self.abelian_dim, self.link_dim) < 0:
+    def __init__(
+        self,
+        smooth_dim: int,
+        abelian_dim: int,
+        link: str,
+        link_dim: int,
+        smooth: bool,
+        provenance: str,
+        flags: tuple[str, ...] = (),
+    ):
+        if link not in LINK_KINDS:
+            raise ClassifierError(f"unknown link kind {link!r}")
+        if min(smooth_dim, abelian_dim, link_dim) < 0:
             raise ClassifierError("negative dimension")
-        if (self.link == "point") != (self.link_dim == 0):
+        if (link == "point") != (link_dim == 0):
             raise ClassifierError("point link exactly when d = 0")
+        vars(self).update(
+            smooth_dim=smooth_dim, abelian_dim=abelian_dim, link=link, link_dim=link_dim,
+            smooth=smooth, provenance=provenance, flags=tuple(flags),
+        )
+
+    def _key(self) -> tuple:
+        return (self.smooth_dim, self.abelian_dim, self.link, self.link_dim,
+                self.smooth, self.provenance, self.flags)
 
     def link_text(self) -> str:
         k = self.link_dim - 1

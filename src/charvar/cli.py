@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import lru_cache
 
 from .classifier import ClassifierError
@@ -152,7 +151,7 @@ def _cmd_analyze(args, dims_only: bool) -> int:
     # dims reports d_oe and d_tp under either embedding, so it picks one
     show_model = not (dims_only and req.embedding is None and not req.signature.orientable)
     if not show_model:
-        req = replace(req, embedding="orientable")
+        req = req.replace(embedding="orientable")
     report = analyze(req)
     _print_report(report, args.json, dims_only, show_model)
     return 0
@@ -173,7 +172,7 @@ def _cmd_verify(args) -> int:
 def _cmd_examples(args) -> int:
     policy = RankPolicy(relative=args.tol, absolute=args.tol * 1e-3)
     reports = [
-        analyze(replace(req, policy=policy)) for req in example_requests(args.seed)
+        analyze(req.replace(policy=policy)) for req in example_requests(args.seed)
     ]
     if args.json:
         print(

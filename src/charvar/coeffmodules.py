@@ -13,11 +13,11 @@ contragredient, d trivially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._record import Frozen
 from .reps import Representation, _derived, embed
 
 __all__ = [
@@ -52,22 +52,18 @@ class CoeffModuleError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientModule:
-    label: str
-    action: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if self.label not in MODULE_LABELS:
-            raise CoeffModuleError(f"unknown module label {self.label!r}")
-        mats = tuple(np.asarray(m, dtype=float) for m in self.action)
+class CoefficientModule(Frozen):
+    def __init__(self, label: str, action: tuple[np.ndarray, ...]):
+        if label not in MODULE_LABELS:
+            raise CoeffModuleError(f"unknown module label {label!r}")
+        mats = tuple(np.asarray(m, dtype=float) for m in action)
         dims = {m.shape for m in mats}
         if len(dims) > 1 or any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
             raise CoeffModuleError("generator actions must be square matrices of one size")
         singular = np.flatnonzero(np.abs(np.linalg.det(np.array(mats))) < 1e-12) if mats else []
         if len(singular):
             raise CoeffModuleError(f"action of generator {singular[0] + 1} is singular")
-        object.__setattr__(self, "action", mats)
+        vars(self).update(label=label, action=mats)
 
     @property
     def dim(self) -> int:
@@ -194,8 +190,7 @@ def _ambient_constants(n: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
     return inclusions, bracket
 
 
-@dataclass(frozen=True, eq=False)
-class SlDecomposition:
+class SlDecomposition(Frozen):
     """Block decomposition of the ambient traceless algebra.
 
     embedded is the representation in the ambient group, built by
@@ -206,15 +201,22 @@ class SlDecomposition:
     bilinear form on ambient coordinates.
     """
 
-    n: int
-    embedding: str
-    embedded: Representation
-    g0: CoefficientModule
-    m_c: CoefficientModule
-    m_r: CoefficientModule
-    d: CoefficientModule
-    full_g: CoefficientModule
-    killing_multiplier: float
+    def __init__(
+        self,
+        n: int,
+        embedding: str,
+        embedded: Representation,
+        g0: CoefficientModule,
+        m_c: CoefficientModule,
+        m_r: CoefficientModule,
+        d: CoefficientModule,
+        full_g: CoefficientModule,
+        killing_multiplier: float,
+    ):
+        vars(self).update(
+            n=n, embedding=embedding, embedded=embedded, g0=g0, m_c=m_c, m_r=m_r, d=d,
+            full_g=full_g, killing_multiplier=killing_multiplier,
+        )
 
     @property
     def hat_matrices(self) -> tuple[np.ndarray, ...]:

@@ -37,12 +37,12 @@ every tangent direction in one stacked pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._record import Frozen, Value
 from .coeffmodules import CoefficientModule
 from .linalg import RankPolicy, rank, rank_cut
 from .presentation import GroupPresentation, Word
@@ -76,21 +76,17 @@ class CohomologyError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Cocycle:
+class Cocycle(Frozen):
     """One value vector per generator; values on words extend by
     z(uv) = z(u) + u z(v), which forces z(g^{-1}) = -g^{-1} z(g)."""
 
-    module: CoefficientModule
-    values: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        vals = tuple(np.asarray(v, dtype=float) for v in self.values)
-        if len(vals) != self.module.num_generators:
+    def __init__(self, module: CoefficientModule, values: tuple[np.ndarray, ...]):
+        vals = tuple(np.asarray(v, dtype=float) for v in values)
+        if len(vals) != module.num_generators:
             raise CohomologyError("one value per generator required")
-        if any(v.shape != (self.module.dim,) for v in vals):
+        if any(v.shape != (module.dim,) for v in vals):
             raise CohomologyError("cocycle values must match the module dimension")
-        object.__setattr__(self, "values", vals)
+        vars(self).update(module=module, values=vals)
 
     @cached_property
     def _stacked(self) -> np.ndarray:
@@ -175,14 +171,13 @@ def coboundary_matrix(pres: GroupPresentation, m: CoefficientModule) -> np.ndarr
     return (np.array(m.action) - np.eye(n)).reshape(-1, n)
 
 
-@dataclass(frozen=True)
-class HDims:
+class HDims(NamedTuple):
     h0: int
     h1: int
     h2: int
     z1: int
     b1: int
-    methods: dict = field(default_factory=dict)
+    methods: dict
     min_gap: float = float("inf")
     degenerate: bool = False
 
@@ -356,12 +351,11 @@ def _cell_euler(pres: GroupPresentation, embedded: Representation) -> list[int]:
 # cup products and the fundamental class
 
 
-@dataclass(frozen=True, eq=False)
-class TwoCocycle:
+class TwoCocycle(Frozen):
     """Scalar 2-cocycle as a black-box evaluator on pairs of words."""
 
-    evaluate: Callable[[Word, Word], float]
-    description: str = ""
+    def __init__(self, evaluate: Callable[[Word, Word], float], description: str = ""):
+        vars(self).update(evaluate=evaluate, description=description)
 
     def __call__(self, a: Word, b: Word) -> float:
         return float(self.evaluate(a, b))
@@ -446,8 +440,7 @@ def fundamental_form(
     return out
 
 
-@dataclass(frozen=True)
-class ModuleCohomology:
+class ModuleCohomology(NamedTuple):
     label: str
     dims: HDims
     euler_cells: int | None = None
@@ -459,13 +452,16 @@ class ModuleCohomology:
         return self.dims.euler == self.euler_cells
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Value):
     """One row per block, then the full_g row; complexes holds the
-    factored complex of every block, for bases and checks."""
+    factored complex of every block, for bases and checks.  Reports
+    compare by their rows."""
 
-    modules: tuple[ModuleCohomology, ...]
-    complexes: dict[str, BlockComplex] = field(repr=False, compare=False)
+    def __init__(self, modules: tuple[ModuleCohomology, ...], complexes: dict[str, BlockComplex]):
+        vars(self).update(modules=modules, complexes=complexes)
+
+    def _key(self) -> tuple:
+        return (self.modules,)
 
     def module(self, label: str) -> ModuleCohomology:
         for m in self.modules:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ class LinalgError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RankPolicy:
+class RankPolicy(NamedTuple):
     """Singular values below max(relative * s_max, absolute) count as zero."""
 
     relative: float = 1e-9

@@ -15,10 +15,11 @@ never raises on a failed check; failures are data in the ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Value
 from .classifier import LocalModel, classify
 from .coeffmodules import decompose_sl, twist_by_character
 from .cohomology import BLOCKS, BlockComplex, CohomologyReport, cocycle_from_stack, cohomology_report, cup
@@ -70,8 +71,7 @@ class HypothesisError(PipelineError):
         self.ledger = tuple(ledger)
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     name: str
     passed: bool
     margin: float
@@ -83,20 +83,32 @@ class LedgerEntry:
         return f"{status}  {self.name}  margin={self.margin:.3e}{note}"
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
-    signature: OrbifoldSignature
-    rep_path: str | None = None
-    embedding: str | None = None
-    policy: RankPolicy = field(default_factory=RankPolicy)
-    seed: int = 0
-    checks: tuple[str, ...] = ("core",)
-
-    def __post_init__(self):
+class AnalysisRequest(Value):
+    def __init__(
+        self,
+        signature: OrbifoldSignature,
+        rep_path: str | None = None,
+        embedding: str | None = None,
+        policy: RankPolicy = RankPolicy(),
+        seed: int = 0,
+        checks: tuple[str, ...] = ("core",),
+    ):
         # random.Random seeds with |seed|, so a negative seed would only
         # repeat the draws of its positive twin
-        if self.seed < 0:
-            raise PipelineError(f"seed must be a non-negative integer, got {self.seed}")
+        if seed < 0:
+            raise PipelineError(f"seed must be a non-negative integer, got {seed}")
+        vars(self).update(
+            signature=signature, rep_path=rep_path, embedding=embedding, policy=policy,
+            seed=seed, checks=tuple(checks),
+        )
+
+    def _key(self) -> tuple:
+        return self.signature, self.rep_path, self.embedding, self.policy, self.seed, self.checks
+
+    def replace(self, **changes) -> AnalysisRequest:
+        """A copy with the given fields changed, checked like a new request.
+        A request keeps nothing in vars(self) but its fields."""
+        return AnalysisRequest(**{**vars(self), **changes})
 
     @property
     def input_text(self) -> str:
@@ -108,8 +120,7 @@ def request_from_text(text: str, **kwargs) -> AnalysisRequest:
     return AnalysisRequest(parse_signature(text), **kwargs)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     request: AnalysisRequest
     n: int
     embedding: str
@@ -464,7 +475,7 @@ def _closed_orientable_checks(pres, sd, table, cross, rng) -> list[LedgerEntry]:
 
 
 def verify_suite(req: AnalysisRequest) -> tuple[LedgerEntry, ...]:
-    req = replace(req, checks=("all",))
+    req = req.replace(checks=("all",))
     try:
         return analyze(req).ledger
     except HypothesisError as err:

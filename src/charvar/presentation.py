@@ -10,9 +10,11 @@ on, so they are validated here rather than trusted downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
+
+from ._record import Value
 
 __all__ = [
     "Word",
@@ -52,8 +54,7 @@ def word_power(w: Word, k: int) -> Word:
     return w * k
 
 
-@dataclass(frozen=True)
-class OrbifoldSignature:
+class OrbifoldSignature(Value):
     """A compact 2-orbifold without corner reflectors.
 
     kind "orientable": genus handles, kind "nonorientable": genus counts
@@ -63,26 +64,26 @@ class OrbifoldSignature:
     exactly one cone point.
     """
 
-    kind: str
-    genus: int
-    boundary_circles: int
-    cone_orders: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("orientable", "nonorientable", "mirrored"):
-            raise SignatureError(f"unknown kind {self.kind!r}")
-        if self.kind == "nonorientable" and self.genus < 1:
+    def __init__(self, kind: str, genus: int, boundary_circles: int, cone_orders: tuple[int, ...]):
+        cone_orders = tuple(cone_orders)
+        if kind not in ("orientable", "nonorientable", "mirrored"):
+            raise SignatureError(f"unknown kind {kind!r}")
+        if kind == "nonorientable" and genus < 1:
             raise SignatureError("non-orientable signature needs at least one crosscap")
-        if self.kind != "nonorientable" and self.genus < 0:
+        if kind != "nonorientable" and genus < 0:
             raise SignatureError("genus must be non-negative")
-        if self.boundary_circles < 0:
+        if boundary_circles < 0:
             raise SignatureError("boundary count must be non-negative")
-        if self.kind == "mirrored" and (self.genus or self.boundary_circles > 1):
+        if kind == "mirrored" and (genus or boundary_circles > 1):
             raise SignatureError("mirrored disc carries no handles and at most one free arc")
-        if self.kind == "mirrored" and self.boundary_circles and self.cone_count != 1:
+        if kind == "mirrored" and boundary_circles and len(cone_orders) != 1:
             raise SignatureError("half-mirrored disc HD(n) has exactly one cone point")
-        if any(n < 2 for n in self.cone_orders):
+        if any(n < 2 for n in cone_orders):
             raise SignatureError("cone orders must be >= 2")
+        vars(self).update(kind=kind, genus=genus, boundary_circles=boundary_circles, cone_orders=cone_orders)
+
+    def _key(self) -> tuple:
+        return self.kind, self.genus, self.boundary_circles, self.cone_orders
 
     @property
     def orientable(self) -> bool:
@@ -178,48 +179,56 @@ def underlying_euler(sig: OrbifoldSignature) -> int:
     return 1  # disc
 
 
-@dataclass(frozen=True)
-class CellStabilizer:
+class CellStabilizer(Value):
     """Isotropy of (a lift of) a cell: trivial, cyclic of given order
     generated by `word`, or reflection generated by `word`.  Corner
     reflectors, whose stabilizers are dihedral, are out of scope."""
 
-    kind: str = "trivial"
-    order: int = 1
-    word: Word = ()
-
-    def __post_init__(self):
-        if self.kind not in ("trivial", "cyclic", "reflection"):
-            raise PresentationError(f"unknown stabilizer kind {self.kind!r}")
-        if self.kind == "cyclic" and (self.order < 2 or not self.word):
+    def __init__(self, kind: str = "trivial", order: int = 1, word: Word = ()):
+        if kind not in ("trivial", "cyclic", "reflection"):
+            raise PresentationError(f"unknown stabilizer kind {kind!r}")
+        if kind == "cyclic" and (order < 2 or not word):
             raise PresentationError("cyclic stabilizer needs order >= 2 and a word")
-        if self.kind == "reflection" and not self.word:
+        if kind == "reflection" and not word:
             raise PresentationError("reflection stabilizer needs a word")
+        vars(self).update(kind=kind, order=order, word=tuple(word))
+
+    def _key(self) -> tuple:
+        return self.kind, self.order, self.word
 
     @property
     def reverses_orientation(self) -> bool:
         return self.kind == "reflection"
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     name: str
     dim: int
     stabilizer: CellStabilizer = CellStabilizer()
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    generator_names: tuple[str, ...]
-    relators: tuple[Word, ...]
-    orientation_character: tuple[int, ...]
-    torsion_orders: dict[int, int] = field(default_factory=dict)
-    peripheral_words: tuple[Word, ...] = ()
-    long_relator_index: int | None = None
-    cells: tuple[Cell, ...] = ()
-    signature: OrbifoldSignature | None = None
-
-    def __post_init__(self):
+class GroupPresentation(Value):
+    def __init__(
+        self,
+        generator_names: tuple[str, ...],
+        relators: tuple[Word, ...],
+        orientation_character: tuple[int, ...],
+        torsion_orders: dict[int, int] | None = None,
+        peripheral_words: tuple[Word, ...] = (),
+        long_relator_index: int | None = None,
+        cells: tuple[Cell, ...] = (),
+        signature: OrbifoldSignature | None = None,
+    ):
+        vars(self).update(
+            generator_names=tuple(generator_names),
+            relators=tuple(map(tuple, relators)),
+            orientation_character=tuple(orientation_character),
+            torsion_orders={} if torsion_orders is None else torsion_orders,
+            peripheral_words=tuple(map(tuple, peripheral_words)),
+            long_relator_index=long_relator_index,
+            cells=tuple(cells),
+            signature=signature,
+        )
         n = len(self.generator_names)
         if len(self.orientation_character) != n:
             raise PresentationError("orientation character must list one sign per generator")
@@ -241,6 +250,10 @@ class GroupPresentation:
             0 <= self.long_relator_index < len(self.relators)
         ):
             raise PresentationError("long relator index out of range")
+
+    def _key(self) -> tuple:
+        return (self.generator_names, self.relators, self.orientation_character, self.torsion_orders,
+                self.peripheral_words, self.long_relator_index, self.cells, self.signature)
 
     @property
     def num_generators(self) -> int:

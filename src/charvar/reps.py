@@ -31,11 +31,12 @@ C-irreducible representative works.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Frozen
 from .linalg import RankPolicy, SeededDraws, rank, rank_cut
 from .presentation import (
     GroupPresentation,
@@ -131,35 +132,37 @@ GROUP_TAGS = ("SL", "SLpm")
 
 
 def _derived(cls, **fields):
-    """An instance of the frozen dataclass cls whose fields follow from an
-    already checked object: __post_init__ is skipped, since its checks
-    would only repeat what that object implies."""
+    """An instance of the immutable record class cls whose fields follow
+    from an already checked object: cls.__init__ is skipped, since its
+    checks would only repeat what that object implies."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    vars(obj).update(fields)
     return obj
 
 
-@dataclass(frozen=True, eq=False)
-class Representation:
+class Representation(Frozen):
     """Matrices for the generators of a presentation.
 
     group_tag "SL" requires determinant +1 throughout; "SLpm" requires the
     determinant sign to equal the orientation character (type preserving).
     """
 
-    presentation: GroupPresentation
-    matrices: tuple[np.ndarray, ...]
-    group_tag: str = "SL"
-    lineage: tuple[str, ...] = ()
-    build_info: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        if self.group_tag not in GROUP_TAGS:
-            raise RepError(f"unknown group tag {self.group_tag!r}")
-        if len(mats) != self.presentation.num_generators:
+    def __init__(
+        self,
+        presentation: GroupPresentation,
+        matrices: tuple[np.ndarray, ...],
+        group_tag: str = "SL",
+        lineage: tuple[str, ...] = (),
+        build_info: dict | None = None,
+    ):
+        mats = tuple(np.asarray(m, dtype=float) for m in matrices)
+        vars(self).update(
+            presentation=presentation, matrices=mats, group_tag=group_tag, lineage=tuple(lineage),
+            build_info={} if build_info is None else build_info,
+        )
+        if group_tag not in GROUP_TAGS:
+            raise RepError(f"unknown group tag {group_tag!r}")
+        if len(mats) != presentation.num_generators:
             raise RepError("one matrix per generator required")
         n = mats[0].shape[0]
         if any(m.shape != (n, n) for m in mats):
@@ -232,8 +235,7 @@ class Representation:
 # irreducibility
 
 
-@dataclass(frozen=True)
-class BurnsideReport:
+class BurnsideReport(NamedTuple):
     irreducible_over_C: bool
     algebra_dim: int
     commutant_dim: int

@@ -3,8 +3,6 @@ actions built on it."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +10,7 @@ from hypothesis import given, strategies as st
 from charvar.coeffmodules import (
     CoeffModuleError,
     CoefficientModule,
+    SlDecomposition,
     adjoint_module,
     contragredient,
     decompose_sl,
@@ -225,7 +224,11 @@ def test_block_equivariance_holds_on_every_input(reps_by_text, text, embedding):
 def test_block_equivariance_catches_the_wrong_twist(reps_by_text, text, embedding, other):
     """m_c of the other embedding is not a submodule of this full_g."""
     rep = reps_by_text(text)
-    wrong = replace(decompose_sl(rep, embedding), m_c=decompose_sl(rep, other).m_c)
+    sd = decompose_sl(rep, embedding)
+    wrong = SlDecomposition(
+        sd.n, sd.embedding, sd.embedded, sd.g0, decompose_sl(rep, other).m_c, sd.m_r, sd.d, sd.full_g,
+        sd.killing_multiplier,
+    )
     value, bound = wrong.block_equivariance()
     assert value > 1e3 * bound
 

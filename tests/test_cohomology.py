@@ -8,8 +8,6 @@ number downstream is only trustworthy because of this test.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -470,7 +468,7 @@ def test_dims_only_table_matches_the_factored_one(setups, text, embedding):
     full = cohomology_report(s.pres, s.sd, POLICY)
     dims_only = cohomology_report(s.pres, s.sd, POLICY, bases=False)
     for row, other in zip(full.modules, dims_only.modules):
-        assert row == replace(other, dims=replace(other.dims, min_gap=row.dims.min_gap))
+        assert row == other._replace(dims=other.dims._replace(min_gap=row.dims.min_gap))
         assert other.dims.min_gap >= 10.0
     for label in BLOCKS:
         c, ref = dims_only.complexes[label], full.complexes[label]

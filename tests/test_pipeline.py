@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,8 +325,10 @@ def test_full_g_direct_sum_gate_catches_the_wrong_twist(
     real = pipeline.decompose_sl
 
     def swapped(rep, emb):
-        wrong = real(rep, other)
-        return replace(real(rep, emb), m_c=wrong.m_c, m_r=wrong.m_r)
+        wrong, sd = real(rep, other), real(rep, emb)
+        return SlDecomposition(
+            sd.n, sd.embedding, sd.embedded, sd.g0, wrong.m_c, wrong.m_r, sd.d, sd.full_g, sd.killing_multiplier
+        )
 
     monkeypatch.setattr(pipeline, "decompose_sl", swapped)
     ledger = verify_suite(request_from_text(text, embedding=embedding))
@@ -421,7 +422,7 @@ def test_a_negative_seed_is_refused_at_the_request(seed):
     with pytest.raises(PipelineError, match="non-negative"):
         request_from_text("S2(3,3,3,3)", seed=seed)
     with pytest.raises(PipelineError, match="non-negative"):
-        replace(request_from_text("S2(3,3,3,3)"), seed=seed)
+        request_from_text("S2(3,3,3,3)").replace(seed=seed)
     with pytest.raises(PipelineError, match="non-negative"):
         example_requests(seed)
 
@@ -579,11 +580,11 @@ def test_dims_only_rows_match_the_rows_verify_factors(text, embedding, seed):
     builds, every field but min_gap, whose noise digits come from another
     LAPACK path; both clear the rank-gap gate."""
     req = request_from_text(text, embedding=embedding, seed=seed)
-    dims_only, full = analyze(req), analyze(replace(req, checks=("all",)))
+    dims_only, full = analyze(req), analyze(req.replace(checks=("all",)))
     assert not dims_only.cohomology.complexes["g0"].bases and full.cohomology.complexes["g0"].bases
 
     def rows(report):
-        return [replace(m, dims=replace(m.dims, min_gap=None)) for m in report.cohomology.modules]
+        return [m._replace(dims=m.dims._replace(min_gap=None)) for m in report.cohomology.modules]
 
     assert rows(dims_only) == rows(full)
     assert dims_only.dims == full.dims

@@ -209,6 +209,27 @@ def test_presentation_validates_letters():
         GroupPresentation(("a", "b"), ((3,),), (1, 1))
 
 
+def test_list_fields_are_stored_as_tuples():
+    """A signature or presentation built from lists is the tuple-built one:
+    equal, hashed alike, and good for the shared builds keyed on it."""
+    from charvar.reps import build_representation
+
+    sig = OrbifoldSignature("orientable", 0, 0, [3, 3, 4])
+    assert sig == parse_signature("S2(3,3,4)") and hash(sig) == hash(parse_signature("S2(3,3,4)"))
+    assert sig.cone_orders == (3, 3, 4)
+    assert presentation_of(sig) is presentation_of(parse_signature("S2(3,3,4)"))
+    assert build_representation(sig).presentation.signature == sig
+    pres = GroupPresentation(["x", "y"], [[1, 1, 1], (1, 2, -1, -2)], [1, 1], {1: 3}, [[2]], cells=[])
+    assert pres == GroupPresentation(("x", "y"), ((1, 1, 1), (1, 2, -1, -2)), (1, 1), {1: 3}, ((2,),))
+    assert pres.relators[0] == (1, 1, 1) and pres.peripheral_words == ((2,),) and pres.cells == ()
+    with pytest.raises(SignatureError):
+        OrbifoldSignature("orientable", 0, 0, [3, 1])
+    with pytest.raises(PresentationError):
+        GroupPresentation(["x", "y"], [[1, 3]], [1, 1])
+    with pytest.raises(PresentationError):
+        GroupPresentation(["x", "y"], [[1, 1]], [1, 1], {1: 3})
+
+
 def test_presentation_carries_flags():
     pres = GroupPresentation(("a", "b"), ((1, 2, -1, -2),), (1, 1), long_relator_index=0)
     assert pres.orientable
@@ -220,7 +241,7 @@ def test_presentation_carries_flags():
     ["S2(3,3,4)", "O(g=2)", "D2(3,3)", "D(3,3;mirror)", "HD(3)", "N(k=2;b=1;cone=[3])", "O(g=0;b=3)"],
 )
 def test_presentation_facts_are_read_once(text):
-    """orientable, full_boundary_count and closed are cached on the frozen
+    """orientable, full_boundary_count and closed are cached on the immutable
     presentation and equal the walks of its character and cells."""
     pres = presentation_of(parse_signature(text))
     reverses = [c.dim for c in pres.cells if c.stabilizer.reverses_orientation]
