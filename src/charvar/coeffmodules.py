@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._record import Frozen
+from ._record import Frozen, frozen
 from .reps import Representation, _derived, embed
 
 __all__ = [
@@ -75,7 +75,7 @@ class CoefficientModule(Frozen):
 
     @cached_property
     def _inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.linalg.inv(np.array(self.action))) if self.action else ()
+        return tuple(frozen(np.linalg.inv(np.array(self.action)))) if self.action else ()
 
     def act(self, letter: int) -> np.ndarray:
         if letter > 0:
@@ -91,10 +91,11 @@ class CoefficientModule(Frozen):
 
 def _module(label: str, action) -> CoefficientModule:
     """A module made from a checked module or representation, whose
-    checks it would only repeat; only the new label is checked."""
+    checks it would only repeat; only the new label is checked.  Its
+    action matrices are the package's own, made read-only."""
     if label not in MODULE_LABELS:
         raise CoeffModuleError(f"unknown module label {label!r}")
-    return _derived(CoefficientModule, label=label, action=tuple(action))
+    return _derived(CoefficientModule, label=label, action=tuple(frozen(a) for a in action))
 
 
 def trivial_module(num_generators: int, dim: int = 1) -> CoefficientModule:
@@ -251,7 +252,7 @@ class SlDecomposition(Frozen):
     def cross_form(self) -> np.ndarray:
         """The Killing form pairing m_r against m_c: the row y against the
         column x gives killing_multiplier * (y . x)."""
-        return self.killing_multiplier * np.eye(self.n)
+        return frozen(self.killing_multiplier * np.eye(self.n))
 
     def block_equivariance(self) -> tuple[float, float]:
         """How far each block is from a submodule of full_g: the largest

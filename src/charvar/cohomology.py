@@ -38,11 +38,12 @@ every tangent direction in one stacked pass.
 from __future__ import annotations
 
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._record import Frozen, Value
+from ._record import Frozen, Value, frozen
 from .coeffmodules import CoefficientModule
 from .linalg import RankPolicy, rank, rank_cut
 from .presentation import GroupPresentation, Word
@@ -186,7 +187,7 @@ class HDims(NamedTuple):
         return self.h0 - self.h1 + self.h2
 
 
-class BlockComplex:
+class BlockComplex(Frozen):
     """C^0 -> C^1 -> C^2 of one coefficient block in low degree, each map
     built and factored once, on first use.
 
@@ -199,7 +200,8 @@ class BlockComplex:
     dims reported, so its width is still dims.h1.  The table hands each
     block its Fox matrix.  H^2 is 0 with a boundary and, for a closed
     group, by duality h0 of the alpha-contragredient module: the kernel
-    of the stacked alpha_i A_i^T - 1."""
+    of the stacked alpha_i A_i^T - 1.  A table shares its complexes with
+    every later reader, so every array a complex holds is read-only."""
 
     def __init__(
         self,
@@ -208,29 +210,26 @@ class BlockComplex:
         policy: RankPolicy | None = None,
         bases: bool = True,
     ):
-        self.pres = pres
-        self.module = module
-        self.policy = policy or RankPolicy()
-        self.bases = bases
+        vars(self).update(pres=pres, module=module, policy=policy or RankPolicy(), bases=bases)
 
     @cached_property
     def fox(self) -> np.ndarray:
-        return fox_matrix(self.pres, self.module)
+        return frozen(fox_matrix(self.pres, self.module))
 
     @cached_property
     def cob(self) -> np.ndarray:
-        return coboundary_matrix(self.pres, self.module)
+        return frozen(coboundary_matrix(self.pres, self.module))
 
     @cached_property
     def _fox_cut(self) -> tuple[int, float, np.ndarray | None]:
         """Rank of the Fox matrix, the gap at its cut, and V^T of its full
         SVD (None without bases)."""
         if self.fox.shape[0] == 0:
-            return 0, float("inf"), np.eye(self.fox.shape[1])
+            return 0, float("inf"), frozen(np.eye(self.fox.shape[1]))
         if not self.bases:
             return *rank_cut(np.linalg.svd(self.fox, compute_uv=False), self.policy), None
         _, s, vt = np.linalg.svd(self.fox, full_matrices=True)
-        return *rank_cut(s, self.policy), vt
+        return *rank_cut(s, self.policy), frozen(vt)
 
     @cached_property
     def _cob_cut(self) -> tuple[int, float, np.ndarray | None]:
@@ -239,14 +238,14 @@ class BlockComplex:
         if not self.bases:
             return *rank_cut(np.linalg.svd(self.cob, compute_uv=False), self.policy), None
         u, s, _ = np.linalg.svd(self.cob, full_matrices=False)
-        return *rank_cut(s, self.policy), u
+        return *rank_cut(s, self.policy), frozen(u)
 
     @cached_property
     def z_basis(self) -> np.ndarray:
         """Orthonormal basis of Z^1, one stacked cocycle per column."""
         r, _, vt = self._fox_cut
         if vt is None:
-            vt = np.linalg.svd(self.fox, full_matrices=True)[2]
+            vt = frozen(np.linalg.svd(self.fox, full_matrices=True)[2])
         return vt[r:].T
 
     @cached_property
@@ -254,7 +253,7 @@ class BlockComplex:
         """Orthonormal basis of B^1, one stacked coboundary per column."""
         r, _, u = self._cob_cut
         if u is None:
-            u = np.linalg.svd(self.cob, full_matrices=False)[0]
+            u = frozen(np.linalg.svd(self.cob, full_matrices=False)[0])
         return u[:, :r]
 
     @cached_property
@@ -272,7 +271,7 @@ class BlockComplex:
     def dims(self) -> HDims:
         m = self.module
         if m.num_generators == 0:
-            return HDims(0, 0, 0, 0, 0, {"all": "degenerate"}, degenerate=True)
+            return HDims(0, 0, 0, 0, 0, MappingProxyType({"all": "degenerate"}), degenerate=True)
         (fox_rank, fox_gap, _), (b1, cob_gap, _) = self._fox_cut, self._cob_cut
         h1, z1 = self.h1, self.fox.shape[1] - fox_rank
         if self.pres.closed:
@@ -281,7 +280,7 @@ class BlockComplex:
             h2, how = m.dim - rank(dual, self.policy), "duality"
         else:
             h2, how = 0, "boundary_vanishing"
-        methods = {"h0": "fox", "h1": "fox", "h2": how}
+        methods = MappingProxyType({"h0": "fox", "h1": "fox", "h2": how})
         return HDims(m.dim - b1, h1, h2, z1, b1, methods, min(fox_gap, cob_gap))
 
     @cached_property
@@ -297,7 +296,7 @@ class BlockComplex:
         relator residual of the representation."""
         h1 = self.h1
         if h1 <= 0:
-            return np.zeros((self.module.dim * self.module.num_generators, 0))
+            return frozen(np.zeros((self.module.dim * self.module.num_generators, 0)))
         z_basis, b_basis = self.z_basis, self._b_basis
         proj = z_basis - b_basis @ (b_basis.T @ z_basis)
         u, s, _ = np.linalg.svd(proj, full_matrices=False)
@@ -306,7 +305,7 @@ class BlockComplex:
                 f"complement of B1 in Z1 is numerically degenerate: "
                 f"singular value {s[h1 - 1]:.3e} at position {h1}"
             )
-        return u[:, :h1]
+        return frozen(u[:, :h1])
 
     @property
     def h1_cocycles(self) -> list[Cocycle]:
@@ -453,12 +452,12 @@ class ModuleCohomology(NamedTuple):
 
 
 class CohomologyReport(Value):
-    """One row per block, then the full_g row; complexes holds the
-    factored complex of every block, for bases and checks.  Reports
+    """One row per block, then the full_g row; complexes maps each block
+    to its factored complex, for bases and checks, read-only.  Reports
     compare by their rows."""
 
     def __init__(self, modules: tuple[ModuleCohomology, ...], complexes: dict[str, BlockComplex]):
-        vars(self).update(modules=modules, complexes=complexes)
+        vars(self).update(modules=tuple(modules), complexes=MappingProxyType(dict(complexes)))
 
     def _key(self) -> tuple:
         return (self.modules,)
@@ -480,7 +479,7 @@ def _direct_sum(rows: list[ModuleCohomology]) -> ModuleCohomology:
     dims = [r.dims for r in rows]
     total = HDims(
         *(sum(getattr(d, f) for d in dims) for f in ("h0", "h1", "h2", "z1", "b1")),
-        methods={"h0": "direct_sum", "h1": "direct_sum", "h2": "direct_sum"},
+        methods=MappingProxyType(dict.fromkeys(("h0", "h1", "h2"), "direct_sum")),
         min_gap=min(d.min_gap for d in dims),
         degenerate=any(d.degenerate for d in dims),
     )
@@ -520,7 +519,7 @@ def cohomology_report(
     complexes, rows = {}, []
     for label, m, lo, hi, euler in zip(BLOCKS, modules, ends[:-1], ends[1:], eulers):
         c = complexes[label] = BlockComplex(pres, m, policy, bases)
-        c.fox = fox[:, lo:hi, :, lo:hi].reshape(r * (hi - lo), g * (hi - lo))
+        vars(c)["fox"] = frozen(fox[:, lo:hi, :, lo:hi].reshape(r * (hi - lo), g * (hi - lo)))
         rows.append(ModuleCohomology(label, c.dims, euler))
     return CohomologyReport((*rows, _direct_sum(rows)), complexes)
 

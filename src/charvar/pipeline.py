@@ -11,6 +11,18 @@ the ledger collected so far, and no local model is emitted.
 
 verify_suite() runs the full cross-check battery on top of analyze and
 never raises on a failed check; failures are data in the ledger.
+
+Only the boundary builder and the sampled checks read the seed.  Every
+other fact depends on the representation, the embedding and the rank
+policy alone, so it is computed once and kept (_record.kept) with the
+object it derives from: the hypotheses and the decomposition per
+embedding with the representation, the table, the cross forms and the
+commutant with the decomposition, and the Gram matrices and the seed-free
+gates of verify with the table.  A call at a new seed draws the
+obstruction rows, the Weil mix and the pairing checks' vectors, and
+reads the rest.  The built groups without boundary are shared, so their
+facts are too; a seeded or file representation is built per call, and
+its facts go with it.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._record import Value
+from ._record import Value, frozen, kept
 from .classifier import LocalModel, classify
 from .coeffmodules import decompose_sl, twist_by_character
 from .cohomology import BLOCKS, BlockComplex, CohomologyReport, cocycle_from_stack, cohomology_report, cup
@@ -169,20 +181,39 @@ def _bracket_gram(sd, bracket, table, labels) -> np.ndarray:
     return lifted.T @ bracket @ lifted
 
 
-def _obstruction_scan(pres, sd, table, cross, seed: int) -> dict:
+def _duality(table, cross) -> np.ndarray | None:
+    """The duality pairing of the m_r classes against the m_c classes, or
+    None if either block has none; the obstruction scan and verify's
+    pairing checks share it."""
+    basis_c = table.complexes["m_c"].h1_basis
+    basis_r = table.complexes["m_r"].h1_basis
+    if not (basis_c.shape[1] and basis_r.shape[1]):
+        return None
+    return frozen(basis_r.T @ cross @ basis_c)
+
+
+def _scan_forms(pres, sd, table, duality) -> tuple:
+    """The seed-free half of the obstruction scan: the obstruction's Gram
+    matrix on the m_c and m_r classes side by side, and the bracket's on
+    the g0 and on the d classes.  The bracket form on full_g itself is
+    read only here, so it is not kept."""
+    bracket = fundamental_form(pres, sd.full_g, sd.full_g, sd.bracket_d)
+    obstruction = None
+    if duality is not None:
+        obstruction = frozen(_bracket_gram(sd, bracket, table, ("m_c", "m_r")))
+    return obstruction, tuple(frozen(_bracket_gram(sd, bracket, table, (label,))) for label in ("g0", "d"))
+
+
+def _obstruction_scan(pres, sd, table, pairing, seed: int) -> dict:
     """Samples z = z_c + z_r and reads the obstruction of z and the
     duality pairing of its row block against its column block (through
     the invariant form; the self-pairing of z vanishes by graded
     antisymmetry) from Gram matrices of the two forms on H^1 bases."""
+    obstruction, pure = kept(table, "scan", lambda: _scan_forms(pres, sd, table, pairing))
     rng = SeededDraws(seed + 7)
-    bracket = fundamental_form(pres, sd.full_g, sd.full_g, sd.bracket_d)
-    basis_c = table.complexes["m_c"].h1_basis
-    basis_r = table.complexes["m_r"].h1_basis
-    nc, nr = basis_c.shape[1], basis_r.shape[1]
     pairs = []
-    if nc and nr:
-        obstruction = _bracket_gram(sd, bracket, table, ("m_c", "m_r"))
-        pairing = basis_r.T @ cross @ basis_c
+    if pairing is not None:
+        nr, nc = pairing.shape
         # q has root mean square |pairing|_F; far below it, o/q is rounding
         floor = max(1e-10, 1e-3 * float(np.linalg.norm(pairing)))
         # candidate rows y = (a, b) come a chunk at a time, at most 6 chunks
@@ -195,10 +226,7 @@ def _obstruction_scan(pres, sd, table, cross, seed: int) -> dict:
                 break
         pairs = pairs[:OBSTRUCTION_SAMPLES]
     scale = max([1.0] + [abs(q) for _, q in pairs] + [abs(o) for o, _ in pairs])
-
-    def pure_max(label):
-        form = _bracket_gram(sd, bracket, table, (label,))
-        return max(abs(float(c @ form @ c)) for c in rng.normal((3, len(form))))
+    g0_max, d_max = (max(abs(float(c @ form @ c)) for c in rng.normal((3, len(form)))) for form in pure)
 
     ratios = [o / q for o, q in pairs]
     return {
@@ -208,8 +236,8 @@ def _obstruction_scan(pres, sd, table, cross, seed: int) -> dict:
         "rel_std": (
             float(np.std(ratios) / abs(np.mean(ratios))) if ratios and np.mean(ratios) != 0 else None
         ),
-        "g0_max": pure_max("g0"),
-        "d_max": pure_max("d"),
+        "g0_max": g0_max,
+        "d_max": d_max,
         "scale": scale,
         "boundary_case": False,
     }
@@ -217,6 +245,32 @@ def _obstruction_scan(pres, sd, table, cross, seed: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # the analysis itself
+
+
+def _certify(rep: Representation, policy: RankPolicy) -> tuple:
+    """The hypotheses analyze reads off rep beside its relator residual:
+    the largest distance of a determinant from a unit, and Burnside's
+    criterion on the base and, for a non-orientable group, on the
+    orientation cover.  rho(Gamma+) lies in rho(Gamma): when the cover's
+    span is the whole algebra and its commutant the scalars, so are the
+    base's."""
+    det_dev = max(abs(abs(float(np.linalg.det(m))) - 1.0) for m in rep.matrices)
+    cover_burn = None
+    if not rep.presentation.orientable:
+        cover_mats = [rep.word_image(w) for w in orientation_cover_generators(rep.presentation)]
+        cover_burn = burnside_irreducible(cover_mats, policy)
+    if cover_burn is not None and cover_burn.irreducible_over_C and cover_burn.commutant_dim == 1:
+        base_burn = BurnsideReport(True, rep.n**2, 1)
+    else:
+        base_burn = burnside_irreducible(rep.matrices, policy)
+    return det_dev, base_burn, cover_burn
+
+
+def _other_column_h1(pres, sd, policy) -> int:
+    """h1 of the other embedding's column block, which differs from this
+    one's by the orientation twist; no basis is factored."""
+    other_m_c = twist_by_character(sd.m_c, pres.orientation_character)
+    return BlockComplex(pres, other_m_c, policy, bases=False).h1
 
 
 def analyze(req: AnalysisRequest) -> AnalysisReport:
@@ -241,19 +295,8 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     # hypothesis block: fails closed
     res_base = rep.relator_residual
     ok = check("relator-residual-base", res_base <= RESIDUAL_BOUND, res_base)
-    det_dev = max(abs(abs(float(np.linalg.det(m))) - 1.0) for m in rep.matrices)
+    det_dev, base_burn, cover_burn = kept(rep, ("hypotheses", policy), lambda: _certify(rep, policy))
     ok &= check("determinant-signs", det_dev <= 1e-9, det_dev, f"tag {rep.group_tag}")
-
-    # rho(Gamma+) lies in rho(Gamma): when the cover's span is the whole
-    # algebra and its commutant the scalars, so are the base's
-    cover_burn = None
-    if not orientable:
-        cover_mats = [rep.word_image(w) for w in orientation_cover_generators(pres)]
-        cover_burn = burnside_irreducible(cover_mats, policy)
-    if cover_burn is not None and cover_burn.irreducible_over_C and cover_burn.commutant_dim == 1:
-        base_burn = BurnsideReport(True, rep.n**2, 1)
-    else:
-        base_burn = burnside_irreducible(rep.matrices, policy)
     for name, burn in (("irreducible-base", base_burn), ("irreducible-cover", cover_burn)):
         if burn is not None:
             ok &= check(
@@ -269,20 +312,20 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
             entries,
         )
 
-    sd = decompose_sl(rep, emb)
+    sd = kept(rep, ("decomposition", emb), lambda: decompose_sl(rep, emb))
     res_emb = sd.embedded.relator_residual
     check("relator-residual-embedded", res_emb <= RESIDUAL_BOUND, res_emb)
-    emb_commutant = commutant_dim(sd.embedded.matrices, policy)
+    emb_commutant = kept(sd, ("commutant", policy), lambda: commutant_dim(sd.embedded.matrices, policy))
     check("embedded-commutant", emb_commutant == 2, float(emb_commutant), "two blocks")
 
-    equivariance, bound = sd.block_equivariance()
+    equivariance, bound = kept(sd, "equivariance", sd.block_equivariance)
     check("block-equivariance", equivariance <= bound, equivariance, f"bound {bound:.1e}")
 
     # the H^1 and Z^1 bases are read by the obstruction scan and by
     # verify's checks; every other run needs only the dimensions
     bases = (orientable and pres.closed) or "all" in req.checks
     # full_g's row is the block sum, so its Euler gate would repeat theirs
-    table = cohomology_report(pres, sd, policy, bases)
+    table = kept(sd, ("table", policy, bases), lambda: cohomology_report(pres, sd, policy, bases))
     for mod in map(table.module, BLOCKS):
         if mod.euler_cells is not None:
             diff = abs(mod.dims.euler - mod.euler_cells)
@@ -310,10 +353,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         dims = {"p": p, "d": d_here, "b": b}
         d_model = d_here
     else:
-        # the other embedding's column block differs by the orientation
-        # twist; only its h1 is read, so no basis is factored
-        other_m_c = twist_by_character(sd.m_c, pres.orientation_character)
-        d_other = BlockComplex(pres, other_m_c, policy, bases=False).h1
+        d_other = kept(sd, ("other-h1", policy), lambda: _other_column_h1(pres, sd, policy))
         d_oe = d_here if emb == "orientable" else d_other
         d_tp = d_here if emb == "type_preserving" else d_other
         f = pres.full_boundary_count
@@ -321,11 +361,12 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         dims = {"p": p, "b": b, "d_oe": d_oe, "d_tp": d_tp, "f": f, "d_model": d_here}
         d_model = d_here
 
-    obstruction = cross = None
+    obstruction = cross = duality = None
     if orientable and pres.closed:
         # the duality pairing of m_r against m_c, on stacked cocycles
-        cross = fundamental_form(pres, sd.m_r, sd.m_c, sd.cross_form)
-        obstruction = _obstruction_scan(pres, sd, table, cross, req.seed)
+        cross = kept(sd, "cross", lambda: frozen(fundamental_form(pres, sd.m_r, sd.m_c, sd.cross_form)))
+        duality = kept(table, "duality", lambda: _duality(table, cross))
+        obstruction = _obstruction_scan(pres, sd, table, duality, req.seed)
         scale = obstruction["scale"]
         if obstruction["ratios"]:
             check(
@@ -343,7 +384,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     flags.extend(model.flags)
 
     if "all" in req.checks:
-        entries.extend(_extra_checks(pres, sd, table, cross, policy, req.seed))
+        entries.extend(_extra_checks(pres, sd, table, cross, duality, policy, req.seed))
 
     group_info = {
         "description": pres.describe(),
@@ -376,9 +417,11 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 # the extra cross-checks behind verify
 
 
-def _extra_checks(pres, sd, table, cross, policy, seed) -> list[LedgerEntry]:
+def _audit(pres, sd, table, policy) -> tuple[tuple[LedgerEntry, ...], np.ndarray]:
+    """verify's seed-free gates on the table, in ledger order, and the
+    block classes lifted to ambient coordinates, which the Weil test mixes
+    by a seeded draw."""
     entries: list[LedgerEntry] = []
-    rng = SeededDraws(seed + 23)
     # full_g is the sum of the table's blocks, the only bases verify
     # factors: its own complex, values-only, audits that sum
     full_g = BlockComplex(pres, sd.full_g, policy, bases=False)
@@ -401,10 +444,15 @@ def _extra_checks(pres, sd, table, cross, policy, seed) -> list[LedgerEntry]:
 
     res = max(cocycle_residual(pres, c.module, c.h1_basis) for c in table.complexes.values())
     entries.append(LedgerEntry("h1-cocycle-residual", res <= 1e-8, res))
+    lifted = np.hstack([sd.lift(label, c.h1_basis) for label, c in table.complexes.items()])
+    return tuple(entries), frozen(lifted)
 
+
+def _extra_checks(pres, sd, table, cross, duality, policy, seed) -> list[LedgerEntry]:
+    audit, lifted = kept(table, "audit", lambda: _audit(pres, sd, table, policy))
+    entries = list(audit)
     # the Weil directions: the block classes, lifted and mixed by a fixed
     # draw, since a pure m_c or m_r cocycle integrates exactly
-    lifted = np.hstack([sd.lift(label, c.h1_basis) for label, c in table.complexes.items()])
     if lifted.shape[1]:
         mix = SeededDraws(seed + 29).normal((lifted.shape[1],) * 2)
         directions = (lifted @ mix).T
@@ -414,22 +462,22 @@ def _extra_checks(pres, sd, table, cross, policy, seed) -> list[LedgerEntry]:
         entries.append(LedgerEntry("weil-slope", dev <= 0.1, dev, f"{len(slopes)} tangent directions"))
 
     if pres.closed and pres.orientable:
-        entries.extend(_closed_orientable_checks(pres, sd, table, cross, rng))
+        entries.extend(_closed_orientable_checks(pres, sd, table, cross, duality, SeededDraws(seed + 23)))
     return entries
 
 
-def _closed_orientable_checks(pres, sd, table, cross, rng) -> list[LedgerEntry]:
-    """Every pairing here is read from a Gram matrix of a fundamental form
-    on the H^1 or Z^1 bases: cross pairs m_r against m_c, cross_cr the
-    other way round."""
+def _pairing_audit(pres, sd, table, cross, duality) -> tuple:
+    """The seed-free half of the pairing checks: the gates read off the
+    duality pairing and the two cross forms, the scale the others are
+    measured in, and the transgression forms that pair coboundaries of
+    m_c against the Z^1 basis of m_r."""
     entries: list[LedgerEntry] = []
     basis_c = table.complexes["m_c"].h1_basis
     basis_r = table.complexes["m_r"].h1_basis
-    cross_cr = fundamental_form(pres, sd.m_c, sd.m_r, sd.cross_form.T)
+    cross_cr = kept(sd, "cross_cr", lambda: frozen(fundamental_form(pres, sd.m_c, sd.m_r, sd.cross_form.T)))
 
     scale = 1.0
-    if basis_c.shape[1] and basis_r.shape[1]:
-        duality = basis_r.T @ cross @ basis_c
+    if duality is not None:
         sv = np.linalg.svd(duality, compute_uv=False)
         scale = max(1.0, float(sv.max()))
         entries.append(
@@ -447,13 +495,27 @@ def _closed_orientable_checks(pres, sd, table, cross, rng) -> list[LedgerEntry]:
 
     # coboundary arguments through the invariant cross form: delta-v in
     # one block against a genuine cocycle of the dual block
-    worst = 0.0
+    transgression = None
     cob = table.complexes["m_c"].cob
     z1_r = table.complexes["m_r"].z_basis
     if z1_r.shape[1]:
-        left = cob.T @ cross_cr @ z1_r
-        right = z1_r.T @ cross @ cob
-        v, w = rng.normal((4, sd.n)), rng.normal((4, z1_r.shape[1]))
+        transgression = frozen(cob.T @ cross_cr @ z1_r), frozen(z1_r.T @ cross @ cob)
+    return tuple(entries), scale, transgression
+
+
+def _closed_orientable_checks(pres, sd, table, cross, duality, rng) -> list[LedgerEntry]:
+    """Every pairing here is read from a Gram matrix of a fundamental form
+    on the H^1 or Z^1 bases: cross pairs m_r against m_c, cross_cr the
+    other way round."""
+    audit, scale, transgression = kept(
+        table, "pairings", lambda: _pairing_audit(pres, sd, table, cross, duality)
+    )
+    entries = list(audit)
+
+    worst = 0.0
+    if transgression is not None:
+        left, right = transgression
+        v, w = rng.normal((4, sd.n)), rng.normal((4, left.shape[1]))
         forward = ((v @ left) * w).sum(axis=1)
         backward = ((w @ right) * v).sum(axis=1)
         worst = float(np.abs(np.concatenate([forward, backward])).max()) / scale
@@ -464,7 +526,9 @@ def _closed_orientable_checks(pres, sd, table, cross, rng) -> list[LedgerEntry]:
     # the cross form against the word-by-word reference on one pair, the
     # row cocycle drawn along the image of the column one so that the
     # pair pairs strongly and a relative error of the form shows in full
-    if basis_c.shape[1] and basis_r.shape[1]:
+    if duality is not None:
+        basis_c = table.complexes["m_c"].h1_basis
+        basis_r = table.complexes["m_r"].h1_basis
         a = rng.normal((basis_c.shape[1],))
         sc, sr = basis_c @ a, basis_r @ (duality @ a)
         zr, zc = cocycle_from_stack(sd.m_r, sr), cocycle_from_stack(sd.m_c, sc)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ._record import Value
@@ -223,7 +224,7 @@ class GroupPresentation(Value):
             generator_names=tuple(generator_names),
             relators=tuple(map(tuple, relators)),
             orientation_character=tuple(orientation_character),
-            torsion_orders={} if torsion_orders is None else torsion_orders,
+            torsion_orders=MappingProxyType(dict(torsion_orders or {})),
             peripheral_words=tuple(map(tuple, peripheral_words)),
             long_relator_index=long_relator_index,
             cells=tuple(cells),

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from ._record import Frozen
+from ._record import Frozen, frozen
 from .linalg import RankPolicy, SeededDraws, rank, rank_cut
 from .presentation import (
     GroupPresentation,
@@ -158,7 +159,7 @@ class Representation(Frozen):
         mats = tuple(np.asarray(m, dtype=float) for m in matrices)
         vars(self).update(
             presentation=presentation, matrices=mats, group_tag=group_tag, lineage=tuple(lineage),
-            build_info={} if build_info is None else build_info,
+            build_info=MappingProxyType(dict(build_info or {})),
         )
         if group_tag not in GROUP_TAGS:
             raise RepError(f"unknown group tag {group_tag!r}")
@@ -193,10 +194,7 @@ class Representation(Frozen):
     @cached_property
     def _inverses(self) -> tuple[np.ndarray, ...]:
         """Read-only, like the matrices of a shared representation."""
-        inverses = tuple(np.linalg.inv(m) for m in self.matrices)
-        for m in inverses:
-            m.flags.writeable = False
-        return inverses
+        return tuple(frozen(np.linalg.inv(m)) for m in self.matrices)
 
     def gen(self, letter: int) -> np.ndarray:
         if letter > 0:
@@ -527,7 +525,7 @@ def _seed_free_rep(sig: OrbifoldSignature) -> Representation:
     else:
         raise BuildError(f"no builtin construction for {sig.to_text()}; supply a representation file")
     for m in rep.matrices:
-        m.flags.writeable = False
+        frozen(m)
     return rep
 
 
@@ -558,8 +556,8 @@ def embed(rep: Representation, kind: str) -> Representation:
     mats[:, : rep.n, : rep.n] = rep.matrices
     mats[:, rep.n, rep.n] = corners
     tag = "SLpm" if kind == "type_preserving" else "SL"
-    return _derived(Representation, presentation=rep.presentation, matrices=tuple(mats), group_tag=tag,
-                    lineage=rep.lineage + (f"embed:{kind}",), build_info={})
+    return _derived(Representation, presentation=rep.presentation, matrices=tuple(frozen(mats)),
+                    group_tag=tag, lineage=rep.lineage + (f"embed:{kind}",), build_info=MappingProxyType({}))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import settings
 from charvar import analyze, decompose_sl, polygon_group, request_from_text
 from charvar.linalg import RankPolicy, rank_cut
 from charvar.presentation import parse_signature, presentation_of
-from charvar.reps import Representation, build_representation, representation_to_json
+from charvar.reps import Representation, _seed_free_rep, build_representation, representation_to_json
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -34,6 +34,16 @@ NONORIENTABLE_INPUTS = ("D(3,3;mirror)", "D(3,3,3;mirror)", "N(k=2;b=1;cone=[3])
 EVERY_INPUT = [(t, "standard") for t in ORIENTABLE_INPUTS] + [
     (t, e) for t in NONORIENTABLE_INPUTS for e in ("orientable", "type_preserving")
 ]
+
+@pytest.fixture(autouse=True)
+def fresh_seed_free_reps():
+    """Every test starts from freshly built seed-free representations.
+    analyze keeps the facts it derives from a representation with it, so
+    without this a test that monkeypatches a factorization, a basis or a
+    form could read what an earlier test left on the shared one, and its
+    patch would never run."""
+    _seed_free_rep.cache_clear()
+
 
 def kernel_basis(m, policy: RankPolicy) -> np.ndarray:
     """Orthonormal basis of the (right) null space, one column each, cut

@@ -1,0 +1,213 @@
+"""Facts kept with the object they derive from.
+
+analyze computes what depends on the representation, the embedding and
+the rank policy once, and keeps it with the representation, its
+decomposition or its table; a call at a new seed recomputes only what
+reads the seed.  These tests hold that reuse to the bytes a fresh
+process prints, keep it from crossing policies or embeddings, and check
+that kept facts are read-only and die with a representation built per
+call.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+from types import MappingProxyType
+
+import numpy as np
+import pytest
+
+from charvar import analyze, build_representation, parse_signature, request_from_text, verify_suite
+from charvar.cli import main
+from charvar.linalg import RankPolicy
+from charvar.pipeline import HypothesisError, report_to_json
+from charvar.presentation import presentation_of
+from charvar.reps import representation_to_json
+from conftest import EVERY_INPUT
+
+# one process runs each command line as the first analysis of a freshly
+# built representation, which is what a fresh process sees
+FRESH_SCRIPT = """
+import contextlib, io, json, sys
+from charvar.cli import main
+from charvar.reps import _seed_free_rep
+out = []
+for argv in json.loads(sys.argv[1]):
+    _seed_free_rep.cache_clear()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def fresh_outputs(argvs) -> list[list]:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_SCRIPT, json.dumps(argvs)], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def cli(argv) -> list:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return [code, buf.getvalue()]
+
+
+def command_lines(command: str, seed: int) -> list[list[str]]:
+    if command == "examples":
+        return [["examples", "--json", "--seed", str(seed)]]
+    return [
+        [command, "--json", text, *embed, "--seed", str(seed)]
+        for text, embedding in EVERY_INPUT
+        for embed in [() if embedding == "standard" else ("--embed", embedding.replace("_", "-"))]
+    ]
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "examples"])
+def test_a_second_call_at_a_new_seed_prints_what_a_fresh_process_does(command):
+    """Every input of the benchmarks and the examples (the closed-verify
+    panel among them), analyzed at seed 0 and then at seed 5 in one
+    process: the second call reads the first call's facts and prints the
+    bytes a fresh process prints at seed 5."""
+    warm = []
+    for first, second in zip(command_lines(command, 0), command_lines(command, 5)):
+        cli(first)
+        warm.append(cli(second))
+    fresh = fresh_outputs(command_lines(command, 5))
+    assert [code for code, _ in warm] == [0] * len(warm)
+    for argv, got, want in zip(command_lines(command, 5), warm, fresh):
+        assert got == want, argv
+
+
+def test_a_second_call_reads_the_first_calls_facts():
+    """A seed-free representation is shared, and so is every fact kept
+    with it: the table of a second call is the first call's."""
+    first = analyze(request_from_text("S2(3,3,3,3)", seed=0))
+    second = analyze(request_from_text("S2(3,3,3,3)", seed=5))
+    assert second.cohomology is first.cohomology
+    assert second.irreducibility["base"] is first.irreducibility["base"]
+    assert second.obstruction["ratios"] != first.obstruction["ratios"]
+
+
+def test_another_rank_policy_reads_none_of_this_ones_facts():
+    """The table, the hypotheses and everything derived from them are kept
+    per rank policy: a relative tolerance of 1e-2 cuts g0's ranks lower
+    (p = 12, not 8), and 0.5 fails Burnside's criterion, after and before
+    the default policy ran on the same representation."""
+    loose = RankPolicy(1e-2, 1e-5)
+    default = analyze(request_from_text("S2(3,3,3,3)"))
+    report = analyze(request_from_text("S2(3,3,3,3)", policy=loose))
+    assert report.cohomology is not default.cohomology
+    assert {c.policy for c in report.cohomology.complexes.values()} == {loose}
+    assert (default.dims["p"], report.dims["p"]) == (8, 12)
+    with pytest.raises(HypothesisError):
+        analyze(request_from_text("S2(3,3,3,3)", policy=RankPolicy(0.5, 5e-4)))
+    assert analyze(request_from_text("S2(3,3,3,3)", seed=3)).cohomology is default.cohomology
+    assert cli(["analyze", "--json", "S2(3,3,3,3)", "--tol", "1e-2"]) == fresh_outputs(
+        [["analyze", "--json", "S2(3,3,3,3)", "--tol", "1e-2"]]
+    )[0]
+
+
+def test_the_other_embedding_reads_none_of_this_ones_facts():
+    """The two embeddings of a mirrored disc share the representation and
+    its hypotheses, but each has its own decomposition and table."""
+    orientable = analyze(request_from_text("D(3,3;mirror)", embedding="orientable"))
+    preserving = analyze(request_from_text("D(3,3;mirror)", embedding="type_preserving"))
+    assert preserving.irreducibility["cover"] is orientable.irreducibility["cover"]
+    assert preserving.cohomology is not orientable.cohomology
+    for mine, other in zip(orientable.cohomology.complexes.values(), preserving.cohomology.complexes.values()):
+        assert mine.module is not other.module
+    argvs = [["analyze", "--json", "D(3,3;mirror)", "--embed", e] for e in ("type-preserving", "orientable")]
+    assert [cli(argv) for argv in argvs] == fresh_outputs(argvs)
+
+
+def table_ref(req) -> weakref.ref:
+    """A weak reference to the table of analyze(req); the report is gone
+    when it returns."""
+    return weakref.ref(analyze(req).cohomology)
+
+
+def test_facts_of_a_representation_built_per_call_die_with_its_report(tmp_path):
+    """A seeded (boundary) or file representation is built per call, and
+    its kept facts are freed with the report; a seed-free one is shared,
+    and its facts outlive the report."""
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps(representation_to_json(build_representation(parse_signature("S2(3,3,3,3)")))))
+    for req in (
+        request_from_text("O(g=2;b=2;cone=[3,5])", seed=3),
+        request_from_text("N(k=2;b=1;cone=[3])", embedding="type_preserving", seed=3),
+        request_from_text("S2(3,3,3,3)", rep_path=str(path), checks=("all",)),
+    ):
+        assert table_ref(req)() is None, req.input_text
+    shared = table_ref(request_from_text("S2(3,3,3,3)", checks=("all",)))
+    assert shared() is analyze(request_from_text("S2(3,3,3,3)", seed=9, checks=("all",))).cohomology
+
+
+def arrays_within(obj, seen):
+    """Every array reachable from obj through the package's records,
+    tuples and mappings."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, (tuple, list)):
+        items = obj
+    elif isinstance(obj, (dict, MappingProxyType)):
+        items = obj.values()
+    elif type(obj).__module__.startswith("charvar."):
+        items = vars(obj).values()
+    else:
+        return
+    for item in items:
+        yield from arrays_within(item, seen)
+
+
+@pytest.mark.parametrize("text, embedding", [("S2(3,3,3,3)", None), ("O(g=2)", None), ("HD(5)", "orientable")])
+def test_every_shared_array_is_read_only(text, embedding):
+    """After analyze and verify, every array kept with the shared
+    representation, its decompositions, tables, forms and Gram matrices,
+    refuses a write."""
+    report = analyze(request_from_text(text, embedding=embedding))
+    verify_suite(request_from_text(text, embedding=embedding, seed=4))
+    rep = build_representation(parse_signature(text))
+    arrays = list(arrays_within(rep, set()))
+    assert len(arrays) > 50
+    assert any(a is report.cohomology.complexes["g0"].fox for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_shared_records_hold_no_writable_mapping():
+    """The mappings of the shared records refuse an in-place write, and
+    report_to_json still writes them as plain JSON objects."""
+    pres = presentation_of(parse_signature("S2(3,3,4)"))
+    with pytest.raises(TypeError):
+        pres.torsion_orders[1] = 5
+    assert pres.torsion_orders == {1: 3, 2: 3, 3: 4}
+    boundary = build_representation(parse_signature("O(g=2;b=2;cone=[3,5])"), seed=3)
+    with pytest.raises(TypeError):
+        boundary.build_info["attempt"] = 9
+    report = analyze(request_from_text("S2(3,3,3,3)"))
+    with pytest.raises(TypeError):
+        report.cohomology.module("g0").dims.methods["h2"] = "fox"
+    with pytest.raises(TypeError):
+        report.cohomology.complexes["g0"] = None
+    table = json.loads(json.dumps(report_to_json(report)))["cohomology"]
+    assert table["g0"]["methods"] == {"h0": "fox", "h1": "fox", "h2": "duality"}
+    assert table["full_g"]["methods"] == dict.fromkeys(("h0", "h1", "h2"), "direct_sum")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -537,16 +538,29 @@ def test_runs_that_read_bases_factor_each_block_once(monkeypatch, run, text, emb
     the table.  On non-orientable input the other embedding's column
     block gives only its h1, from two values-only cuts, and verify audits
     full_g, the table's sum, with two values-only cuts of its own complex
-    and reads no basis of it."""
+    and reads no basis of it.  A group without boundary circles has one
+    shared representation, and every factorization is kept with it, so a
+    second run at another seed takes no SVD at all; a seeded one is built
+    and factored anew."""
     calls = svd_calls_by_caller(monkeypatch)
     based = set()
     real = BlockComplex.h1_basis.func
-    monkeypatch.setattr(BlockComplex, "h1_basis", property(lambda c: based.add(c.module.label) or real(c)))
+    # still cached per complex, so the second run reads the first's bases
+    recorded = cached_property(lambda c: based.add(c.module.label) or real(c))
+    recorded.__set_name__(BlockComplex, "h1_basis")
+    monkeypatch.setattr(BlockComplex, "h1_basis", recorded)
     run(request_from_text(text, embedding=embedding))
     cuts = [uv for name, uv in calls if name in ("_fox_cut", "_cob_cut")]
     other = embedding not in (None, "standard")
     assert cuts == [True] * 2 * len(BLOCKS) + [False] * 2 * other + [False] * 2 * (run is verify_suite)
     assert "full_g" not in based and based <= set(BLOCKS)
+    calls.clear()
+    run(request_from_text(text, embedding=embedding, seed=1))
+    sig = parse_signature(text)
+    if build_representation(sig, 0) is build_representation(sig, 1):
+        assert calls == []
+    else:
+        assert [uv for name, uv in calls if name in ("_fox_cut", "_cob_cut")] == cuts
 
 
 @pytest.mark.parametrize(
