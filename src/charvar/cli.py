@@ -97,13 +97,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _policy(args) -> RankPolicy:
+    # at the default --tol this is RankPolicy() itself, so the CLI and the
+    # library share the facts kept per policy
+    return RankPolicy(args.tol, args.tol / 1000)
+
+
 def _request(args):
-    policy = RankPolicy(relative=args.tol, absolute=args.tol * 1e-3)
     return request_from_text(
         args.signature,
         rep_path=args.rep,
         embedding=args.embed,
-        policy=policy,
+        policy=_policy(args),
         seed=args.seed,
     )
 
@@ -170,10 +175,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    policy = RankPolicy(relative=args.tol, absolute=args.tol * 1e-3)
-    reports = [
-        analyze(req.replace(policy=policy)) for req in example_requests(args.seed)
-    ]
+    policy = _policy(args)
+    reports = [analyze(req.replace(policy=policy)) for req in example_requests(args.seed)]
     if args.json:
         print(
             json.dumps(

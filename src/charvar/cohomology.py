@@ -5,15 +5,14 @@ image of the coboundary map v -> (gv - v)_g, and H^0 the joint fixed
 space of the generators.  H^2 is never assembled from bar-resolution
 cochains: with a boundary it vanishes, and for closed groups it is the
 fixed space of the (orientation-twisted) contragredient module, by
-duality, read off one rank.  A BlockComplex factors both matrices of one
+duality, read off one rank.  A BlockComplex builds both matrices of one
 coefficient block once; dimensions, the H^1 basis and the verify checks
-all read it.  A run that reads no basis (analyze on any input but a
-closed orientable one) asks for none, and its factorizations are
-singular values alone.  The ambient algebra full_g = g0 + m_c + m_r + d is a
-direct sum of modules: the table walks its relators once, in the
-block-diagonal sum, reads every block's stabilizer invariants from the
-characters of the embedded representation diag(A, c), and its row is
-the sum of the block rows.  verify audits that sum with full_g's own
+all read them.  Every rank cut reads singular values alone; a basis is
+factored only when something reads it.  The ambient algebra
+full_g = g0 + m_c + m_r + d is a direct sum of modules: the table walks
+its relators once, in the block-diagonal sum, reads every block's
+stabilizer invariants from the characters of the embedded representation
+diag(A, c), and its row is the sum of the block rows.  verify audits that sum with full_g's own
 complex from singular values alone; every H^1 basis it reads, the Weil
 directions' included, is a block's.
 
@@ -191,26 +190,19 @@ class BlockComplex(Frozen):
     """C^0 -> C^1 -> C^2 of one coefficient block in low degree, each map
     built and factored once, on first use.
 
-    The Fox matrix (kernel Z^1) and the coboundary matrix (columns span
-    B^1) each go through one SVD.  With bases (the default) it is a full
-    SVD of the Fox matrix and a thin one of the coboundary matrix, and
-    dims, the H^1 basis and the verify checks all read those two
-    factorizations.  Without, dims and h1 come from singular values
-    alone; a basis read anyway is factored then, and sliced at the ranks
-    dims reported, so its width is still dims.h1.  The table hands each
-    block its Fox matrix.  H^2 is 0 with a boundary and, for a closed
-    group, by duality h0 of the alpha-contragredient module: the kernel
-    of the stacked alpha_i A_i^T - 1.  A table shares its complexes with
-    every later reader, so every array a complex holds is read-only."""
+    dims and h1 read the Fox matrix (kernel Z^1) and the coboundary matrix
+    (columns span B^1) through their singular values alone.  A basis is
+    factored when first read, a full SVD of the Fox matrix for Z^1 and a
+    thin one of the coboundary matrix for B^1, and sliced at the ranks
+    dims reported, so the H^1 basis is dims.h1 wide whichever is read
+    first.  The table hands each block its Fox matrix.  H^2 is 0 with a
+    boundary and, for a closed group, by duality h0 of the
+    alpha-contragredient module: the kernel of the stacked
+    alpha_i A_i^T - 1.  A table shares its complexes with every later
+    reader, so every array a complex holds is read-only."""
 
-    def __init__(
-        self,
-        pres: GroupPresentation,
-        module: CoefficientModule,
-        policy: RankPolicy | None = None,
-        bases: bool = True,
-    ):
-        vars(self).update(pres=pres, module=module, policy=policy or RankPolicy(), bases=bases)
+    def __init__(self, pres: GroupPresentation, module: CoefficientModule, policy: RankPolicy | None = None):
+        vars(self).update(pres=pres, module=module, policy=policy or RankPolicy())
 
     @cached_property
     def fox(self) -> np.ndarray:
@@ -221,40 +213,28 @@ class BlockComplex(Frozen):
         return frozen(coboundary_matrix(self.pres, self.module))
 
     @cached_property
-    def _fox_cut(self) -> tuple[int, float, np.ndarray | None]:
-        """Rank of the Fox matrix, the gap at its cut, and V^T of its full
-        SVD (None without bases)."""
+    def _fox_cut(self) -> tuple[int, float]:
+        """Rank of the Fox matrix and the gap at its cut."""
         if self.fox.shape[0] == 0:
-            return 0, float("inf"), frozen(np.eye(self.fox.shape[1]))
-        if not self.bases:
-            return *rank_cut(np.linalg.svd(self.fox, compute_uv=False), self.policy), None
-        _, s, vt = np.linalg.svd(self.fox, full_matrices=True)
-        return *rank_cut(s, self.policy), frozen(vt)
+            return 0, float("inf")
+        return rank_cut(np.linalg.svd(self.fox, compute_uv=False), self.policy)
 
     @cached_property
-    def _cob_cut(self) -> tuple[int, float, np.ndarray | None]:
-        """Rank of the coboundary matrix, the gap at its cut, and U of its
-        thin SVD (None without bases)."""
-        if not self.bases:
-            return *rank_cut(np.linalg.svd(self.cob, compute_uv=False), self.policy), None
-        u, s, _ = np.linalg.svd(self.cob, full_matrices=False)
-        return *rank_cut(s, self.policy), frozen(u)
+    def _cob_cut(self) -> tuple[int, float]:
+        """Rank of the coboundary matrix and the gap at its cut."""
+        return rank_cut(np.linalg.svd(self.cob, compute_uv=False), self.policy)
 
     @cached_property
     def z_basis(self) -> np.ndarray:
         """Orthonormal basis of Z^1, one stacked cocycle per column."""
-        r, _, vt = self._fox_cut
-        if vt is None:
-            vt = frozen(np.linalg.svd(self.fox, full_matrices=True)[2])
-        return vt[r:].T
+        if self.fox.shape[0] == 0:
+            return frozen(np.eye(self.fox.shape[1]))
+        return frozen(np.linalg.svd(self.fox, full_matrices=True)[2])[self._fox_cut[0] :].T
 
     @cached_property
     def _b_basis(self) -> np.ndarray:
         """Orthonormal basis of B^1, one stacked coboundary per column."""
-        r, _, u = self._cob_cut
-        if u is None:
-            u = frozen(np.linalg.svd(self.cob, full_matrices=False)[0])
-        return u[:, :r]
+        return frozen(np.linalg.svd(self.cob, full_matrices=False)[0])[:, : self._cob_cut[0]]
 
     @cached_property
     def h1(self) -> int:
@@ -272,7 +252,7 @@ class BlockComplex(Frozen):
         m = self.module
         if m.num_generators == 0:
             return HDims(0, 0, 0, 0, 0, MappingProxyType({"all": "degenerate"}), degenerate=True)
-        (fox_rank, fox_gap, _), (b1, cob_gap, _) = self._fox_cut, self._cob_cut
+        (fox_rank, fox_gap), (b1, cob_gap) = self._fox_cut, self._cob_cut
         h1, z1 = self.h1, self.fox.shape[1] - fox_rank
         if self.pres.closed:
             eye = np.eye(m.dim)
@@ -306,11 +286,6 @@ class BlockComplex(Frozen):
                 f"singular value {s[h1 - 1]:.3e} at position {h1}"
             )
         return frozen(u[:, :h1])
-
-    @property
-    def h1_cocycles(self) -> list[Cocycle]:
-        """The columns of h1_basis as cocycles."""
-        return [cocycle_from_stack(self.module, col) for col in self.h1_basis.T]
 
 
 def _invariant_dims(h: np.ndarray, order: int) -> np.ndarray:
@@ -499,16 +474,13 @@ def _block_sum(modules, ends) -> CoefficientModule:
     return _derived(CoefficientModule, label="custom", action=tuple(action), _inverses=tuple(inverses))
 
 
-def cohomology_report(
-    pres: GroupPresentation, decomposition, policy: RankPolicy | None = None, bases: bool = True
-) -> CohomologyReport:
+def cohomology_report(pres: GroupPresentation, decomposition, policy: RankPolicy | None = None) -> CohomologyReport:
     """The table of the blocks of an SlDecomposition, one factored
     complex each, closed by the full_g row as their direct sum.  The
     Fox matrix of the blocks' sum holds each block's on its diagonal;
     whenever the presentation carries cells, every block's twisted Euler
     characteristic is read from the characters of the embedded
-    representation.  bases is handed to every BlockComplex: without, the
-    rows come from singular values alone."""
+    representation."""
     policy = policy or RankPolicy()
     modules = [getattr(decomposition, label) for label in BLOCKS]
     ends = np.cumsum([0] + [m.dim for m in modules]).tolist()
@@ -518,7 +490,7 @@ def cohomology_report(
     eulers = _cell_euler(pres, decomposition.embedded) if pres.cells else [None] * len(modules)
     complexes, rows = {}, []
     for label, m, lo, hi, euler in zip(BLOCKS, modules, ends[:-1], ends[1:], eulers):
-        c = complexes[label] = BlockComplex(pres, m, policy, bases)
+        c = complexes[label] = BlockComplex(pres, m, policy)
         vars(c)["fox"] = frozen(fox[:, lo:hi, :, lo:hi].reshape(r * (hi - lo), g * (hi - lo)))
         rows.append(ModuleCohomology(label, c.dims, euler))
     return CohomologyReport((*rows, _direct_sum(rows)), complexes)

@@ -109,6 +109,9 @@ class AnalysisRequest(Value):
         # repeat the draws of its positive twin
         if seed < 0:
             raise PipelineError(f"seed must be a non-negative integer, got {seed}")
+        unknown = set(checks) - {"core", "all"}
+        if unknown:
+            raise PipelineError(f"unknown checks {sorted(unknown)}: choose 'core' or 'all'")
         vars(self).update(
             signature=signature, rep_path=rep_path, embedding=embedding, policy=policy,
             seed=seed, checks=tuple(checks),
@@ -270,7 +273,7 @@ def _other_column_h1(pres, sd, policy) -> int:
     """h1 of the other embedding's column block, which differs from this
     one's by the orientation twist; no basis is factored."""
     other_m_c = twist_by_character(sd.m_c, pres.orientation_character)
-    return BlockComplex(pres, other_m_c, policy, bases=False).h1
+    return BlockComplex(pres, other_m_c, policy).h1
 
 
 def analyze(req: AnalysisRequest) -> AnalysisReport:
@@ -321,11 +324,8 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     equivariance, bound = kept(sd, "equivariance", sd.block_equivariance)
     check("block-equivariance", equivariance <= bound, equivariance, f"bound {bound:.1e}")
 
-    # the H^1 and Z^1 bases are read by the obstruction scan and by
-    # verify's checks; every other run needs only the dimensions
-    bases = (orientable and pres.closed) or "all" in req.checks
     # full_g's row is the block sum, so its Euler gate would repeat theirs
-    table = kept(sd, ("table", policy, bases), lambda: cohomology_report(pres, sd, policy, bases))
+    table = kept(sd, ("table", policy), lambda: cohomology_report(pres, sd, policy))
     for mod in map(table.module, BLOCKS):
         if mod.euler_cells is not None:
             diff = abs(mod.dims.euler - mod.euler_cells)
@@ -422,9 +422,9 @@ def _audit(pres, sd, table, policy) -> tuple[tuple[LedgerEntry, ...], np.ndarray
     block classes lifted to ambient coordinates, which the Weil test mixes
     by a seeded draw."""
     entries: list[LedgerEntry] = []
-    # full_g is the sum of the table's blocks, the only bases verify
-    # factors: its own complex, values-only, audits that sum
-    full_g = BlockComplex(pres, sd.full_g, policy, bases=False)
+    # full_g is the sum of the table's blocks, whose bases are the only
+    # ones verify reads: its own complex audits that sum by its ranks
+    full_g = BlockComplex(pres, sd.full_g, policy)
 
     worst = 0.0
     for c in (*table.complexes.values(), full_g):
@@ -563,13 +563,7 @@ def ledger_to_json(entries) -> list[dict]:
 
 
 def _burnside_json(b) -> dict | None:
-    if b is None:
-        return None
-    return {
-        "irreducible_over_C": b.irreducible_over_C,
-        "algebra_dim": b.algebra_dim,
-        "commutant_dim": b.commutant_dim,
-    }
+    return None if b is None else b._asdict()
 
 
 def report_to_json(report: AnalysisReport) -> dict:

@@ -109,6 +109,15 @@ def test_tolerance_inside_the_unit_interval_is_accepted(capsys):
     assert "0 failed" in out
 
 
+def test_the_absolute_threshold_is_the_tolerance_over_a_thousand(capsys):
+    """--tol T gives the absolute threshold T / 1000: at the default it is
+    RankPolicy()'s 1e-12, and 1e-7 prints the quotient's own digits."""
+    for argv, absolute in (([], 1e-12), (["--tol", "1e-7"], 9.999999999999999e-11)):
+        rc, out, _ = run(["analyze", "--json", "S2(3,3,4)", *argv], capsys)
+        assert rc == 0
+        assert json.loads(out)["policy"]["absolute"] == absolute
+
+
 def test_bad_input_exit_one(capsys):
     rc, _, err = run(["analyze", "Q(1,2)"], capsys)
     assert rc == 1

@@ -35,7 +35,7 @@ from charvar.coeffmodules import (
     trivial_module,
     twist_by_character,
 )
-from charvar.linalg import RankPolicy
+from charvar.linalg import RankPolicy, rank_cut
 from charvar.presentation import (
     GroupPresentation,
     parse_signature,
@@ -170,7 +170,7 @@ def test_complex_degenerate_no_generators():
     block = BlockComplex(pres, trivial_module(0), POLICY)
     assert (block.dims.h0, block.dims.h1, block.dims.h2) == (0, 0, 0)
     assert block.dims.degenerate
-    assert block.h1_cocycles == []
+    assert block.h1_basis.shape == (0, 0)
 
 
 def test_twisted_euler_trivial_coefficients_recovers_underlying_space(setups):
@@ -342,7 +342,8 @@ def test_complex_h1_basis_counts_and_residuals(quad):
     counts = {"g0": 8, "m_c": 2, "m_r": 2, "d": 0}
     for label, expected in counts.items():
         block = BlockComplex(quad.pres, getattr(quad.sd, label), POLICY)
-        assert len(block.h1_cocycles) == block.h1_basis.shape[1] == expected
+        cocycles = [cocycle_from_stack(block.module, col) for col in block.h1_basis.T]
+        assert len(cocycles) == block.h1_basis.shape[1] == expected
         assert cocycle_residual(quad.pres, block.module, block.h1_basis) < 1e-8
         np.testing.assert_allclose(block.h1_basis.T @ block.h1_basis, np.eye(expected), atol=1e-10)
 
@@ -358,7 +359,8 @@ def test_bracket_form_vanishes_on_pure_blocks(quad):
 
 
 def test_weil_slope_is_two_for_genuine_cocycles(quad):
-    basis = BlockComplex(quad.pres, quad.sd.full_g, POLICY).h1_cocycles
+    block = BlockComplex(quad.pres, quad.sd.full_g, POLICY)
+    basis = [cocycle_from_stack(block.module, col) for col in block.h1_basis.T]
     assert basis
     deformations = [[quad.sd.to_matrix(v) for v in z.values] for z in basis[:3]]
     slopes, residuals = weil_slope(quad.sd.hat_matrices, quad.pres.relators, deformations)
@@ -455,33 +457,36 @@ def test_h2_by_duality_is_the_alpha_contragredient_h0(setups):
     assert len(seen) >= 40 and 0 in seen and max(seen) > 0
 
 
-@pytest.mark.parametrize(
-    "text, embedding",
-    [(t, e) for t, e in TABLE_PANEL if not (parse_signature(t).closed and parse_signature(t).orientable)],
-)
-def test_dims_only_table_matches_the_factored_one(setups, text, embedding):
-    """Without bases every row field but min_gap is the factored table's.
-    A basis read anyway is factored then and cut at the ranks dims
-    reported: width dims.h1 (dims.z1 for Z^1), bit for bit the factored
-    complex's basis."""
+@pytest.mark.parametrize("text, embedding", TABLE_PANEL)
+def test_a_table_block_factors_its_basis_at_the_ranks_dims_reported(setups, text, embedding):
+    """Each row of the table is its block's own complex's, min_gap
+    included, from singular values alone.  The full SVD a basis read
+    factors cuts its own spectrum at the same ranks, with a gap past the
+    gate, so the bases are dims.z1 and dims.h1 wide: bit for bit those of
+    a complex whose basis is read before its dims."""
     s = setups(text, embedding)
-    full = cohomology_report(s.pres, s.sd, POLICY)
-    dims_only = cohomology_report(s.pres, s.sd, POLICY, bases=False)
-    for row, other in zip(full.modules, dims_only.modules):
-        assert row == other._replace(dims=other.dims._replace(min_gap=row.dims.min_gap))
-        assert other.dims.min_gap >= 10.0
+    table = cohomology_report(s.pres, s.sd, POLICY)
     for label in BLOCKS:
-        c, ref = dims_only.complexes[label], full.complexes[label]
-        assert c.h1_basis.shape[1] == c.dims.h1 and c.z_basis.shape[1] == c.dims.z1
-        assert np.array_equal(c.h1_basis, ref.h1_basis)
+        c = table.complexes[label]
+        first = BlockComplex(s.pres, getattr(s.sd, label), POLICY)
+        z_first, h1_first = first.z_basis, first.h1_basis
+        assert table.module(label).dims == c.dims == first.dims
+        assert c.dims.min_gap >= 10.0
+        for matrix, full, rank in ((c.fox, True, c.fox.shape[1] - c.dims.z1), (c.cob, False, c.dims.b1)):
+            if matrix.shape[0]:
+                cut, gap = rank_cut(np.linalg.svd(matrix, full_matrices=full)[1], POLICY)
+                assert cut == rank and gap >= 10.0, label
+        assert c.z_basis.shape[1] == c.dims.z1 and c.h1_basis.shape[1] == c.dims.h1
+        assert np.array_equal(c.z_basis, z_first) and np.array_equal(c.h1_basis, h1_first)
 
 
 def test_a_basis_read_first_is_cut_at_the_dims_rank(setups):
-    """Read before dims, a dims-only complex's basis is still cut at the
-    rank dims makes."""
+    """Read before dims, a complex's Z^1 and H^1 bases are still cut at
+    the ranks dims makes."""
     s = setups("HD(5)", "orientable")
-    c = BlockComplex(s.pres, s.sd.m_c, POLICY, bases=False)
-    basis = c.h1_basis
+    c = BlockComplex(s.pres, s.sd.m_c, POLICY)
+    z_basis, basis = c.z_basis, c.h1_basis
+    assert z_basis.shape[1] == c.dims.z1
     assert basis.shape[1] == c.dims.h1 == BlockComplex(s.pres, s.sd.m_c, POLICY).dims.h1 > 0
 
 

@@ -121,6 +121,20 @@ def test_another_rank_policy_reads_none_of_this_ones_facts():
     )[0]
 
 
+def test_the_cli_and_the_library_share_one_rank_policy(monkeypatch):
+    """At the default --tol the CLI's policy is RankPolicy() itself: it
+    prints the library's report and reads the table the library call
+    kept."""
+    import charvar.cli as cli_module
+
+    reports = []
+    monkeypatch.setattr(cli_module, "analyze", lambda req: reports.append(analyze(req)) or reports[-1])
+    library = analyze(request_from_text("D(3,3;mirror)", embedding="orientable"))
+    code, out = cli(["analyze", "--json", "D(3,3;mirror)", "--embed", "orientable"])
+    assert code == 0 and out == json.dumps(report_to_json(library), indent=2, sort_keys=True) + "\n"
+    assert reports[0].request.policy == RankPolicy() and reports[0].cohomology is library.cohomology
+
+
 def test_the_other_embedding_reads_none_of_this_ones_facts():
     """The two embeddings of a mirrored disc share the representation and
     its hypotheses, but each has its own decomposition and table."""
@@ -181,14 +195,18 @@ def arrays_within(obj, seen):
 def test_every_shared_array_is_read_only(text, embedding):
     """After analyze and verify, every array kept with the shared
     representation, its decompositions, tables, forms and Gram matrices,
-    refuses a write."""
+    refuses a write.  The walk reaches every block's Fox matrix and its
+    Z^1 and H^1 bases, the Z^1 basis read here where no check read it."""
     report = analyze(request_from_text(text, embedding=embedding))
     verify_suite(request_from_text(text, embedding=embedding, seed=4))
+    complexes = report.cohomology.complexes.values()
+    for c in complexes:
+        assert c.z_basis.shape[1] == c.dims.z1
     rep = build_representation(parse_signature(text))
-    arrays = list(arrays_within(rep, set()))
-    assert len(arrays) > 50
-    assert any(a is report.cohomology.complexes["g0"].fox for a in arrays)
-    for a in arrays:
+    arrays = {id(a): a for a in arrays_within(rep, set())}
+    for c in complexes:
+        assert all(id(a) in arrays for a in (c.fox, c.z_basis, c.h1_basis)), c.module.label
+    for a in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
 

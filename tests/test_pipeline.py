@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -54,6 +53,16 @@ def test_request_parsing():
     assert req2.input_text == "O(g=0;b=1;cone=[3,3])"
     with pytest.raises(Exception):
         request_from_text("Q(1,2)")
+
+
+@pytest.mark.parametrize("checks", [("All",), ("everything",), ("core", "extra")])
+def test_unknown_check_names_are_refused(checks):
+    """A check set names only "core" or "all"; any other name would run
+    the core gates alone without a word."""
+    with pytest.raises(PipelineError, match="unknown checks"):
+        request_from_text("S2(3,3,4)", checks=checks)
+    for known in (("core",), ("all",), ("core", "all")):
+        assert request_from_text("S2(3,3,4)", checks=known).checks == known
 
 
 def test_embedding_resolution():
@@ -505,27 +514,34 @@ def test_other_embedding_reads_h1_alone(monkeypatch):
 
 
 def svd_calls_by_caller(monkeypatch):
-    """Records (calling function, with singular vectors) per np.linalg.svd call."""
+    """Records (calling function, with singular vectors, the caller's self)
+    per np.linalg.svd call."""
     calls = []
     real = np.linalg.svd
 
     def recorded(*args, **kwargs):
-        calls.append((sys._getframe(1).f_code.co_name, kwargs.get("compute_uv", True)))
+        caller = sys._getframe(1)
+        calls.append((caller.f_code.co_name, kwargs.get("compute_uv", True), caller.f_locals.get("self")))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     return calls
 
 
+def rank_cuts(calls) -> list[bool]:
+    return [uv for name, uv, _ in calls if name in ("_fox_cut", "_cob_cut")]
+
+
 def test_dims_only_analyze_factors_no_singular_vectors(monkeypatch):
     """On input that is not closed orientable, analyze reads no basis, so
     every block of the table, and the other embedding's column block,
-    takes its Fox and coboundary ranks from singular values alone."""
+    takes its Fox and coboundary ranks from singular values alone and
+    factors no basis."""
     calls = svd_calls_by_caller(monkeypatch)
     report = analyze(request_from_text("D(3,3;mirror)", embedding="orientable"))
-    cuts = [uv for name, uv in calls if name in ("_fox_cut", "_cob_cut")]
-    assert cuts == [False] * 2 * (len(BLOCKS) + 1)
-    assert not any(report.cohomology.complexes[label].bases for label in BLOCKS)
+    assert rank_cuts(calls) == [False] * 2 * (len(BLOCKS) + 1)
+    assert all(name in ("_fox_cut", "_cob_cut") for name, _, owner in calls if isinstance(owner, BlockComplex))
+    assert not any({"z_basis", "_b_basis"} & set(vars(c)) for c in report.cohomology.complexes.values())
 
 
 BASES_READ = [(analyze, "S2(3,3,3,3)", None)] + [(verify_suite, t, e) for t, e in EVERY_INPUT]
@@ -534,33 +550,41 @@ BASES_READ = [(analyze, "S2(3,3,3,3)", None)] + [(verify_suite, t, e) for t, e i
 @pytest.mark.parametrize("run, text, embedding", BASES_READ)
 def test_runs_that_read_bases_factor_each_block_once(monkeypatch, run, text, embedding):
     """The obstruction scan and verify's checks read the H^1 and Z^1
-    bases: one full factorization of each matrix of the four blocks of
-    the table.  On non-orientable input the other embedding's column
-    block gives only its h1, from two values-only cuts, and verify audits
-    full_g, the table's sum, with two values-only cuts of its own complex
-    and reads no basis of it.  A group without boundary circles has one
-    shared representation, and every factorization is kept with it, so a
-    second run at another seed takes no SVD at all; a seeded one is built
-    and factored anew."""
+    bases.  Every rank cut is values-only: one per Fox and coboundary
+    matrix of the four blocks, of the other embedding's column block on
+    non-orientable input and, under verify, of full_g's own complex.  A
+    basis read takes one vector SVD of the Fox matrix and one of the
+    coboundary matrix, on a block of the table only, and every block with
+    classes is factored.  A group without boundary circles has one shared
+    representation, and every factorization is kept with it, so a second
+    run at another seed takes no SVD at all; a seeded one is built and
+    factored anew."""
+    import charvar.pipeline as pipeline
+
     calls = svd_calls_by_caller(monkeypatch)
-    based = set()
-    real = BlockComplex.h1_basis.func
-    # still cached per complex, so the second run reads the first's bases
-    recorded = cached_property(lambda c: based.add(c.module.label) or real(c))
-    recorded.__set_name__(BlockComplex, "h1_basis")
-    monkeypatch.setattr(BlockComplex, "h1_basis", recorded)
+    tables = []
+    real = pipeline.cohomology_report
+    monkeypatch.setattr(pipeline, "cohomology_report", lambda *args: tables.append(real(*args)) or tables[-1])
     run(request_from_text(text, embedding=embedding))
-    cuts = [uv for name, uv in calls if name in ("_fox_cut", "_cob_cut")]
     other = embedding not in (None, "standard")
-    assert cuts == [True] * 2 * len(BLOCKS) + [False] * 2 * other + [False] * 2 * (run is verify_suite)
-    assert "full_g" not in based and based <= set(BLOCKS)
+    assert rank_cuts(calls) == [False] * 2 * (len(BLOCKS) + other + (run is verify_suite))
+    (table,) = tables
+    factored = [(name, uv, owner) for name, uv, owner in calls if name in ("z_basis", "_b_basis")]
+    assert all(uv for _, uv, _ in factored)
+    pairs = [(name, owner.module.label) for name, _, owner in factored]
+    assert len(pairs) == len(set(pairs))
+    assert all(owner is table.complexes.get(owner.module.label) for _, _, owner in factored)
+    with_classes = {label for label in BLOCKS if table.module(label).dims.h1}
+    assert {label for name, label in pairs if name == "_b_basis"} == with_classes
+    assert {label for name, label in pairs if name == "z_basis"} >= with_classes
+    cuts = rank_cuts(calls)
     calls.clear()
     run(request_from_text(text, embedding=embedding, seed=1))
     sig = parse_signature(text)
     if build_representation(sig, 0) is build_representation(sig, 1):
         assert calls == []
     else:
-        assert [uv for name, uv in calls if name in ("_fox_cut", "_cob_cut")] == cuts
+        assert rank_cuts(calls) == cuts
 
 
 @pytest.mark.parametrize(
@@ -589,20 +613,20 @@ BOUNDED_ANALYZE = [("O(g=2;b=2;cone=[3,5])", None), ("D2(3,3)", None)] + [
 
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("text, embedding", BOUNDED_ANALYZE)
-def test_dims_only_rows_match_the_rows_verify_factors(text, embedding, seed):
-    """A dims-only table has the rows of the fully factored one verify
-    builds, every field but min_gap, whose noise digits come from another
-    LAPACK path; both clear the rank-gap gate."""
+def test_analyze_rows_are_the_rows_verify_reads(text, embedding, seed):
+    """analyze, which reads no basis here, and verify, which reads every
+    block's, report the same rows, min_gap included, since every rank cut
+    reads singular values alone.  A seed-free representation's table is
+    one object for both; a seeded one is built per call, and its rows
+    still match bit for bit."""
     req = request_from_text(text, embedding=embedding, seed=seed)
     dims_only, full = analyze(req), analyze(req.replace(checks=("all",)))
-    assert not dims_only.cohomology.complexes["g0"].bases and full.cohomology.complexes["g0"].bases
-
-    def rows(report):
-        return [m._replace(dims=m.dims._replace(min_gap=None)) for m in report.cohomology.modules]
-
-    assert rows(dims_only) == rows(full)
+    sig = parse_signature(text)
+    shared = build_representation(sig, 0) is build_representation(sig, 1)
+    assert (full.cohomology is dims_only.cohomology) == shared
+    assert dims_only.cohomology.modules == full.cohomology.modules
     assert dims_only.dims == full.dims
-    assert min(dims_only.cohomology.min_gap, full.cohomology.min_gap) >= 10.0
+    assert full.cohomology.min_gap >= 10.0
 
 
 def failed_gates(text):
