@@ -77,7 +77,7 @@ def _add_common(p, with_input: bool):
         "--seed",
         type=int,
         default=0,
-        help="sampling seed, also read by the builder of groups with boundary (default 0)",
+        help="seed of the builder of groups with boundary; no other step reads it (default 0)",
     )
 
 

@@ -12,21 +12,24 @@ the ledger collected so far, and no local model is emitted.
 verify_suite() runs the full cross-check battery on top of analyze and
 never raises on a failed check; failures are data in the ledger.
 
-Only the boundary builder and the sampled checks read the seed.  Every
-other fact depends on the representation, the embedding and the rank
-policy alone, so it is computed once and kept (_record.kept) with the
-object it derives from: the hypotheses and the decomposition per
-embedding with the representation, the table, the cross forms and the
-commutant with the decomposition, and the Gram matrices and the seed-free
-gates of verify with the table.  A call at a new seed draws the
-obstruction rows, the Weil mix and the pairing checks' vectors, and
-reads the rest.  The built groups without boundary are shared, so their
-facts are too; a seeded or file representation is built per call, and
-its facts go with it.
+Only the builder of groups with boundary reads the seed.  Each sampled
+gate draws from a fixed stream of its own, so every reading depends on
+the representation, the embedding and the rank policy alone, and it is
+computed once and kept (_record.kept) with the object it derives from:
+the hypotheses and the decomposition per embedding with the
+representation, the table, the cross form and the commutant with the
+decomposition, and the duality pairing, the obstruction scan and the
+whole verify ledger past analyze's gates with the table.  The Gram
+matrices behind the scan and the gates are read only while these are
+computed, so they are not kept.  The built groups without boundary are
+shared, so their facts are too: a later call at any seed reads them
+back.  A seeded or file representation is built per call, and its
+facts go with it.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +71,12 @@ __all__ = [
 SCHEMA = "charvar-report/1"
 
 OBSTRUCTION_SAMPLES = 10  # pairs (o, q) the obstruction scan averages o/q over
+
+# the fixed streams the sampled gates draw from: the obstruction scan's
+# rows and g0/d vectors, the transgression vectors and the pairing
+# reference's class, and the Weil mix.  The values are the offsets the
+# request's seed once fed, so every reading is the one seed 0 gave.
+OBSTRUCTION_STREAM, PAIRING_STREAM, WEIL_STREAM = 7, 23, 29
 
 
 class PipelineError(RuntimeError):
@@ -144,7 +153,7 @@ class AnalysisReport(NamedTuple):
     irreducibility: dict
     cohomology: CohomologyReport
     dims: dict
-    obstruction: dict | None
+    obstruction: MappingProxyType | None
     model: LocalModel | None
     ledger: tuple[LedgerEntry, ...]
     flags: tuple[str, ...]
@@ -195,27 +204,17 @@ def _duality(table, cross) -> np.ndarray | None:
     return frozen(basis_r.T @ cross @ basis_c)
 
 
-def _scan_forms(pres, sd, table, duality) -> tuple:
-    """The seed-free half of the obstruction scan: the obstruction's Gram
-    matrix on the m_c and m_r classes side by side, and the bracket's on
-    the g0 and on the d classes.  The bracket form on full_g itself is
-    read only here, so it is not kept."""
-    bracket = fundamental_form(pres, sd.full_g, sd.full_g, sd.bracket_d)
-    obstruction = None
-    if duality is not None:
-        obstruction = frozen(_bracket_gram(sd, bracket, table, ("m_c", "m_r")))
-    return obstruction, tuple(frozen(_bracket_gram(sd, bracket, table, (label,))) for label in ("g0", "d"))
-
-
-def _obstruction_scan(pres, sd, table, pairing, seed: int) -> dict:
+def _obstruction_scan(pres, sd, table, pairing, rng: SeededDraws) -> MappingProxyType:
     """Samples z = z_c + z_r and reads the obstruction of z and the
     duality pairing of its row block against its column block (through
     the invariant form; the self-pairing of z vanishes by graded
-    antisymmetry) from Gram matrices of the two forms on H^1 bases."""
-    obstruction, pure = kept(table, "scan", lambda: _scan_forms(pres, sd, table, pairing))
-    rng = SeededDraws(seed + 7)
+    antisymmetry) from Gram matrices of the two forms on H^1 bases, and
+    the bracket on the g0 and on the d classes alone.  The result is
+    kept and shared, so it is read-only."""
+    bracket = fundamental_form(pres, sd.full_g, sd.full_g, sd.bracket_d)
     pairs = []
     if pairing is not None:
+        obstruction = _bracket_gram(sd, bracket, table, ("m_c", "m_r"))
         nr, nc = pairing.shape
         # q has root mean square |pairing|_F; far below it, o/q is rounding
         floor = max(1e-10, 1e-3 * float(np.linalg.norm(pairing)))
@@ -229,11 +228,12 @@ def _obstruction_scan(pres, sd, table, pairing, seed: int) -> dict:
                 break
         pairs = pairs[:OBSTRUCTION_SAMPLES]
     scale = max([1.0] + [abs(q) for _, q in pairs] + [abs(o) for o, _ in pairs])
+    pure = [_bracket_gram(sd, bracket, table, (label,)) for label in ("g0", "d")]
     g0_max, d_max = (max(abs(float(c @ form @ c)) for c in rng.normal((3, len(form)))) for form in pure)
 
-    ratios = [o / q for o, q in pairs]
-    return {
-        "samples": pairs,
+    ratios = tuple(o / q for o, q in pairs)
+    return MappingProxyType({
+        "samples": tuple(pairs),
         "ratios": ratios,
         "c_n": float(np.mean(ratios)) if ratios else None,
         "rel_std": (
@@ -243,7 +243,7 @@ def _obstruction_scan(pres, sd, table, pairing, seed: int) -> dict:
         "d_max": d_max,
         "scale": scale,
         "boundary_case": False,
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,10 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         # the duality pairing of m_r against m_c, on stacked cocycles
         cross = kept(sd, "cross", lambda: frozen(fundamental_form(pres, sd.m_r, sd.m_c, sd.cross_form)))
         duality = kept(table, "duality", lambda: _duality(table, cross))
-        obstruction = _obstruction_scan(pres, sd, table, duality, req.seed)
+        obstruction = kept(
+            table, "obstruction",
+            lambda: _obstruction_scan(pres, sd, table, duality, SeededDraws(OBSTRUCTION_STREAM)),
+        )
         scale = obstruction["scale"]
         if obstruction["ratios"]:
             check(
@@ -378,13 +381,13 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         check("obstruction-g0-vanishing", obstruction["g0_max"] <= 1e-8 * scale, obstruction["g0_max"])
         check("obstruction-d-vanishing", obstruction["d_max"] <= 1e-8 * scale, obstruction["d_max"])
     elif orientable:
-        obstruction = {"boundary_case": True, "ratios": [], "c_n": None}
+        obstruction = MappingProxyType({"boundary_case": True, "ratios": (), "c_n": None})
 
     model = classify(topology, orientable, emb, rep.n + 1, p, d_model, b)
     flags.extend(model.flags)
 
     if "all" in req.checks:
-        entries.extend(_extra_checks(pres, sd, table, cross, duality, policy, req.seed))
+        entries.extend(kept(table, "extras", lambda: _extra_checks(pres, sd, table, cross, duality, policy)))
 
     group_info = {
         "description": pres.describe(),
@@ -417,10 +420,10 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
 # the extra cross-checks behind verify
 
 
-def _audit(pres, sd, table, policy) -> tuple[tuple[LedgerEntry, ...], np.ndarray]:
-    """verify's seed-free gates on the table, in ledger order, and the
-    block classes lifted to ambient coordinates, which the Weil test mixes
-    by a seeded draw."""
+def _extra_checks(pres, sd, table, cross, duality, policy) -> tuple[LedgerEntry, ...]:
+    """verify's gates past analyze's, in ledger order.  The ledger is kept
+    with the table, so the forms and Gram matrices made here are freed
+    when it returns."""
     entries: list[LedgerEntry] = []
     # full_g is the sum of the table's blocks, whose bases are the only
     # ones verify reads: its own complex audits that sum by its ranks
@@ -444,17 +447,12 @@ def _audit(pres, sd, table, policy) -> tuple[tuple[LedgerEntry, ...], np.ndarray
 
     res = max(cocycle_residual(pres, c.module, c.h1_basis) for c in table.complexes.values())
     entries.append(LedgerEntry("h1-cocycle-residual", res <= 1e-8, res))
-    lifted = np.hstack([sd.lift(label, c.h1_basis) for label, c in table.complexes.items()])
-    return tuple(entries), frozen(lifted)
 
-
-def _extra_checks(pres, sd, table, cross, duality, policy, seed) -> list[LedgerEntry]:
-    audit, lifted = kept(table, "audit", lambda: _audit(pres, sd, table, policy))
-    entries = list(audit)
     # the Weil directions: the block classes, lifted and mixed by a fixed
     # draw, since a pure m_c or m_r cocycle integrates exactly
+    lifted = np.hstack([sd.lift(label, c.h1_basis) for label, c in table.complexes.items()])
     if lifted.shape[1]:
-        mix = SeededDraws(seed + 29).normal((lifted.shape[1],) * 2)
+        mix = SeededDraws(WEIL_STREAM).normal((lifted.shape[1],) * 2)
         directions = (lifted @ mix).T
         zmats = sd.to_matrix(directions.reshape(len(directions), pres.num_generators, -1))
         slopes, _ = weil_slope(sd.hat_matrices, pres.relators, zmats)
@@ -462,19 +460,19 @@ def _extra_checks(pres, sd, table, cross, duality, policy, seed) -> list[LedgerE
         entries.append(LedgerEntry("weil-slope", dev <= 0.1, dev, f"{len(slopes)} tangent directions"))
 
     if pres.closed and pres.orientable:
-        entries.extend(_closed_orientable_checks(pres, sd, table, cross, duality, SeededDraws(seed + 23)))
-    return entries
+        entries.extend(_closed_orientable_checks(pres, sd, table, cross, duality))
+    return tuple(entries)
 
 
-def _pairing_audit(pres, sd, table, cross, duality) -> tuple:
-    """The seed-free half of the pairing checks: the gates read off the
-    duality pairing and the two cross forms, the scale the others are
-    measured in, and the transgression forms that pair coboundaries of
-    m_c against the Z^1 basis of m_r."""
+def _closed_orientable_checks(pres, sd, table, cross, duality) -> list[LedgerEntry]:
+    """Every pairing here is read from a Gram matrix of a fundamental form
+    on the H^1 or Z^1 bases: cross pairs m_r against m_c, cross_cr the
+    other way round."""
     entries: list[LedgerEntry] = []
+    rng = SeededDraws(PAIRING_STREAM)
     basis_c = table.complexes["m_c"].h1_basis
     basis_r = table.complexes["m_r"].h1_basis
-    cross_cr = kept(sd, "cross_cr", lambda: frozen(fundamental_form(pres, sd.m_c, sd.m_r, sd.cross_form.T)))
+    cross_cr = fundamental_form(pres, sd.m_c, sd.m_r, sd.cross_form.T)
 
     scale = 1.0
     if duality is not None:
@@ -495,26 +493,11 @@ def _pairing_audit(pres, sd, table, cross, duality) -> tuple:
 
     # coboundary arguments through the invariant cross form: delta-v in
     # one block against a genuine cocycle of the dual block
-    transgression = None
+    worst = 0.0
     cob = table.complexes["m_c"].cob
     z1_r = table.complexes["m_r"].z_basis
     if z1_r.shape[1]:
-        transgression = frozen(cob.T @ cross_cr @ z1_r), frozen(z1_r.T @ cross @ cob)
-    return tuple(entries), scale, transgression
-
-
-def _closed_orientable_checks(pres, sd, table, cross, duality, rng) -> list[LedgerEntry]:
-    """Every pairing here is read from a Gram matrix of a fundamental form
-    on the H^1 or Z^1 bases: cross pairs m_r against m_c, cross_cr the
-    other way round."""
-    audit, scale, transgression = kept(
-        table, "pairings", lambda: _pairing_audit(pres, sd, table, cross, duality)
-    )
-    entries = list(audit)
-
-    worst = 0.0
-    if transgression is not None:
-        left, right = transgression
+        left, right = cob.T @ cross_cr @ z1_r, z1_r.T @ cross @ cob
         v, w = rng.normal((4, sd.n)), rng.normal((4, left.shape[1]))
         forward = ((v @ left) * w).sum(axis=1)
         backward = ((w @ right) * v).sum(axis=1)
@@ -527,8 +510,6 @@ def _closed_orientable_checks(pres, sd, table, cross, duality, rng) -> list[Ledg
     # row cocycle drawn along the image of the column one so that the
     # pair pairs strongly and a relative error of the form shows in full
     if duality is not None:
-        basis_c = table.complexes["m_c"].h1_basis
-        basis_r = table.complexes["m_r"].h1_basis
         a = rng.normal((basis_c.shape[1],))
         sc, sr = basis_c @ a, basis_r @ (duality @ a)
         zr, zc = cocycle_from_stack(sd.m_r, sr), cocycle_from_stack(sd.m_c, sc)

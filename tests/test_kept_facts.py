@@ -2,11 +2,11 @@
 
 analyze computes what depends on the representation, the embedding and
 the rank policy once, and keeps it with the representation, its
-decomposition or its table; a call at a new seed recomputes only what
-reads the seed.  These tests hold that reuse to the bytes a fresh
-process prints, keep it from crossing policies or embeddings, and check
-that kept facts are read-only and die with a representation built per
-call.
+decomposition or its table; only the builder of groups with boundary
+reads the seed, so a call at a new seed on any other group recomputes
+nothing.  These tests hold that reuse to the bytes a fresh process
+prints, keep it from crossing policies or embeddings, and check that
+kept facts are read-only and die with a representation built per call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from charvar.cli import main
 from charvar.linalg import RankPolicy
 from charvar.pipeline import HypothesisError, report_to_json
 from charvar.presentation import presentation_of
-from charvar.reps import representation_to_json
+from charvar.reps import _seed_free_rep, representation_to_json
 from conftest import EVERY_INPUT
 
 # one process runs each command line as the first analysis of a freshly
@@ -94,12 +94,36 @@ def test_a_second_call_at_a_new_seed_prints_what_a_fresh_process_does(command):
 
 def test_a_second_call_reads_the_first_calls_facts():
     """A seed-free representation is shared, and so is every fact kept
-    with it: the table of a second call is the first call's."""
-    first = analyze(request_from_text("S2(3,3,3,3)", seed=0))
-    second = analyze(request_from_text("S2(3,3,3,3)", seed=5))
+    with it: the table, the obstruction scan and the gates verify adds to
+    analyze's of a second call at another seed are the first call's."""
+    first = analyze(request_from_text("S2(3,3,3,3)", seed=0, checks=("all",)))
+    second = analyze(request_from_text("S2(3,3,3,3)", seed=5, checks=("all",)))
     assert second.cohomology is first.cohomology
     assert second.irreducibility["base"] is first.irreducibility["base"]
-    assert second.obstruction["ratios"] != first.obstruction["ratios"]
+    assert second.obstruction is first.obstruction
+    core = len(analyze(request_from_text("S2(3,3,3,3)", seed=3)).ledger)
+    assert len(first.ledger) > core
+    assert all(mine is theirs for mine, theirs in zip(second.ledger[core:], first.ledger[core:], strict=True))
+
+
+def test_only_the_builder_of_groups_with_boundary_reads_the_seed():
+    """The sampled gates draw from fixed streams, so on a freshly built
+    seed-free group verify --json prints the same bytes at seeds 0 and 5
+    (its ledger names no seed) and analyze --json differs only in the
+    seed it echoes; a group with boundary is still built from the seed."""
+    outputs = []
+    for command in ("verify", "analyze"):
+        for seed in ("0", "5"):
+            _seed_free_rep.cache_clear()
+            outputs.append(cli([command, "--json", "S2(3,3,3,3)", "--seed", seed]))
+    verify0, verify5, analyze0, analyze5 = outputs
+    assert verify0 == verify5 and verify0[0] == 0
+    lines0, lines5 = analyze0[1].splitlines(), analyze5[1].splitlines()
+    assert len(lines0) == len(lines5)
+    assert [(a, b) for a, b in zip(lines0, lines5) if a != b] == [('  "seed": 0', '  "seed": 5')]
+    sig = parse_signature("O(g=2;b=2;cone=[3,5])")
+    at0, at3 = (build_representation(sig, seed=seed) for seed in (0, 3))
+    assert not np.array_equal(np.array(at0.matrices), np.array(at3.matrices))
 
 
 def test_another_rank_policy_reads_none_of_this_ones_facts():
@@ -209,6 +233,25 @@ def test_every_shared_array_is_read_only(text, embedding):
     for a in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
+
+
+def test_a_kept_obstruction_scan_refuses_a_write():
+    """The obstruction scan is kept with the table and shared by every
+    later call, so neither it nor its samples take a write: one caller
+    cannot change the next call's answer."""
+    report = analyze(request_from_text("S2(3,3,3,3)"))
+    with pytest.raises(TypeError):
+        report.obstruction["c_n"] = 0.0
+    with pytest.raises(TypeError):
+        report.obstruction["ratios"][0] = 0.0
+    with pytest.raises(TypeError):
+        report.obstruction["samples"][0] = (0.0, 1.0)
+    again = analyze(request_from_text("S2(3,3,3,3)", seed=5))
+    assert again.obstruction["c_n"] == pytest.approx(-1 / 12, abs=1e-9)
+    assert len(again.obstruction["ratios"]) == 10
+    bounded = analyze(request_from_text("O(g=2;b=2;cone=[3,5])"))
+    with pytest.raises(TypeError):
+        bounded.obstruction["c_n"] = 0.0
 
 
 def test_shared_records_hold_no_writable_mapping():

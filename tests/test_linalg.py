@@ -16,6 +16,7 @@ from charvar.linalg import (
     rank,
     rank_cut,
 )
+from charvar.pipeline import OBSTRUCTION_STREAM, PAIRING_STREAM, WEIL_STREAM
 from conftest import kernel_basis
 
 POLICY = RankPolicy()
@@ -146,9 +147,10 @@ def test_seeded_draws_repeat_at_a_seed(shape):
 
 
 def test_seeded_draws_differ_between_the_sites_seeds():
-    """The sampling sites draw at seed, seed + 7, seed + 23 and seed + 29;
-    seeds past 2**64 still reach the generator."""
-    seeds = [11, 11 + 7, 11 + 23, 11 + 29, 2**70]
+    """The boundary builder draws at the request's seed (0 by default) and
+    the three sampled gates at their fixed streams; seeds past 2**64 still
+    reach the generator."""
+    seeds = [0, 11, OBSTRUCTION_STREAM, PAIRING_STREAM, WEIL_STREAM, 2**70]
     normals = {SeededDraws(s).normal((2,)).tobytes() for s in seeds}
     uniforms = {SeededDraws(s).uniform() for s in seeds}
     assert len(normals) == len(uniforms) == len(seeds)

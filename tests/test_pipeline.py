@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from charvar.coeffmodules import SlDecomposition, sl_basis
-from charvar.cohomology import BLOCKS, BlockComplex
+from charvar.coeffmodules import SlDecomposition, decompose_sl, sl_basis
+from charvar.cohomology import BLOCKS, BlockComplex, cohomology_report, fundamental_form
+from charvar.linalg import RankPolicy, SeededDraws
 from charvar.pipeline import (
     HypothesisError,
     LedgerEntry,
@@ -670,13 +671,26 @@ def test_obstruction_gates_need_the_d_component(monkeypatch, mutated):
 
 @pytest.mark.parametrize("seed", [46177, 37872])
 def test_obstruction_scan_skips_rounding_level_pairings(seed):
-    """At these seeds one draw on O(g=2) pairs to about 1e-7 (46177) or
-    1e-6 (37872) of the pairing's root mean square, where rounding alone
-    moves o/q far enough to lift rel_std to 4.7e-6 or 9.3e-7; the scan
-    skips it, and the ratios agree far inside 1e-6."""
-    ledger = {e.name: e for e in verify_suite(request_from_text("O(g=2)", seed=seed))}
-    assert all(e.passed for e in ledger.values())
-    assert ledger["obstruction-constancy"].margin < 1e-8
+    """Drawing from SeededDraws(seed + 7), one of the first ten rows on
+    O(g=2) pairs to about 1e-7 (46177) or 1e-6 (37872) of the pairing's
+    root mean square, where rounding alone moves o/q far enough to lift
+    rel_std to 4.7e-6 or 9.3e-7; the scan skips it, and the ratios agree
+    far inside 1e-6."""
+    import charvar.pipeline as pipeline
+
+    rep = build_representation(parse_signature("O(g=2)"))
+    pres, sd = rep.presentation, decompose_sl(rep, "standard")
+    table = cohomology_report(pres, sd, RankPolicy())
+    duality = pipeline._duality(table, fundamental_form(pres, sd.m_r, sd.m_c, sd.cross_form))
+    scan = pipeline._obstruction_scan(pres, sd, table, duality, SeededDraws(seed + 7))
+    nr, nc = duality.shape
+    rows = SeededDraws(seed + 7).normal((pipeline.OBSTRUCTION_SAMPLES, nc + nr))
+    q = ((rows[:, nc:] @ duality) * rows[:, :nc]).sum(axis=1)
+    floor = 1e-3 * float(np.linalg.norm(duality))
+    assert (np.abs(q) < floor).any()
+    assert len(scan["ratios"]) == pipeline.OBSTRUCTION_SAMPLES
+    assert min(abs(qi) for _, qi in scan["samples"]) >= floor
+    assert scan["rel_std"] < 1e-8
 
 
 @pytest.mark.parametrize("mutated", [False, True])
