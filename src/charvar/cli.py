@@ -77,7 +77,7 @@ def _add_common(p, with_input: bool):
         "--seed",
         type=int,
         default=0,
-        help="seed of the builder of groups with boundary; no other step reads it (default 0)",
+        help="echoed in JSON; no step reads it (default 0)",
     )
 
 

@@ -12,8 +12,8 @@ the ledger collected so far, and no local model is emitted.
 verify_suite() runs the full cross-check battery on top of analyze and
 never raises on a failed check; failures are data in the ledger.
 
-Only the builder of groups with boundary reads the seed.  Each sampled
-gate draws from a fixed stream of its own, so every reading depends on
+No step reads the seed; a request only echoes it.  The builders and
+each sampled gate draw from fixed streams, so every reading depends on
 the representation, the embedding and the rank policy alone, and it is
 computed once and kept (_record.kept) with the object it derives from:
 the hypotheses and the decomposition per embedding with the
@@ -21,10 +21,9 @@ representation, the table, the cross form and the commutant with the
 decomposition, and the duality pairing, the obstruction scan and the
 whole verify ledger past analyze's gates with the table.  The Gram
 matrices behind the scan and the gates are read only while these are
-computed, so they are not kept.  The built groups without boundary are
-shared, so their facts are too: a later call at any seed reads them
-back.  A seeded or file representation is built per call, and its
-facts go with it.
+computed, so they are not kept.  Every built group is shared, so its
+facts are too: a later call at any seed reads them back.  A file
+representation is read per call, and its facts go with its report.
 """
 
 from __future__ import annotations
@@ -114,8 +113,8 @@ class AnalysisRequest(Value):
         seed: int = 0,
         checks: tuple[str, ...] = ("core",),
     ):
-        # random.Random seeds with |seed|, so a negative seed would only
-        # repeat the draws of its positive twin
+        # no step reads the seed; it is only echoed, and the interface
+        # keeps it a non-negative integer
         if seed < 0:
             raise PipelineError(f"seed must be a non-negative integer, got {seed}")
         unknown = set(checks) - {"core", "all"}
@@ -287,7 +286,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     if req.rep_path is not None:
         rep = load_representation(req.rep_path, req.signature)
     else:
-        rep = build_representation(req.signature, req.seed)
+        rep = build_representation(req.signature)
     pres = rep.presentation
 
     emb = _resolve_embedding(req, pres)
@@ -390,7 +389,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         entries.extend(kept(table, "extras", lambda: _extra_checks(pres, sd, table, cross, duality, policy)))
 
     group_info = {
-        "description": pres.describe(),
+        "description": kept(pres, "description", pres.describe),
         "orientable": orientable,
         "closed": pres.closed,
         "full_boundary": pres.full_boundary_count,

@@ -9,21 +9,19 @@ in the sides of one tangential polygon, genus two takes the side pairings
 of the regular octagon, and the torus with one cone point takes two
 perpendicular translations of a length given in closed form.  HD(n)
 takes a rotation and a reflection in generic position.  Other groups
-with boundary place their generators from the seed and solve the long
-relator for the last one; every other builder ignores the seed, so
-build_representation builds each of those groups once and shares it,
-read-only.  Every builder returns generators that satisfy
-the relators up to a rounding that grows with the entries (8.3e-9 on
-S2(7^9)).
+with boundary place their generators from one fixed stream of draws and
+solve the long relator for the last one.  No builder reads a seed, so
+build_representation builds each group once and shares it, read-only.
+Every builder returns generators that satisfy the relators up to a
+rounding that grows with the entries (8.3e-9 on S2(7^9)).
 
 The constructor checks each torsion order once, on the n x n matrices;
 the cohomology table reads its stabilizer dimensions from their traces.
 
-Builders certify matrix identities, never discreteness.  Only the
-boundary builder, which restarts until a placement passes, runs Burnside's
-span criterion, and it computes the span alone, no commutant; the others
-are C-irreducible by construction (the tests pin it), and analyze's
-irreducibility gates are the certificate of record.
+Builders certify matrix identities, never discreteness, and none runs
+Burnside's criterion: the closed builders are C-irreducible by
+construction and the boundary placement is generic (the tests pin
+both), and analyze's irreducibility gates are the certificate of record.
 Dimension counts depend only on the torsion conjugacy data, so any
 C-irreducible representative works.
 """
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +65,10 @@ __all__ = [
 J3 = np.diag([1.0, 1.0, -1.0])
 
 RESIDUAL_BOUND = 1e-8  # the relator gate, for built and file representations alike
+
+# the stream the boundary builder places its generators from: the one
+# the seed 0 once fed, so every placement is the one seed 0 gave
+BOUNDARY_STREAM = 0
 
 
 class RepError(ValueError):
@@ -154,13 +155,9 @@ class Representation(Frozen):
         matrices: tuple[np.ndarray, ...],
         group_tag: str = "SL",
         lineage: tuple[str, ...] = (),
-        build_info: dict | None = None,
     ):
         mats = tuple(np.asarray(m, dtype=float) for m in matrices)
-        vars(self).update(
-            presentation=presentation, matrices=mats, group_tag=group_tag, lineage=tuple(lineage),
-            build_info=MappingProxyType(dict(build_info or {})),
-        )
+        vars(self).update(presentation=presentation, matrices=mats, group_tag=group_tag, lineage=tuple(lineage))
         if group_tag not in GROUP_TAGS:
             raise RepError(f"unknown group tag {group_tag!r}")
         if len(mats) != presentation.num_generators:
@@ -437,80 +434,67 @@ def _generic_translation(idx: int, rng) -> np.ndarray:
     return R @ trans_x(length) @ np.linalg.inv(R)
 
 
-def _boundary_rep(sig: OrbifoldSignature, seed: int = 0) -> Representation:
+def _boundary_rep(sig: OrbifoldSignature, rng: SeededDraws) -> Representation:
     """Signatures with boundary circles: every generator except the last
-    boundary one is placed generically (exact torsion orders), and the
-    last boundary generator is solved from the long relator, which then
-    holds to float precision.  Restart with fresh placements until the
-    image is C-irreducible."""
-    _require_hyperbolic(sig)
+    boundary one is placed generically from rng (exact torsion orders),
+    and the last boundary generator is solved from the long relator,
+    which then holds to float precision.  Many handles make the relator's
+    prefix too ill-conditioned to solve, and the builder refuses."""
     pres = presentation_of(sig)
-    b = sig.boundary_circles
-    if b < 1:
-        raise BuildError("boundary builder needs a boundary circle")
-    rng = SeededDraws(seed)
-    nonor = sig.kind == "nonorientable"
-    for attempt in range(24):
-        mats = []
-        k = 0
-        if sig.kind == "orientable":
-            for _ in range(2 * sig.genus):
-                mats.append(_generic_translation(k, rng))
-                k += 1
-        else:
-            for _ in range(sig.genus):
-                # glide reflection: reflect in a generic geodesic, then
-                # translate along it
-                ang = 2.399963 * (k + 1) + 0.3 * rng.uniform()
-                R = rot_origin(ang)
-                glide = R @ (trans_x(0.9 + 0.21 * k) @ np.diag([1.0, -1.0, 1.0])) @ np.linalg.inv(R)
-                mats.append(glide)
-                k += 1
-        for j, order in enumerate(sig.cone_orders):
-            center = _point_above_axis(0.7 * j - 0.4, 0.5 + 0.3 * ((j + k) % 3) + 0.2 * rng.uniform())
-            mats.append(rotation_about(center, 2.0 * np.pi / order))
-        for _ in range(b - 1):
+    mats = []
+    k = 0
+    if sig.kind == "orientable":
+        for _ in range(2 * sig.genus):
             mats.append(_generic_translation(k, rng))
             k += 1
-        prefix = np.eye(3)
-        for x in pres.long_relator[: len(pres.long_relator) - 1]:
-            prefix = prefix @ (mats[x - 1] if x > 0 else np.linalg.inv(mats[-x - 1]))
+    else:
+        for _ in range(sig.genus):
+            # glide reflection: reflect in a generic geodesic, then
+            # translate along it
+            ang = 2.399963 * (k + 1) + 0.3 * rng.uniform()
+            R = rot_origin(ang)
+            glide = R @ (trans_x(0.9 + 0.21 * k) @ np.diag([1.0, -1.0, 1.0])) @ np.linalg.inv(R)
+            mats.append(glide)
+            k += 1
+    for j, order in enumerate(sig.cone_orders):
+        center = _point_above_axis(0.7 * j - 0.4, 0.5 + 0.3 * ((j + k) % 3) + 0.2 * rng.uniform())
+        mats.append(rotation_about(center, 2.0 * np.pi / order))
+    for _ in range(sig.boundary_circles - 1):
+        mats.append(_generic_translation(k, rng))
+        k += 1
+    prefix = np.eye(3)
+    for x in pres.long_relator[: len(pres.long_relator) - 1]:
+        prefix = prefix @ (mats[x - 1] if x > 0 else np.linalg.inv(mats[-x - 1]))
+    try:
         mats.append(np.linalg.inv(prefix))
-        check = list(mats)
-        if nonor:
-            # irreducibility is required on the orientation cover
-            alpha = pres.orientation_character
-            even = [m for m, a in zip(mats, alpha) if a == 1]
-            odd = [m for m, a in zip(mats, alpha) if a == -1]
-            check = even + [m1 @ m2 for m1 in odd for m2 in odd] + [
-                o @ m @ np.linalg.inv(o) for o in odd[:1] for m in even
-            ]
-        if _span_dim(np.array(check), RankPolicy()) == 9:
-            return Representation(
-                pres,
-                tuple(mats),
-                group_tag="SLpm" if nonor else "SL",
-                lineage=(f"boundary_rep[{sig.to_text()}]",),
-                build_info={"attempt": attempt},
-            )
-    raise BuildError(f"could not find an irreducible boundary placement for {sig.to_text()}")
+        return Representation(
+            pres,
+            tuple(mats),
+            group_tag="SLpm" if sig.kind == "nonorientable" else "SL",
+            lineage=(f"boundary_rep[{sig.to_text()}]",),
+        )
+    except (np.linalg.LinAlgError, RepError) as err:
+        raise BuildError(
+            f"cannot solve the long relator of {sig.to_text()} for its last boundary generator "
+            f"({err}); supply a representation file"
+        ) from None
 
 
-def build_representation(sig: OrbifoldSignature, seed: int = 0) -> Representation:
+def build_representation(sig: OrbifoldSignature) -> Representation:
     """Dispatch to the builder that covers the signature; raises BuildError
-    for shapes with no builtin construction (supply a file instead).  Only
-    groups with free boundary circles read the seed; every other group has
-    one representation, built once and shared, read-only."""
-    if sig.kind != "mirrored" and sig.boundary_circles > 0:
-        return _boundary_rep(sig, seed)
-    return _seed_free_rep(sig)
+    for shapes with no builtin construction (supply a file instead).  No
+    builder reads a seed, so every group has one representation, built on
+    its first request and shared, read-only."""
+    return _build(sig)
 
 
 @lru_cache(maxsize=256)
-def _seed_free_rep(sig: OrbifoldSignature) -> Representation:
+def _build(sig: OrbifoldSignature) -> Representation:
     _require_hyperbolic(sig)
     if sig.kind == "mirrored":
         rep = _mirrored_disc(sig.cone_orders) if sig.closed else half_mirrored_disc(sig.cone_orders[0])
+    elif sig.boundary_circles > 0:
+        rep = _boundary_rep(sig, SeededDraws(BOUNDARY_STREAM))
     elif sig.kind == "nonorientable":
         raise BuildError(
             f"no builtin construction for closed non-orientable {sig.to_text()}; "
@@ -557,7 +541,7 @@ def embed(rep: Representation, kind: str) -> Representation:
     mats[:, rep.n, rep.n] = corners
     tag = "SLpm" if kind == "type_preserving" else "SL"
     return _derived(Representation, presentation=rep.presentation, matrices=tuple(frozen(mats)),
-                    group_tag=tag, lineage=rep.lineage + (f"embed:{kind}",), build_info=MappingProxyType({}))
+                    group_tag=tag, lineage=rep.lineage + (f"embed:{kind}",))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import settings
 from charvar import analyze, decompose_sl, polygon_group, request_from_text
 from charvar.linalg import RankPolicy, rank_cut
 from charvar.presentation import parse_signature, presentation_of
-from charvar.reps import Representation, _seed_free_rep, build_representation, representation_to_json
+from charvar.reps import Representation, _build, build_representation, representation_to_json
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -36,13 +36,13 @@ EVERY_INPUT = [(t, "standard") for t in ORIENTABLE_INPUTS] + [
 ]
 
 @pytest.fixture(autouse=True)
-def fresh_seed_free_reps():
-    """Every test starts from freshly built seed-free representations.
+def fresh_built_reps():
+    """Every test starts from freshly built representations.
     analyze keeps the facts it derives from a representation with it, so
     without this a test that monkeypatches a factorization, a basis or a
     form could read what an earlier test left on the shared one, and its
     patch would never run."""
-    _seed_free_rep.cache_clear()
+    _build.cache_clear()
 
 
 def kernel_basis(m, policy: RankPolicy) -> np.ndarray:
@@ -93,7 +93,7 @@ def bulged_file(tmp_path_factory):
     def get(text, t):
         path = directory / f"{text}-{t}.json"
         if not path.exists():
-            rho = build_representation(parse_signature(text), seed=0)
+            rho = build_representation(parse_signature(text))
             path.write_text(json.dumps(representation_to_json(bulge(rho, *BULGING_PATHS[text], t))))
         return str(path)
 
@@ -114,7 +114,7 @@ def setups():
         key = (text, embedding)
         if key not in cache:
             sig = parse_signature(text)
-            rep = build_representation(sig, seed=0)
+            rep = build_representation(sig)
             cache[key] = SimpleNamespace(
                 sig=sig,
                 pres=presentation_of(sig),

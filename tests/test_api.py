@@ -29,7 +29,7 @@ def test_all_names_resolve(name):
 @functools.cache
 def _records() -> dict:
     """Instances of every record class by class name, the shared builds
-    among them: the presentation, the seed-free representation and its
+    among them: the presentation, the built representation and its
     modules."""
     from charvar.cohomology import cocycle_from_stack, cup
 

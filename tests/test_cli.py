@@ -165,6 +165,26 @@ def test_negative_seed_exit_one(capsys, argv):
     assert err.startswith("error: ") and "seed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "O(g=5;b=3;cone=[3,3])"],
+        ["analyze", "N(k=12;b=1)", "--embed", "orientable"],
+        ["verify", "O(g=4;b=1)"],
+        ["verify", "O(g=5;b=1)"],
+    ],
+)
+def test_a_boundary_group_with_many_handles_is_refused_by_name(capsys, argv):
+    """Many handles make the long relator's prefix too ill-conditioned to
+    solve for the last boundary generator: the builder refuses with a
+    usage error that names the signature, not a traceback or a
+    determinant of a generator the input never named."""
+    rc, out, err = run(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: cannot solve the long relator of ")
+    assert parse_signature(argv[1]).to_text() in err
+
+
 # main in a fresh interpreter; the last line of standard error says
 # whether numpy.random was imported
 # the start-up costs no command pays: the last stderr line names the ones loaded

@@ -205,7 +205,7 @@ def reps_by_text():
 
     def get(text):
         if text not in cache:
-            cache[text] = build_representation(parse_signature(text), seed=0)
+            cache[text] = build_representation(parse_signature(text))
         return cache[text]
 
     return get

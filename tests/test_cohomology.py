@@ -221,7 +221,7 @@ def test_twisted_euler_characters_match_the_svd_kernels(text, embedding):
     character means on the base and the SVD kernels of each block give
     one twisted Euler characteristic per block, and the full_g row, the
     sum of the blocks, is the SVD count on full_g itself."""
-    rep = build_representation(parse_signature(text), seed=0)
+    rep = build_representation(parse_signature(text))
     sd = decompose_sl(rep, embedding)
     report = cohomology_report(rep.presentation, sd, POLICY)
     for label in BLOCKS + ("full_g",):

@@ -2,11 +2,11 @@
 
 analyze computes what depends on the representation, the embedding and
 the rank policy once, and keeps it with the representation, its
-decomposition or its table; only the builder of groups with boundary
-reads the seed, so a call at a new seed on any other group recomputes
-nothing.  These tests hold that reuse to the bytes a fresh process
-prints, keep it from crossing policies or embeddings, and check that
-kept facts are read-only and die with a representation built per call.
+decomposition or its table; no step reads the seed, so a call at a new
+seed on a built group recomputes nothing.  These tests hold that reuse
+to the bytes a fresh process prints, keep it from crossing policies or
+embeddings, and check that kept facts are read-only and die with a
+representation read from a file.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from charvar.cli import main
 from charvar.linalg import RankPolicy
 from charvar.pipeline import HypothesisError, report_to_json
 from charvar.presentation import presentation_of
-from charvar.reps import _seed_free_rep, representation_to_json
+from charvar.reps import _build, representation_to_json
 from conftest import EVERY_INPUT
 
 # one process runs each command line as the first analysis of a freshly
@@ -37,10 +37,10 @@ from conftest import EVERY_INPUT
 FRESH_SCRIPT = """
 import contextlib, io, json, sys
 from charvar.cli import main
-from charvar.reps import _seed_free_rep
+from charvar.reps import _build
 out = []
 for argv in json.loads(sys.argv[1]):
-    _seed_free_rep.cache_clear()
+    _build.cache_clear()
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -93,12 +93,16 @@ def test_a_second_call_at_a_new_seed_prints_what_a_fresh_process_does(command):
 
 
 def test_a_second_call_reads_the_first_calls_facts():
-    """A seed-free representation is shared, and so is every fact kept
-    with it: the table, the obstruction scan and the gates verify adds to
-    analyze's of a second call at another seed are the first call's."""
+    """A built representation is shared, and so is every fact kept
+    with it: the table, the obstruction scan, the gates verify adds to
+    analyze's and the group description of a second call at another
+    seed are the first call's.  The group dict itself is new per call,
+    since json.dumps cannot write a read-only mapping."""
     first = analyze(request_from_text("S2(3,3,3,3)", seed=0, checks=("all",)))
     second = analyze(request_from_text("S2(3,3,3,3)", seed=5, checks=("all",)))
     assert second.cohomology is first.cohomology
+    assert second.group["description"] is first.group["description"]
+    assert second.group is not first.group and type(second.group) is dict
     assert second.irreducibility["base"] is first.irreducibility["base"]
     assert second.obstruction is first.obstruction
     core = len(analyze(request_from_text("S2(3,3,3,3)", seed=3)).ledger)
@@ -106,24 +110,22 @@ def test_a_second_call_reads_the_first_calls_facts():
     assert all(mine is theirs for mine, theirs in zip(second.ledger[core:], first.ledger[core:], strict=True))
 
 
-def test_only_the_builder_of_groups_with_boundary_reads_the_seed():
-    """The sampled gates draw from fixed streams, so on a freshly built
-    seed-free group verify --json prints the same bytes at seeds 0 and 5
-    (its ledger names no seed) and analyze --json differs only in the
-    seed it echoes; a group with boundary is still built from the seed."""
+@pytest.mark.parametrize("text", ["S2(3,3,3,3)", "O(g=2;b=2;cone=[3,5])"])
+def test_no_step_reads_the_seed(text):
+    """The builders and the sampled gates draw from fixed streams, so on a
+    freshly built group, closed or with boundary, verify --json prints
+    the same bytes at seeds 0 and 5 (its ledger names no seed) and
+    analyze --json differs only in the seed it echoes."""
     outputs = []
     for command in ("verify", "analyze"):
         for seed in ("0", "5"):
-            _seed_free_rep.cache_clear()
-            outputs.append(cli([command, "--json", "S2(3,3,3,3)", "--seed", seed]))
+            _build.cache_clear()
+            outputs.append(cli([command, "--json", text, "--seed", seed]))
     verify0, verify5, analyze0, analyze5 = outputs
     assert verify0 == verify5 and verify0[0] == 0
     lines0, lines5 = analyze0[1].splitlines(), analyze5[1].splitlines()
     assert len(lines0) == len(lines5)
     assert [(a, b) for a, b in zip(lines0, lines5) if a != b] == [('  "seed": 0', '  "seed": 5')]
-    sig = parse_signature("O(g=2;b=2;cone=[3,5])")
-    at0, at3 = (build_representation(sig, seed=seed) for seed in (0, 3))
-    assert not np.array_equal(np.array(at0.matrices), np.array(at3.matrices))
 
 
 def test_another_rank_policy_reads_none_of_this_ones_facts():
@@ -178,20 +180,23 @@ def table_ref(req) -> weakref.ref:
     return weakref.ref(analyze(req).cohomology)
 
 
-def test_facts_of_a_representation_built_per_call_die_with_its_report(tmp_path):
-    """A seeded (boundary) or file representation is built per call, and
-    its kept facts are freed with the report; a seed-free one is shared,
-    and its facts outlive the report."""
-    path = tmp_path / "quad.json"
-    path.write_text(json.dumps(representation_to_json(build_representation(parse_signature("S2(3,3,3,3)")))))
-    for req in (
-        request_from_text("O(g=2;b=2;cone=[3,5])", seed=3),
-        request_from_text("N(k=2;b=1;cone=[3])", embedding="type_preserving", seed=3),
-        request_from_text("S2(3,3,3,3)", rep_path=str(path), checks=("all",)),
+def test_facts_of_a_file_representation_die_with_its_report(tmp_path):
+    """A file representation is read per call, and its kept facts are
+    freed with the report; a built one, with boundary or without, is
+    shared, and its facts outlive the report."""
+    for text, embedding in (("S2(3,3,3,3)", None), ("N(k=2;b=1;cone=[3])", "type_preserving")):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(representation_to_json(build_representation(parse_signature(text)))))
+        req = request_from_text(text, embedding=embedding, rep_path=str(path), checks=("all",))
+        assert table_ref(req)() is None, text
+    for text, embedding in (
+        ("S2(3,3,3,3)", None),
+        ("O(g=2;b=2;cone=[3,5])", None),
+        ("N(k=2;b=1;cone=[3])", "type_preserving"),
     ):
-        assert table_ref(req)() is None, req.input_text
-    shared = table_ref(request_from_text("S2(3,3,3,3)", checks=("all",)))
-    assert shared() is analyze(request_from_text("S2(3,3,3,3)", seed=9, checks=("all",))).cohomology
+        shared = table_ref(request_from_text(text, embedding=embedding, checks=("all",)))
+        again = analyze(request_from_text(text, embedding=embedding, seed=9, checks=("all",)))
+        assert shared() is again.cohomology, text
 
 
 def arrays_within(obj, seen):
@@ -215,7 +220,10 @@ def arrays_within(obj, seen):
         yield from arrays_within(item, seen)
 
 
-@pytest.mark.parametrize("text, embedding", [("S2(3,3,3,3)", None), ("O(g=2)", None), ("HD(5)", "orientable")])
+@pytest.mark.parametrize(
+    "text, embedding",
+    [("S2(3,3,3,3)", None), ("O(g=2)", None), ("HD(5)", "orientable"), ("O(g=2;b=2;cone=[3,5])", None)],
+)
 def test_every_shared_array_is_read_only(text, embedding):
     """After analyze and verify, every array kept with the shared
     representation, its decompositions, tables, forms and Gram matrices,
@@ -261,9 +269,6 @@ def test_shared_records_hold_no_writable_mapping():
     with pytest.raises(TypeError):
         pres.torsion_orders[1] = 5
     assert pres.torsion_orders == {1: 3, 2: 3, 3: 4}
-    boundary = build_representation(parse_signature("O(g=2;b=2;cone=[3,5])"), seed=3)
-    with pytest.raises(TypeError):
-        boundary.build_info["attempt"] = 9
     report = analyze(request_from_text("S2(3,3,3,3)"))
     with pytest.raises(TypeError):
         report.cohomology.module("g0").dims.methods["h2"] = "fox"

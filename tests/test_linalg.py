@@ -17,6 +17,7 @@ from charvar.linalg import (
     rank_cut,
 )
 from charvar.pipeline import OBSTRUCTION_STREAM, PAIRING_STREAM, WEIL_STREAM
+from charvar.reps import BOUNDARY_STREAM
 from conftest import kernel_basis
 
 POLICY = RankPolicy()
@@ -147,10 +148,10 @@ def test_seeded_draws_repeat_at_a_seed(shape):
 
 
 def test_seeded_draws_differ_between_the_sites_seeds():
-    """The boundary builder draws at the request's seed (0 by default) and
-    the three sampled gates at their fixed streams; seeds past 2**64 still
-    reach the generator."""
-    seeds = [0, 11, OBSTRUCTION_STREAM, PAIRING_STREAM, WEIL_STREAM, 2**70]
+    """The boundary builder and the three sampled gates draw from their
+    fixed streams, which differ from each other and from another seed;
+    seeds past 2**64 still reach the generator."""
+    seeds = [BOUNDARY_STREAM, 11, OBSTRUCTION_STREAM, PAIRING_STREAM, WEIL_STREAM, 2**70]
     normals = {SeededDraws(s).normal((2,)).tobytes() for s in seeds}
     uniforms = {SeededDraws(s).uniform() for s in seeds}
     assert len(normals) == len(uniforms) == len(seeds)

@@ -27,6 +27,7 @@ from charvar.pipeline import (
 from charvar.presentation import OrbifoldSignature, orientation_cover_generators, parse_signature
 from charvar.reps import (
     J3,
+    _boundary_rep,
     build_representation,
     burnside_irreducible,
     embed,
@@ -556,10 +557,9 @@ def test_runs_that_read_bases_factor_each_block_once(monkeypatch, run, text, emb
     non-orientable input and, under verify, of full_g's own complex.  A
     basis read takes one vector SVD of the Fox matrix and one of the
     coboundary matrix, on a block of the table only, and every block with
-    classes is factored.  A group without boundary circles has one shared
+    classes is factored.  Every built group has one shared
     representation, and every factorization is kept with it, so a second
-    run at another seed takes no SVD at all; a seeded one is built and
-    factored anew."""
+    run at another seed takes no SVD at all."""
     import charvar.pipeline as pipeline
 
     calls = svd_calls_by_caller(monkeypatch)
@@ -578,14 +578,9 @@ def test_runs_that_read_bases_factor_each_block_once(monkeypatch, run, text, emb
     with_classes = {label for label in BLOCKS if table.module(label).dims.h1}
     assert {label for name, label in pairs if name == "_b_basis"} == with_classes
     assert {label for name, label in pairs if name == "z_basis"} >= with_classes
-    cuts = rank_cuts(calls)
     calls.clear()
     run(request_from_text(text, embedding=embedding, seed=1))
-    sig = parse_signature(text)
-    if build_representation(sig, 0) is build_representation(sig, 1):
-        assert calls == []
-    else:
-        assert rank_cuts(calls) == cuts
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -596,12 +591,16 @@ def test_runs_that_read_bases_factor_each_block_once(monkeypatch, run, text, emb
         ("N(k=2;b=1;cone=[3])", "type_preserving"),
     ],
 )
-def test_boundary_placements_pass_every_gate_across_seeds(text, embedding):
-    """The seed moves every generic boundary placement; at 40 seeds each
-    placement passes every gate of analyze."""
-    for seed in range(40):
-        ledger = analyze(request_from_text(text, embedding=embedding, seed=seed)).ledger
-        assert [e.name for e in ledger if not e.passed] == [], seed
+def test_boundary_placements_pass_every_gate_across_seeds(tmp_path, text, embedding):
+    """The stream of draws moves every generic boundary placement; the
+    placements of streams 0 to 39, each analyzed as a representation
+    file, pass every gate of analyze."""
+    sig = parse_signature(text)
+    path = tmp_path / "placement.json"
+    for stream in range(40):
+        path.write_text(json.dumps(representation_to_json(_boundary_rep(sig, SeededDraws(stream)))))
+        ledger = analyze(request_from_text(text, embedding=embedding, rep_path=str(path))).ledger
+        assert [e.name for e in ledger if not e.passed] == [], stream
 
 
 # the inputs of the bounded-analyze benchmark workload
@@ -617,14 +616,11 @@ BOUNDED_ANALYZE = [("O(g=2;b=2;cone=[3,5])", None), ("D2(3,3)", None)] + [
 def test_analyze_rows_are_the_rows_verify_reads(text, embedding, seed):
     """analyze, which reads no basis here, and verify, which reads every
     block's, report the same rows, min_gap included, since every rank cut
-    reads singular values alone.  A seed-free representation's table is
-    one object for both; a seeded one is built per call, and its rows
-    still match bit for bit."""
+    reads singular values alone.  Every built representation is shared,
+    so the table is one object for both."""
     req = request_from_text(text, embedding=embedding, seed=seed)
     dims_only, full = analyze(req), analyze(req.replace(checks=("all",)))
-    sig = parse_signature(text)
-    shared = build_representation(sig, 0) is build_representation(sig, 1)
-    assert (full.cohomology is dims_only.cohomology) == shared
+    assert full.cohomology is dims_only.cohomology
     assert dims_only.cohomology.modules == full.cohomology.modules
     assert dims_only.dims == full.dims
     assert full.cohomology.min_gap >= 10.0

@@ -8,7 +8,7 @@ import inspect
 import numpy as np
 import pytest
 
-from charvar.linalg import RankPolicy, rank
+from charvar.linalg import RankPolicy, SeededDraws, rank
 from charvar.presentation import GroupPresentation, PresentationError, parse_signature, presentation_of
 from charvar.reps import (
     J3,
@@ -22,6 +22,8 @@ from charvar.reps import (
     half_mirrored_disc,
     load_representation,
     Representation,
+    _boundary_rep,
+    _build,
     _tangential_sides,
     polygon_group,
     representation_from_json,
@@ -80,14 +82,21 @@ def test_polygon_group_contract(orders):
 
 @pytest.mark.parametrize(
     "text",
-    ["S2(2,3,7)", "S2(3,3,3,3)", "S2(3,3,3,3,3,3,3)", "O(g=2)", "O(g=1;cone=[3])", "D(3,3,3;mirror)"],
+    [
+        "S2(2,3,7)", "S2(3,3,3,3)", "S2(3,3,3,3,3,3,3)", "O(g=2)", "O(g=1;cone=[3])", "D(3,3,3;mirror)",
+        "O(g=2;b=2;cone=[3,5])", "N(k=2;b=1;cone=[3])",
+    ],
 )
-def test_closed_builders_are_identical_across_calls_and_seeds(text):
+def test_builders_are_identical_across_rebuilds(text):
+    """No builder reads a seed or any other state: a group built again
+    after the shared one is dropped has the same matrices, bit for bit."""
     sig = parse_signature(text)
-    first = build_representation(sig, seed=0)
-    for seed in (0, 3, 1730636620):
-        for x, y in zip(first.matrices, build_representation(sig, seed=seed).matrices):
-            assert np.array_equal(x, y)
+    first = build_representation(sig)
+    _build.cache_clear()
+    again = build_representation(sig)
+    assert again is not first
+    for x, y in zip(first.matrices, again.matrices, strict=True):
+        assert np.array_equal(x, y)
 
 
 def test_build_representation_families(setups):
@@ -253,19 +262,22 @@ def test_tangential_sides_are_memoized_read_only():
     assert np.array_equal(_tangential_sides.__wrapped__((2, 3, 3, 2)), sides)
 
 
-# one signature per seed-free builder: polygon, torus with a cone point,
-# genus two, mirrored disc, half-mirrored disc
-SEED_FREE = ("S2(3,3,4)", "O(g=1;cone=[3])", "O(g=2)", "D(3,3;mirror)", "HD(3)")
+# one signature per builder: polygon, torus with a cone point, genus two,
+# mirrored disc, half-mirrored disc, and the boundary builder on an
+# orientable and a non-orientable group
+SEED_FREE = (
+    "S2(3,3,4)", "O(g=1;cone=[3])", "O(g=2)", "D(3,3;mirror)", "HD(3)", "D2(3,3)", "N(k=2;b=1;cone=[3])",
+)
 
 
 @pytest.mark.parametrize("text", SEED_FREE)
 def test_seed_free_builds_are_shared_read_only(text):
-    """A group whose builder reads no seed is built once per signature, on
-    its one presentation, and shared: nothing may write into its matrices
-    or their inverses."""
+    """No builder reads a seed, so every group is built once per
+    signature, on its one presentation, and shared: nothing may write
+    into its matrices or their inverses."""
     sig = parse_signature(text)
-    rep = build_representation(sig, 0)
-    assert build_representation(parse_signature(text), 5) is rep
+    rep = build_representation(sig)
+    assert build_representation(parse_signature(text)) is rep
     assert rep.presentation is presentation_of(sig)
     for m in rep.matrices + tuple(rep.gen(-g) for g in range(1, rep.num_generators + 1)):
         assert not m.flags.writeable
@@ -273,32 +285,41 @@ def test_seed_free_builds_are_shared_read_only(text):
             m[0, 0] = 0.0
 
 
-def test_boundary_builds_read_the_seed():
+def test_boundary_builds_draw_from_the_fixed_stream():
+    """The shared boundary group is the placement of the fixed stream
+    BOUNDARY_STREAM, the one seed 0 once fed; another stream moves the
+    placement but not the presentation."""
+    import charvar.reps as reps
+
     sig = parse_signature("D2(3,3)")
-    a, b = build_representation(sig, 0), build_representation(sig, 1)
-    assert a is not b
-    assert not all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
-    assert a.presentation is b.presentation
+    shared = build_representation(sig)
+    at0, at1 = (_boundary_rep(sig, SeededDraws(stream)) for stream in (reps.BOUNDARY_STREAM, 1))
+    assert reps.BOUNDARY_STREAM == 0
+    assert all(np.array_equal(x, y) for x, y in zip(shared.matrices, at0.matrices, strict=True))
+    assert not all(np.array_equal(x, y) for x, y in zip(at0.matrices, at1.matrices))
+    assert at1.presentation is shared.presentation
 
 
 @pytest.mark.parametrize("text", ["D2(3,3)", "O(g=2;b=2;cone=[3,5])", "N(k=2;b=1;cone=[3])"])
-def test_boundary_builder_reads_only_the_span(monkeypatch, text):
-    """The restart test reads the algebra dimension alone: no commutant is
-    computed, and the placement it accepts spans all 9 dimensions."""
+def test_boundary_builder_runs_no_burnside(monkeypatch, text):
+    """The boundary builder places once and certifies no span and no
+    commutant (analyze's gates do); the placement it returns spans all 9
+    dimensions."""
     import charvar.reps as reps
 
     def refused(*args, **kwargs):
-        raise AssertionError("the boundary builder computed a commutant")
+        raise AssertionError("the boundary builder ran Burnside's criterion")
 
     monkeypatch.setattr(reps, "commutant_dim", refused)
-    rep = build_representation(parse_signature(text), seed=3)
+    monkeypatch.setattr(reps, "_span_dim", refused)
+    rep = build_representation(parse_signature(text))
     monkeypatch.undo()
     assert burnside_irreducible(rep).algebra_dim == 9
 
 
 def test_examples_construct_each_seed_free_group_once(monkeypatch, capsys):
     """examples --json analyzes D(3,3;mirror) and HD(3) under both
-    embeddings, and constructs each once."""
+    embeddings, and constructs each of its four groups once."""
     from collections import Counter
 
     import charvar.reps as reps
@@ -311,7 +332,7 @@ def test_examples_construct_each_seed_free_group_once(monkeypatch, capsys):
         built[presentation.signature.to_text()] += 1
         real(self, presentation, *args, **kwargs)
 
-    reps._seed_free_rep.cache_clear()
+    reps._build.cache_clear()
     monkeypatch.setattr(Representation, "__init__", counted)
     assert main(["examples", "--json"]) == 0
     capsys.readouterr()
