@@ -13,6 +13,7 @@ import json
 import sys
 from functools import lru_cache
 
+from ._record import kept
 from .classifier import ClassifierError
 from .cohomology import CohomologyError
 from .linalg import RankPolicy
@@ -120,14 +121,29 @@ def _dims_line(report: AnalysisReport) -> str:
     return f"p={d['p']} b={d['b']} d_oe={d['d_oe']} d_tp={d['d_tp']} f={d['f']}"
 
 
+def _json_entries(report: AnalysisReport, dims_only: bool, show_model: bool) -> tuple[str | None, ...]:
+    """The report's top-level JSON entries in key order as json.dumps(data,
+    indent=2, sort_keys=True) writes them: nested lines two spaces deeper
+    (no JSON string holds a raw newline), and None for the seed."""
+    data = report_to_json(report)
+    if dims_only:
+        data = {"schema": SCHEMA, "input": data["input"], "dims": data["dims"]}
+    elif not show_model:
+        data["model"] = None
+    return tuple(
+        None if key == "seed"
+        else f"  {json.dumps(key)}: " + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        for key, value in sorted(data.items())
+    )
+
+
 def _print_report(report: AnalysisReport, as_json: bool, dims_only: bool, show_model: bool = True):
     if as_json:
-        data = report_to_json(report)
-        if dims_only:
-            data = {"schema": SCHEMA, "input": data["input"], "dims": data["dims"]}
-        elif not show_model:
-            data["model"] = None
-        print(json.dumps(data, indent=2, sort_keys=True))
+        # the table fixes the representation, the embedding and the policy
+        req = report.request
+        key = ("json", req.rep_path is None, req.checks, dims_only, show_model)
+        entries = kept(report.cohomology, key, lambda: _json_entries(report, dims_only, show_model))
+        print("{\n" + ",\n".join(f'  "seed": {req.seed}' if e is None else e for e in entries) + "\n}")
         return
     print(f"input      {report.request.input_text}  {report.group['description']}")
     print(f"embedding  {report.embedding}  (SL_{report.n} -> SL_{report.n + 1})")

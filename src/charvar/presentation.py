@@ -9,8 +9,8 @@ on, so they are validated here rather than trusted downstream.
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -28,6 +28,7 @@ __all__ = [
     "parse_signature",
     "presentation_of",
     "euler_characteristic",
+    "scaled_euler",
     "underlying_euler",
     "inverse_word",
     "word_power",
@@ -133,6 +134,7 @@ def _parse_kv(body: str, ctx: str) -> dict:
     return out
 
 
+@lru_cache(maxsize=256)
 def parse_signature(text: str) -> OrbifoldSignature:
     """Grammar: S2(3,3,4) | O(g=2;b=1;cone=[3,3]) | N(k=1;b=0;cone=[2,5])
     | D(3,4;mirror) | D2(3,3) (disc with cone points, one boundary circle)
@@ -163,13 +165,19 @@ def parse_signature(text: str) -> OrbifoldSignature:
     raise SignatureError(f"cannot parse signature {text!r}")
 
 
-def euler_characteristic(sig: OrbifoldSignature) -> Fraction:
-    chi = Fraction(underlying_euler(sig))
-    if sig.kind == "mirrored":
-        chi -= Fraction(sig.boundary_circles, 2)  # a mirror arc, unlike a circle, counts half
-    for n in sig.cone_orders:
-        chi -= Fraction(n - 1, n)
-    return chi
+def euler_characteristic(sig: OrbifoldSignature):
+    """chi as a Fraction; fractions loads decimal, so no command imports it."""
+    from fractions import Fraction
+
+    return Fraction(*scaled_euler(sig))
+
+
+def scaled_euler(sig: OrbifoldSignature) -> tuple[int, int]:
+    """(2 L chi, 2 L) for L the lcm of the cone orders: chi in integers."""
+    lcm = math.lcm(*sig.cone_orders)
+    arcs = sig.boundary_circles if sig.kind == "mirrored" else 0  # a mirror arc, unlike a circle, counts half
+    cones = sum(2 * (lcm // n) * (n - 1) for n in sig.cone_orders)
+    return 2 * lcm * underlying_euler(sig) - lcm * arcs - cones, 2 * lcm
 
 
 def underlying_euler(sig: OrbifoldSignature) -> int:

@@ -42,6 +42,7 @@ from .presentation import (
     euler_characteristic,
     parse_signature,
     presentation_of,
+    scaled_euler,
 )
 
 __all__ = [
@@ -291,9 +292,8 @@ def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
 
 
 def _require_hyperbolic(sig: OrbifoldSignature):
-    chi = euler_characteristic(sig)
-    if chi >= 0:
-        raise BuildError(f"{sig.to_text()} has Euler characteristic {chi} >= 0, not hyperbolic")
+    if scaled_euler(sig)[0] >= 0:
+        raise BuildError(f"{sig.to_text()} has Euler characteristic {euler_characteristic(sig)} >= 0, not hyperbolic")
 
 
 @lru_cache(maxsize=256)

@@ -185,14 +185,14 @@ def test_a_boundary_group_with_many_handles_is_refused_by_name(capsys, argv):
     assert parse_signature(argv[1]).to_text() in err
 
 
-# main in a fresh interpreter; the last line of standard error says
-# whether numpy.random was imported
-# the start-up costs no command pays: the last stderr line names the ones loaded
+# main in a fresh interpreter; the last line of standard error names the
+# modules no command should pay to import that it loaded
 FRESH = (
     "import sys\n"
     "from charvar.cli import main\n"
     "rc = main(sys.argv[1:])\n"
-    "print(','.join(m for m in ('numpy.random', 'dataclasses') if m in sys.modules), file=sys.stderr)\n"
+    "unpaid = ('numpy.random', 'dataclasses', 'fractions', 'decimal')\n"
+    "print(','.join(m for m in unpaid if m in sys.modules), file=sys.stderr)\n"
     "sys.exit(rc)\n"
 )
 
@@ -220,7 +220,8 @@ def test_a_fresh_process_does_not_import_numpy_random(argv):
     """The seeded draws come from the standard library's generator, which
     numpy loads anyway, so no command pays for importing numpy.random; the
     records are plain classes and named tuples, so none pays for the
-    dataclass code generation either."""
+    dataclass code generation either; and hyperbolicity is decided in
+    integers, so none loads fractions or the decimal it imports."""
     rc, out, loaded = fresh_run(argv)
     assert rc == 0 and out
     assert loaded == ""

@@ -2,11 +2,12 @@
 
 analyze computes what depends on the representation, the embedding and
 the rank policy once, and keeps it with the representation, its
-decomposition or its table; no step reads the seed, so a call at a new
-seed on a built group recomputes nothing.  These tests hold that reuse
-to the bytes a fresh process prints, keep it from crossing policies or
-embeddings, and check that kept facts are read-only and die with a
-representation read from a file.
+decomposition or its table, and the CLI keeps each report's JSON text
+with its table; no step reads the seed, so a call at a new seed on a
+built group recomputes nothing.  These tests hold that reuse to the
+bytes a fresh process and json.dumps print, keep it from crossing
+policies or embeddings, and check that kept facts are read-only and die
+with a representation read from a file.
 """
 
 from __future__ import annotations
@@ -277,3 +278,98 @@ def test_shared_records_hold_no_writable_mapping():
     table = json.loads(json.dumps(report_to_json(report)))["cohomology"]
     assert table["g0"]["methods"] == {"h0": "fox", "h1": "fox", "h2": "duality"}
     assert table["full_g"]["methods"] == dict.fromkeys(("h0", "h1", "h2"), "direct_sum")
+
+
+SEEDS = (0, 5, 2**31 - 1)
+
+
+def json_command_lines(text: str, embedding: str) -> list[tuple[list[str], str | None]]:
+    """analyze --json and dims --json of one input, each with the embedding
+    of the library request it prints.  A non-orientable input also runs
+    dims --json with no --embed, which analyzes under the orientable
+    embedding and prints no model."""
+    if embedding == "standard":
+        return [([command, "--json", text], None) for command in ("analyze", "dims")]
+    embed = ["--embed", embedding.replace("_", "-")]
+    lines = [([command, "--json", text, *embed], embedding) for command in ("analyze", "dims")]
+    if embedding == "orientable":
+        lines.append((["dims", "--json", text], "orientable"))
+    return lines
+
+
+def library_json(argv: list[str], embedding: str | None, seed: int) -> str:
+    """What json.dumps prints for the library's report of the command."""
+    data = report_to_json(analyze(request_from_text(argv[2], embedding=embedding, seed=seed)))
+    if argv[0] == "dims":
+        data = {"schema": data["schema"], "input": data["input"], "dims": data["dims"]}
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("text, embedding", EVERY_INPUT)
+def test_the_kept_json_text_is_what_json_dumps_prints(text, embedding):
+    """The CLI encodes a report's JSON entries once and keeps them with the
+    table, writing only the seed per call.  On every input, the ten of
+    bounded-analyze among them, analyze --json and dims --json print what
+    json.dumps prints for the library's report: first on a freshly built
+    representation, then warm at each seed, the largest 32-bit one too.
+    The commands share one table, so each must find its own text."""
+    lines = json_command_lines(text, embedding)
+    for seed in SEEDS:
+        _build.cache_clear()
+        for argv, library_embedding in lines:
+            cold = cli([*argv, "--seed", str(seed)])
+            assert cold == [0, library_json(argv, library_embedding, seed)], (argv, seed)
+        for other in SEEDS:
+            for argv, library_embedding in lines:
+                warm = cli([*argv, "--seed", str(other)])
+                assert warm == [0, library_json(argv, library_embedding, other)], (argv, seed, other)
+
+
+def counted(fn, name: str, calls: list):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_a_warm_analyze_json_encodes_nothing(monkeypatch):
+    """Once analyze --json and dims --json of a group have run, another
+    call at any seed builds no JSON data and calls no json.dumps; a
+    freshly built group does both."""
+    import charvar.cli as cli_module
+
+    argvs = [["analyze", "--json", "D(3,3;mirror)", "--embed", "orientable"], ["dims", "--json", "D(3,3;mirror)"]]
+    firsts = [cli(argv) for argv in argvs]
+    calls = []
+    for module, name in ((json, "dumps"), (cli_module, "report_to_json")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), name, calls))
+    for argv, first in zip(argvs, firsts):
+        assert cli([*argv, "--seed", "9"]) == [0, first[1].replace('"seed": 0', '"seed": 9')]
+    assert calls == []
+    _build.cache_clear()
+    assert cli(argvs[0]) == firsts[0]
+    assert set(calls) == {"dumps", "report_to_json"}
+
+
+def test_a_failed_hypothesis_is_raised_on_every_call(tmp_path):
+    """A failed hypothesis is raised on every call: a representation file
+    that fails one raises HypothesisError with its ledger each time, and so does
+    a built group under a policy that fails Burnside's criterion, which the
+    default policy then still analyzes."""
+    path = tmp_path / "hd4.json"
+    # rank-2 HD(4): x the quarter turn, s = diag(1, -1); the cover is reducible
+    path.write_text(json.dumps(
+        {"signature": "HD(4)", "n": 2, "group_tag": "SLpm", "matrices": [["0", "-1", "1", "0"], ["1", "0", "0", "-1"]]}
+    ))
+    for req in (
+        request_from_text("HD(4)", embedding="orientable", rep_path=str(path)),
+        request_from_text("S2(3,3,3,3)", policy=RankPolicy(0.5, 5e-4)),
+    ):
+        ledgers = []
+        for _ in range(3):
+            with pytest.raises(HypothesisError) as err:
+                analyze(req)
+            ledgers.append([(e.name, e.passed) for e in err.value.ledger])
+        assert ledgers[0] == ledgers[1] == ledgers[2] and not all(passed for _, passed in ledgers[0])
+    assert analyze(request_from_text("S2(3,3,3,3)")).dims["p"] == 8

@@ -18,6 +18,7 @@ from charvar.presentation import (
     orientation_cover_generators,
     parse_signature,
     presentation_of,
+    scaled_euler,
     underlying_euler,
     word_power,
 )
@@ -105,6 +106,27 @@ def test_euler_characteristic_is_the_weighted_cell_count(text):
     sig = parse_signature(text)
     cells = presentation_of(sig).cells
     assert euler_characteristic(sig) == sum(Fraction((-1) ** c.dim, c.stabilizer.order) for c in cells)
+
+
+@pytest.mark.parametrize(
+    "text", ["S2(2,3,5)", "S2(2,3,6)", "S2(2,3,7)", "S2(2,2,2,2)", "S2(7,11,13)", "O(g=1)", "O(g=2)",
+             "N(k=2)", "N(k=1;b=1;cone=[3])", "D(2,3,6;mirror)", "D(2,3,7;mirror)", "HD(2)", "HD(3)", "D2(2,2)"],
+)
+def test_scaled_euler_is_chi_in_integers(text):
+    """(2 L chi, 2 L) for L the lcm of the cone orders: its numerator has
+    chi's sign, on both sides of zero and at zero."""
+    sig = parse_signature(text)
+    numerator, denominator = scaled_euler(sig)
+    assert denominator > 0 and Fraction(numerator, denominator) == euler_characteristic(sig)
+
+
+def test_a_parsed_signature_is_shared():
+    """parse_signature is memoized: one text gives one object, and bad
+    text raises on every call."""
+    assert parse_signature("S2(3,3,4)") is parse_signature("S2(3,3,4)")
+    for _ in range(3):
+        with pytest.raises(SignatureError, match="cannot parse signature 'X\\(3\\)'"):
+            parse_signature("X(3)")
 
 
 def test_underlying_euler_values():
