@@ -8,10 +8,9 @@ Subcommands: analyze (full report), dims (dimension summary), verify
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 
 from ._record import kept
 from .classifier import ClassifierError
@@ -32,70 +31,109 @@ from .pipeline import (
 from .presentation import PresentationError, SignatureError
 from .reps import BuildError, RepError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
-_SIG_HELP = (
-    "group signature: S2(3,3,4), O(g=2;b=1;cone=[3]), N(k=1;b=1), "
-    "D(3,3;mirror), D2(3,3) or HD(3)"
-)
+_HELP = """\
+usage: charvar {analyze,dims,verify,examples} [SIGNATURE] [--rep FILE]
+               [--embed {standard,orientable,type-preserving}] [--tol T] [--json] [--seed N]
+
+character-variety local models for 2-orbifold groups
+
+commands:
+  analyze     full analysis of one group
+  dims        dimension summary only
+  verify      run every cross-check
+  examples    run the worked fixtures (no SIGNATURE, --rep or --embed)
+
+arguments:
+  SIGNATURE   group signature: S2(3,3,4), O(g=2;b=1;cone=[3]), N(k=1;b=1),
+              D(3,3;mirror), D2(3,3) or HD(3)
+  --rep FILE  representation file, which fixes the rank (default: built-in)
+  --embed {standard,orientable,type-preserving}
+              embedding into the ambient group; required for non-orientable input
+  --tol T     relative rank tolerance, in (0, 1) (default 1e-9)
+  --json      machine-readable output
+  --seed N    echoed in JSON; no step reads it (default 0)
+  -h, --help  show this help and exit
+
+Options may come before or after SIGNATURE, as --name VALUE or --name=VALUE;
+a unique prefix (--emb) names its option."""
+_USAGE = _HELP.partition("\n\n")[0]
+_COMMANDS = ("analyze", "dims", "verify", "examples")
 
 
-class _Parser(argparse.ArgumentParser):
-    # the exit-code contract reserves 2 for hypothesis failures
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+class _UsageError(Exception):
+    """A malformed command line: main prints the usage and exits 1."""
 
 
 def _tolerance(text: str) -> float:
     value = float(text)
     # 0 would keep rounding noise as rank and 1 drop every direction; nan fails the test too
     if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+        raise ValueError(text)
     return value
 
 
-def _add_common(p, with_input: bool):
-    if with_input:
-        p.add_argument("signature", help=_SIG_HELP)
-        p.add_argument(
-            "--rep",
-            metavar="FILE",
-            help="representation file, which fixes the rank (default: built-in)",
-        )
-        p.add_argument(
-            "--embed",
-            choices=["standard", "orientable", "type-preserving"],
-            default=None,
-            help="embedding into the ambient group; required for non-orientable input",
-        )
-    p.add_argument(
-        "--tol", type=_tolerance, default=1e-9, help="relative rank tolerance, in (0, 1)"
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="echoed in JSON; no step reads it (default 0)",
-    )
+# option -> the converter of its value, which raises ValueError or KeyError on
+# a value it refuses, and what that value is told; None for an option that
+# takes no value
+_EXAMPLES_OPTIONS = {"--tol": (_tolerance, "must be a number in (0, 1), got"), "--seed": (int, "invalid int value:"),
+                     "--json": None, "-h": None, "--help": None}
+_EMBEDDINGS = {e: e for e in ("standard", "orientable", "type-preserving")}
+_OPTIONS = {"--rep": (str, ""), "--embed": (_EMBEDDINGS.__getitem__, "invalid choice:"), **_EXAMPLES_OPTIONS}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="charvar", description="character-variety local models for 2-orbifold groups")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    _add_common(sub.add_parser("analyze", help="full analysis of one group"), True)
-    _add_common(sub.add_parser("dims", help="dimension summary only"), True)
-    _add_common(sub.add_parser("verify", help="run every cross-check"), True)
-    _add_common(sub.add_parser("examples", help="run the worked fixtures"), False)
-    return p
+def _option(name: str, options) -> str | None:
+    """The option `name` is, or the one it alone abbreviates."""
+    if name in options:
+        return name
+    hits = [option for option in options if option.startswith(name)]
+    return hits[0] if name.startswith("--") and len(hits) == 1 else None
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves the parser as it was, so one serves every main call
-    return build_parser()
+def _parse(argv):
+    """The command and its options as the attributes the commands read, or
+    None for help; a malformed command line raises _UsageError."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command, rest = argv[0], iter(argv[1:])
+    if command not in _COMMANDS:
+        if _option(command, ("-h", "--help")):
+            return None
+        raise _UsageError(f"argument command: invalid choice: {command!r}")
+    takes_input = command != "examples"
+    options = _OPTIONS if takes_input else _EXAMPLES_OPTIONS
+    args = SimpleNamespace(command=command, signature=None, rep=None, embed=None, tol=1e-9, json=False, seed=0)
+    extra = []
+    for arg in rest:
+        if not arg.startswith("-"):
+            if takes_input and args.signature is None:
+                args.signature = arg
+            else:
+                extra.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        name = name if name in options else _option(name, options)
+        if name is None or (eq and options[name] is None):
+            extra.append(arg)
+        elif name == "--json":
+            args.json = True
+        elif options[name] is None:
+            return None
+        else:
+            convert, refusal = options[name]
+            value = value if eq else next(rest, None)
+            if value is None:
+                raise _UsageError(f"argument {name}: expected one argument")
+            try:
+                setattr(args, name[2:], convert(value))
+            except (KeyError, ValueError):
+                raise _UsageError(f"argument {name}: {refusal} {value!r}") from None
+    if takes_input and args.signature is None:
+        raise _UsageError("the following arguments are required: signature")
+    if extra:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _policy(args) -> RankPolicy:
@@ -217,7 +255,16 @@ def _cmd_examples(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _parse(argv)
+    except _UsageError as err:
+        command = f" {argv[0]}" if argv and argv[0] in _COMMANDS else ""
+        print(f"{_USAGE}\ncharvar{command}: error: {err}", file=sys.stderr)
+        return 1
+    if args is None:
+        print(_HELP)
+        return 0
     try:
         if args.command == "analyze":
             return _cmd_analyze(args, dims_only=False)

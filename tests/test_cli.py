@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charvar.cli import build_parser, main
+from charvar.cli import main
 from charvar.presentation import parse_signature
 from charvar.reps import build_representation, embed, representation_to_json
 
@@ -92,7 +92,44 @@ def test_usage_errors_exit_one(capsys):
     assert run(["analyze", "S2(3,3,4)", "--no-such-flag"], capsys)[0] == 1
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "1"])
+@pytest.mark.parametrize(
+    "argv, rc, shown",
+    [
+        ([], 1, ()),
+        (["frobnicate", "S2(3,3,4)"], 1, ()),
+        (["analyze"], 1, ()),
+        (["analyze", "S2(3,3,4)", "S2(2,3,7)"], 1, ()),
+        (["examples", "S2(3,3,4)"], 1, ()),
+        (["examples", "--embed", "orientable"], 1, ()),
+        (["analyze", "D(3,3;mirror)", "--embed", "bogus"], 1, ()),
+        (["analyze", "S2(3,3,4)", "--seed", "x"], 1, ()),
+        (["analyze", "S2(3,3,4)", "--tol"], 1, ()),
+        (["analyze", "--json", "S2(3,3,4)", "--tol=1e-8"], 0, ('"relative": 1e-08',)),
+        (["analyze", "--json", "D(3,3;mirror)", "--emb", "orientable"], 0, ('"embedding": "orientable"',)),
+        (["analyze", "--json", "--seed", "3", "S2(3,3,4)"], 0, ('"seed": 3',)),
+        (["analyze", "--json", "S2(3,3,4)", "--seed", "1", "--seed", "5"], 0, ('"seed": 5',)),
+        (["-h"], 0, ("analyze", "dims", "verify", "examples")),
+        (["analyze", "-h"], 0, ("--embed", "--tol")),
+    ],
+    ids=[
+        "no-command", "unknown-command", "no-signature", "two-signatures",
+        "examples-signature", "examples-embed", "bad-choice", "bad-int", "no-value",
+        "equals-form", "prefix", "options-first", "last-wins", "help", "command-help",
+    ],
+)
+def test_the_command_line_grammar(capsys, argv, rc, shown):
+    """A malformed command line exits 1 with the usage error last on
+    stderr and nothing on stdout; each accepted form prints what it asks."""
+    got, out, err = run(argv, capsys)
+    assert got == rc
+    if rc:
+        assert out == ""
+        assert "error:" in err.splitlines()[-1]
+    for text in shown:
+        assert text in out
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "1", "abc"])
 def test_tolerance_outside_the_unit_interval_is_a_usage_error(capsys, tol):
     """As thresholds, 0 and -1 would keep rounding noise as rank (a negative
     h1), and nan and 1 would drop the whole span and call a valid input
@@ -191,7 +228,7 @@ FRESH = (
     "import sys\n"
     "from charvar.cli import main\n"
     "rc = main(sys.argv[1:])\n"
-    "unpaid = ('numpy.random', 'dataclasses', 'fractions', 'decimal')\n"
+    "unpaid = ('numpy.random', 'dataclasses', 'fractions', 'decimal', 'argparse')\n"
     "print(','.join(m for m in unpaid if m in sys.modules), file=sys.stderr)\n"
     "sys.exit(rc)\n"
 )
@@ -221,7 +258,8 @@ def test_a_fresh_process_does_not_import_numpy_random(argv):
     numpy loads anyway, so no command pays for importing numpy.random; the
     records are plain classes and named tuples, so none pays for the
     dataclass code generation either; and hyperbolicity is decided in
-    integers, so none loads fractions or the decimal it imports."""
+    integers, so none loads fractions or the decimal it imports; and the
+    command line is read in one plain pass, so none imports argparse."""
     rc, out, loaded = fresh_run(argv)
     assert rc == 0 and out
     assert loaded == ""
@@ -296,7 +334,6 @@ def test_parser_carries_no_state_between_calls(capsys):
     rc, _, err = run(["analyze", "HD(3)"], capsys)
     assert rc == 1
     assert "embed" in err
-    assert build_parser() is not build_parser()
 
 
 @pytest.mark.parametrize(
