@@ -7,7 +7,17 @@ computes twisted group cohomology by Fox calculus, evaluates the
 obstruction pairing against the fundamental class, and reports the
 local homeomorphism type R^p x R^b x Cone(X) of the character variety
 at the embedded point.
+
+Importing the package caps the BLAS thread pool of its own process at
+one thread, before numpy loads: its matrices are small, so extra threads
+only add scheduler noise.  A setting already in the environment wins.
 """
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from .classifier import LocalModel, classify
 from .coeffmodules import (

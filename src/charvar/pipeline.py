@@ -3,9 +3,10 @@
 analyze() resolves the input to a presentation and a representation,
 certifies the hypotheses (relator residuals, determinant signs,
 C-irreducibility of the base group and, for non-orientable groups, of
-the orientation-cover subgroup), embeds into the ambient group,
-computes the cohomology table of every coefficient block, samples the
-obstruction form when the group is closed orientable, and classifies.
+the orientation-cover subgroup), embeds into the ambient group, where
+the relators must hold to the same bound, computes the cohomology
+table of every coefficient block, samples the obstruction form when
+the group is closed orientable, and classifies.
 It fails closed: a broken hypothesis raises HypothesisError carrying
 the ledger collected so far, and no local model is emitted.
 
@@ -283,6 +284,11 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         entries.append(LedgerEntry(name, bool(passed), float(margin), note))
         return bool(passed)
 
+    def require(ok):
+        if not ok:
+            raise HypothesisError("hypotheses not met: the representation fails a precondition (see ledger)",
+                                  entries)
+
     if req.rep_path is not None:
         rep = load_representation(req.rep_path, req.signature)
     else:
@@ -307,16 +313,11 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
                 float(rep.n**2 - burn.algebra_dim),
                 f"algebra {burn.algebra_dim}/{rep.n ** 2}",
             )
-    if not ok:
-        raise HypothesisError(
-            "hypotheses not met: the representation fails a precondition "
-            "(see ledger)",
-            entries,
-        )
+    require(ok)
 
     sd = kept(rep, ("decomposition", emb), lambda: decompose_sl(rep, emb))
     res_emb = sd.embedded.relator_residual
-    check("relator-residual-embedded", res_emb <= RESIDUAL_BOUND, res_emb)
+    require(check("relator-residual-embedded", res_emb <= RESIDUAL_BOUND, res_emb))
     emb_commutant = kept(sd, ("commutant", policy), lambda: commutant_dim(sd.embedded.matrices, policy))
     check("embedded-commutant", emb_commutant == 2, float(emb_commutant), "two blocks")
 

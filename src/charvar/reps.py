@@ -3,17 +3,19 @@
 Hyperbolic constructions use the hyperboloid model: SO(2,1) acting on
 {x^2 + y^2 - z^2 = -1, z > 0}.  Rotations about hyperboloid points come
 from a Minkowski Rodrigues formula and reflections fix a geodesic.  The
-closed and mirrored builders are explicit geometry with no optimizer:
-spheres with cone points and mirrored discs take products of reflections
-in the sides of one tangential polygon, genus two takes the side pairings
-of the regular octagon, and the torus with one cone point takes two
-perpendicular translations of a length given in closed form.  HD(n)
-takes a rotation and a reflection in generic position.  Other groups
-with boundary place their generators from one fixed stream of draws and
-solve the long relator for the last one.  No builder reads a seed, so
-build_representation builds each group once and shares it, read-only.
-Every builder returns generators that satisfy the relators up to a
-rounding that grows with the entries (8.3e-9 on S2(7^9)).
+closed and mirrored builders are explicit geometry with no optimizer,
+all from one incircle solve of a polygon tangent to a circle about the
+origin: spheres with cone points and mirrored discs take products of
+reflections in its sides, and every closed orientable group of genus
+g >= 1 takes the side pairings of a_1 b_1 a_1^-1 b_1^-1 ... x_1 x_1^-1 ....
+HD(n) takes a rotation and a reflection in generic position.  Other
+groups with boundary place their generators from one fixed stream of
+draws and solve the long relator for the last one.  No builder reads a
+seed, so build_representation builds each group once and shares it,
+read-only.  Every builder returns generators that satisfy the relators
+up to a rounding that grows with the entries (8.3e-9 on S2(7^9), 8.4e-9
+on O(g=4)); past RESIDUAL_BOUND the constructor refuses them, and the
+refusal is a BuildError that names the signature.
 
 The constructor checks each torsion order once, on the n x n matrices;
 the cohomology table reads its stabilizer dimensions from their traces.
@@ -89,12 +91,6 @@ def rot_origin(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-# the quarter turn about the origin, exactly: rot_origin(pi / 2) carries
-# cos(pi / 2) ~ 6e-17, which lifts genus two's h1-cocycle-residual in
-# verify from 5e-12 to 9e-11
-_QUARTER = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-
 def trans_x(t: float) -> np.ndarray:
     c, s = np.cosh(t), np.sinh(t)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
@@ -125,10 +121,6 @@ def reflection_in(normal) -> np.ndarray:
     n = np.asarray(normal, dtype=float)
     n = n / np.sqrt(_ldot(n, n))
     return np.eye(3) - 2.0 * np.outer(n, n @ J3)
-
-
-def _comm(a, b) -> np.ndarray:
-    return a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
 
 
 GROUP_TAGS = ("SL", "SLpm")
@@ -296,20 +288,30 @@ def _require_hyperbolic(sig: OrbifoldSignature):
         raise BuildError(f"{sig.to_text()} has Euler characteristic {euler_characteristic(sig)} >= 0, not hyperbolic")
 
 
+def _certified(sig: OrbifoldSignature, mats, lineage: str, group_tag: str = "SL") -> Representation:
+    """The built representation of sig; one the constructor refuses is a
+    BuildError that names sig."""
+    try:
+        return Representation(presentation_of(sig), tuple(mats), group_tag, (lineage,))
+    except RepError as err:
+        raise BuildError(f"the built representation of {sig.to_text()} is refused: {err}; "
+                         "supply a representation file") from None
+
+
 @lru_cache(maxsize=256)
-def _tangential_sides(orders: tuple[int, ...]) -> np.ndarray:
-    """Reflections in the sides of the hyperbolic polygon with vertex
-    angles pi/n_i whose incircle is centered at the origin (Poincare's
-    polygon theorem; Beardon, The Geometry of Discrete Groups).  The right
-    triangle of the center, vertex i and a tangent point has angle d_i =
+def _incircle(angles: tuple[float, ...]) -> tuple[float, np.ndarray]:
+    """The hyperbolic polygon with vertex angles a_i whose incircle is
+    centered at the origin (Poincare's polygon theorem; Beardon, The
+    Geometry of Discrete Groups, 9.8): its inradius r and the polar
+    angles phi_i at which side i touches the circle.  The right triangle
+    of the center, vertex i and a tangent point has angle d_i =
     arcsin(cos(a_i/2) / cosh r) at the center, and the d_i fill a half
     turn: sum d_i decreases in r and exceeds pi at r = 0 exactly when the
-    angles sum to less than (c - 2) pi, so bisection finds the inradius r
-    to the last bit.  Side i runs from vertex i to vertex i + 1, and the
-    reflections in sides i - 1 and i compose to the rotation by 2 a_i
-    about vertex i.  The sides depend on the orders only, so they are
-    solved once per orders tuple and shared, read-only."""
-    cos_half = np.cos(np.pi / np.array(orders, dtype=float) / 2.0)
+    angles sum to less than (c - 2) pi, so bisection finds r to the last
+    bit.  Side i runs from vertex i to vertex i + 1.  The solve depends
+    on the angles only, so it runs once per angles tuple and is shared,
+    read-only."""
+    cos_half = np.cos(np.array(angles) / 2.0)
     lo, hi = 0.0, 50.0
     while True:
         mid = 0.5 * (lo + hi)
@@ -321,13 +323,18 @@ def _tangential_sides(orders: tuple[int, ...]) -> np.ndarray:
             hi = mid
     r = lo
     d = np.arcsin(cos_half / np.cosh(r))
-    # side i touches the circle at polar angle phi_i, between vertices i and i + 1
+    # vertex i sits d_i past the tangent point of side i - 1 and d_i short of side i's
     phis = np.cumsum(np.concatenate([[0.0], d[:-1] + d[1:]])) + d
-    sides = np.array(
-        [reflection_in((np.cos(phi) * np.cosh(r), np.sin(phi) * np.cosh(r), np.sinh(r))) for phi in phis]
-    )
-    sides.flags.writeable = False
-    return sides
+    phis.flags.writeable = False
+    return r, phis
+
+
+def _tangential_sides(orders) -> list[np.ndarray]:
+    """Reflections in the sides of the tangential polygon with vertex
+    angles pi/n_i: the reflections in sides i - 1 and i compose to the
+    rotation by 2 pi/n_i about vertex i."""
+    r, phis = _incircle(tuple(np.pi / n for n in orders))
+    return [reflection_in((np.cos(phi) * np.cosh(r), np.sin(phi) * np.cosh(r), np.sinh(r))) for phi in phis]
 
 
 def polygon_group(orders) -> Representation:
@@ -341,54 +348,35 @@ def polygon_group(orders) -> Representation:
     sig = OrbifoldSignature("orientable", 0, 0, orders)
     _require_hyperbolic(sig)
     sides = _tangential_sides(orders)
-    return Representation(
-        presentation_of(sig),
-        tuple(sides[i - 1] @ sides[i] for i in range(c)),
-        lineage=(f"polygon{orders}",),
-    )
+    return _certified(sig, [sides[i - 1] @ sides[i] for i in range(c)], f"polygon{orders}")
 
 
-def _torus_with_cone(n: int) -> Representation:
-    """Genus one, one cone point of order n, from two translations of
-    length l along perpendicular axes.  Lifted to SL_2 with t = 2 cosh(l/2),
-    the commutator has trace 2 t^2 - t^4/4 - 2, which equals 2 cos(pi/n)
-    at cosh^2(l/2) = 1 + sin(pi/2n); then x = [a, b]^-1 is the rotation by
-    2 pi/n."""
-    sig = OrbifoldSignature("orientable", 1, 0, (n,))
-    _require_hyperbolic(sig)
-    ell = 2.0 * np.arccosh(np.sqrt(1.0 + np.sin(np.pi / (2 * n))))
-    a = trans_x(ell)
-    b = _QUARTER @ a @ _QUARTER.T
-    x = np.linalg.inv(_comm(a, b))
-    return Representation(
-        presentation_of(sig),
-        (a, b, x),
-        lineage=(f"torus_cone({n})",),
-    )
+def _surface_group(genus: int, orders: tuple[int, ...]) -> Representation:
+    """Closed orientable genus g >= 1 with cone points of orders n_j, from
+    the side-pairing polygon a_1 b_1 a_1^-1 b_1^-1 ... x_1 x_1^-1 ... with
+    4g + 2c sides tangent to one circle about the origin.  The vertex
+    between the sides x_j and x_j^-1 is a cycle of its own, with angle
+    2 pi/n_j, and the other 4g + c vertices form one cycle, at
+    2 pi/(4g + c) each.  The pairing of side i onto side j turns the
+    circle by phi_j - phi_i, then takes the half turn about side j's
+    tangent point: it carries side i onto side j reversed, and the polygon
+    across side j.  a_h, b_h and x_j pair sides 4h+2 -> 4h, 4h+1 -> 4h+3
+    and 4g+2j+1 -> 4g+2j, the gluing the long relator reads, so by the
+    polygon theorem x_j is the rotation by 2 pi/n_j about its vertex and
+    the long relator holds."""
+    c = len(orders)
+    angles = [2.0 * np.pi / (4 * genus + c)] * (4 * genus + 2 * c)
+    for j, n in enumerate(orders):
+        angles[4 * genus + 2 * j + 1] = 2.0 * np.pi / n
+    r, phis = _incircle(tuple(angles))
 
+    def pair(i, j):
+        return rotation_about(hyperboloid_point(phis[j], r), np.pi) @ rot_origin(phis[j] - phis[i])
 
-def _genus_two() -> Representation:
-    """Closed genus two from the regular octagon with angles pi/4: its
-    inradius r has cosh r = cot(pi/8) = 1 + sqrt 2, and side j touches the
-    incircle at its midpoint m_j, at polar angle j pi/4.  With H the
-    half-turn about m_{k+2} and R the quarter turn about the origin, h_k =
-    H R carries side k onto side k + 2 and the octagon onto its neighbour
-    across that side.  (a1, b1, a2, b2) = (h_6^-1, h_7, h_2^-1, h_3) pair
-    the sides 6-0, 7-1, 2-4 and 3-5, the gluing that [a1,b1][a2,b2] reads
-    from side 6, so by the polygon theorem the product of commutators is
-    the identity."""
-    sig = OrbifoldSignature("orientable", 2, 0, ())
-    r = np.arccosh(1.0 + np.sqrt(2.0))
-
-    def h(k):
-        return rotation_about(hyperboloid_point((k + 2) * np.pi / 4, r), np.pi) @ _QUARTER
-
-    inv = np.linalg.inv
-    return Representation(
-        presentation_of(sig),
-        (inv(h(6)), h(7), inv(h(2)), h(3)),
-        lineage=("genus_two",),
-    )
+    handles = [m for h in range(0, 4 * genus, 4) for m in (pair(h + 2, h), pair(h + 1, h + 3))]
+    cones = [pair(4 * genus + 2 * j + 1, 4 * genus + 2 * j) for j in range(c)]
+    sig = OrbifoldSignature("orientable", genus, 0, orders)
+    return _certified(sig, handles + cones, f"surface(g={genus},cones={orders})")
 
 
 def _mirrored_disc(orders) -> Representation:
@@ -402,14 +390,8 @@ def _mirrored_disc(orders) -> Representation:
     _require_hyperbolic(sig)
     c = len(orders)
     sides = _tangential_sides((2,) + orders + (2,))
-    gens = [sides[i] @ sides[i + 1] for i in range(c)]
-    s = sides[c + 1]
-    return Representation(
-        presentation_of(sig),
-        tuple(gens) + (s,),
-        group_tag="SLpm",
-        lineage=(f"mirrored_disc{orders}",),
-    )
+    mats = [sides[i] @ sides[i + 1] for i in range(c)] + [sides[c + 1]]
+    return _certified(sig, mats, f"mirrored_disc{orders}", "SLpm")
 
 
 def half_mirrored_disc(n: int) -> Representation:
@@ -419,12 +401,7 @@ def half_mirrored_disc(n: int) -> Representation:
     _require_hyperbolic(sig)
     s = np.diag([1.0, -1.0, 1.0])
     x = rotation_about(_point_above_axis(0.3, 0.9), 2.0 * np.pi / n)
-    return Representation(
-        presentation_of(sig),
-        (x, s),
-        group_tag="SLpm",
-        lineage=(f"half_mirrored_disc({n})",),
-    )
+    return _certified(sig, (x, s), f"half_mirrored_disc({n})", "SLpm")
 
 
 def _generic_translation(idx: int, rng) -> np.ndarray:
@@ -482,9 +459,10 @@ def _boundary_rep(sig: OrbifoldSignature, rng: SeededDraws) -> Representation:
 
 def build_representation(sig: OrbifoldSignature) -> Representation:
     """Dispatch to the builder that covers the signature; raises BuildError
-    for shapes with no builtin construction (supply a file instead).  No
-    builder reads a seed, so every group has one representation, built on
-    its first request and shared, read-only."""
+    naming the signature for shapes with no builtin construction and for
+    a built representation the constructor refuses (supply a file
+    instead).  No builder reads a seed, so every group has one
+    representation, built on its first request and shared, read-only."""
     return _build(sig)
 
 
@@ -502,12 +480,8 @@ def _build(sig: OrbifoldSignature) -> Representation:
         )
     elif sig.genus == 0:
         rep = polygon_group(sig.cone_orders)
-    elif sig.genus == 1 and sig.cone_count == 1:
-        rep = _torus_with_cone(sig.cone_orders[0])
-    elif sig.genus == 2 and sig.cone_count == 0:
-        rep = _genus_two()
     else:
-        raise BuildError(f"no builtin construction for {sig.to_text()}; supply a representation file")
+        rep = _surface_group(sig.genus, sig.cone_orders)
     for m in rep.matrices:
         frozen(m)
     return rep

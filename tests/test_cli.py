@@ -222,6 +222,18 @@ def test_a_boundary_group_with_many_handles_is_refused_by_name(capsys, argv):
     assert parse_signature(argv[1]).to_text() in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "S2(4,4,4,4,4,4,4,4,4,4)"], ["dims", "O(g=3;cone=[3,3])"]])
+def test_a_built_representation_the_constructor_refuses_is_named(capsys, argv):
+    """The polygon's entries grow with its side count: S2(4^10) misses its
+    relators by 1.7e-8 and O(g=3;cone=[3,3]) by 1.4e-8, past the 1e-8
+    bound.  The builder refuses with exit 1 and names the signature, with
+    no traceback."""
+    rc, out, err = run(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: the built representation of {parse_signature(argv[1]).to_text()} is refused: ")
+    assert "relator residual" in err and "Traceback" not in err
+
+
 # main in a fresh interpreter; the last line of standard error names the
 # modules no command should pay to import that it loaded
 FRESH = (
@@ -263,6 +275,43 @@ def test_a_fresh_process_does_not_import_numpy_random(argv):
     rc, out, loaded = fresh_run(argv)
     assert rc == 0 and out
     assert loaded == ""
+
+
+# the BLAS pool sizes benchmark/run.py pins for its workers
+BLAS_NAMES = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+
+# records the BLAS settings at the moment numpy is first looked up
+AT_NUMPY = (
+    "import json, os, sys\n"
+    "seen = {}\n"
+    "class Spy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not seen:\n"
+    f"            seen.update((n, os.environ.get(n)) for n in {BLAS_NAMES!r})\n"
+    "sys.meta_path.insert(0, Spy())\n"
+    "import charvar\n"
+    "print(json.dumps(seen))\n"
+)
+
+
+@pytest.mark.parametrize("explicit", [None, "3"])
+def test_the_package_caps_the_blas_pool_before_numpy_loads(explicit):
+    """A fresh interpreter that imports charvar loads numpy with every
+    BLAS pool at one thread; a pool size already in the environment
+    wins."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_NAMES}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if explicit is not None:
+        env["OPENBLAS_NUM_THREADS"] = explicit
+    proc = subprocess.run([sys.executable, "-c", AT_NUMPY], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    want = dict.fromkeys(BLAS_NAMES, "1")
+    if explicit is not None:
+        want["OPENBLAS_NUM_THREADS"] = explicit
+    assert json.loads(proc.stdout) == want
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "7"])

@@ -157,6 +157,26 @@ def test_hypothesis_gate_rejects_reducible_rep(reducible_rep_file):
     assert failed == ["irreducible-base"]
 
 
+@pytest.mark.parametrize("refused", [False, True])
+def test_analyze_fails_closed_on_the_embedded_relators(monkeypatch, refused):
+    """O(g=2;b=2;cone=[3,5]) misses its relators by 1.4e-14 in rank 3 and
+    by 4.4e-14 once embedded, since the 4 x 4 inverses round again.  A
+    bound between the two passes the base and refuses the embedding, with
+    no model emitted; at the default bound both pass."""
+    import charvar.pipeline as pipeline
+
+    req = request_from_text("O(g=2;b=2;cone=[3,5])")
+    if not refused:
+        residuals = analyze(req).residuals
+        assert residuals["base"] < 2e-14 < residuals["embedded"] <= pipeline.RESIDUAL_BOUND
+        return
+    monkeypatch.setattr(pipeline, "RESIDUAL_BOUND", 2e-14)
+    with pytest.raises(HypothesisError) as err:
+        analyze(req)
+    assert [e.name for e in err.value.ledger if not e.passed] == ["relator-residual-embedded"]
+    assert err.value.ledger[-1].name == "relator-residual-embedded"
+
+
 def rep_file(directory, signature, mats) -> str:
     """A type-preserving representation file of signature from mats."""
     mats = [np.asarray(m, dtype=float) for m in mats]
@@ -665,13 +685,13 @@ def test_obstruction_gates_need_the_d_component(monkeypatch, mutated):
     assert ("obstruction-g0-vanishing" in failed) == mutated
 
 
-@pytest.mark.parametrize("seed", [46177, 37872])
+@pytest.mark.parametrize("seed", [9648, 43350])
 def test_obstruction_scan_skips_rounding_level_pairings(seed):
     """Drawing from SeededDraws(seed + 7), one of the first ten rows on
-    O(g=2) pairs to about 1e-7 (46177) or 1e-6 (37872) of the pairing's
-    root mean square, where rounding alone moves o/q far enough to lift
-    rel_std to 4.7e-6 or 9.3e-7; the scan skips it, and the ratios agree
-    far inside 1e-6."""
+    O(g=2) pairs to about 3e-7 (9648) or 7e-8 (43350) of the pairing's
+    norm, where rounding alone moves o/q far enough to lift rel_std over
+    the first ten rows to 1.9e-6 or 2.5e-5; the scan skips it, and the
+    ratios agree far inside 1e-6."""
     import charvar.pipeline as pipeline
 
     rep = build_representation(parse_signature("O(g=2)"))
@@ -684,6 +704,9 @@ def test_obstruction_scan_skips_rounding_level_pairings(seed):
     q = ((rows[:, nc:] @ duality) * rows[:, :nc]).sum(axis=1)
     floor = 1e-3 * float(np.linalg.norm(duality))
     assert (np.abs(q) < floor).any()
+    bracket = fundamental_form(pres, sd.full_g, sd.full_g, sd.bracket_d)
+    o = ((rows @ pipeline._bracket_gram(sd, bracket, table, ("m_c", "m_r"))) * rows).sum(axis=1)
+    assert np.std(o / q) / abs(np.mean(o / q)) > 1e-6
     assert len(scan["ratios"]) == pipeline.OBSTRUCTION_SAMPLES
     assert min(abs(qi) for _, qi in scan["samples"]) >= floor
     assert scan["rel_std"] < 1e-8

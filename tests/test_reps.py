@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from charvar.linalg import RankPolicy, SeededDraws, rank
-from charvar.presentation import GroupPresentation, PresentationError, parse_signature, presentation_of
+from charvar.presentation import GroupPresentation, OrbifoldSignature, PresentationError, parse_signature, presentation_of
 from charvar.reps import (
     J3,
     RESIDUAL_BOUND,
@@ -20,15 +20,18 @@ from charvar.reps import (
     commutant_dim,
     embed,
     half_mirrored_disc,
+    hyperboloid_point,
     load_representation,
     Representation,
     _boundary_rep,
     _build,
-    _tangential_sides,
+    _incircle,
+    _surface_group,
     polygon_group,
     representation_from_json,
     representation_to_json,
     rot_origin,
+    rotation_about,
 )
 from conftest import kernel_basis
 
@@ -118,6 +121,44 @@ def test_genus_two_contract(setups):
     assert rep.relator_residual < 1e-10
     assert max(lorentz_residual(m) for m in rep.matrices) < 1e-12
     assert burnside_irreducible(rep).algebra_dim == 9
+
+
+@pytest.mark.parametrize("genus, orders", [(1, (2,)), (1, (3,)), (1, (2, 3, 4)), (2, ()), (2, (3,)), (3, ())])
+def test_surface_group_contract(genus, orders):
+    """The side pairings of the polygon a_1 b_1 a_1^-1 b_1^-1 ... x_1
+    x_1^-1 ...: each x_j a rotation by exactly 2 pi/n_j, each handle
+    generator a translation, all in SO(2,1), and the long relator holds."""
+    rep = _surface_group(genus, orders)
+    assert rep.presentation.signature == OrbifoldSignature("orientable", genus, 0, orders)
+    for mat in rep.matrices[: 2 * genus]:
+        assert np.trace(mat) > 3.0
+    for mat, order in zip(rep.matrices[2 * genus :], orders, strict=True):
+        assert abs(np.trace(mat) - 1.0 - 2.0 * np.cos(2.0 * np.pi / order)) < 1e-12
+    assert max(lorentz_residual(m) for m in rep.matrices) < 1e-12
+    assert rep.relator_residual < RESIDUAL_BOUND
+    assert burnside_irreducible(rep).algebra_dim == 9
+
+
+def test_genus_two_is_the_regular_octagon(monkeypatch):
+    """Genus two is the regular octagon with angles pi/4, cosh r = 1 + sqrt 2.
+    Turned so that side 0 touches the incircle at polar angle -pi/2, its
+    pairings are H_{k+2} R for R the quarter turn about the origin and
+    H_m the half turn about side m's tangent point: (a1, b1, a2, b2) =
+    (h_6^-1, h_7, h_2^-1, h_3)."""
+    import charvar.reps as reps
+
+    r = np.arccosh(1.0 + np.sqrt(2.0))
+    quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+    def h(k):
+        return rotation_about(hyperboloid_point((k + 2) * np.pi / 4, r), np.pi) @ quarter
+
+    solved_r, phis = _incircle((np.pi / 4,) * 8)
+    assert solved_r == pytest.approx(r, rel=1e-15)
+    monkeypatch.setattr(reps, "_incircle", lambda angles: (solved_r, phis - phis[0] - np.pi / 2))
+    octagon = (np.linalg.inv(h(6)), h(7), np.linalg.inv(h(2)), h(3))
+    for old, new in zip(octagon, _surface_group(2, ()).matrices, strict=True):
+        assert np.abs(old - new).max() < 1e-13
 
 
 def test_build_representation_rejects_non_hyperbolic():
@@ -250,21 +291,23 @@ def test_embed_fields_pass_the_validating_constructor(kind, rep, triangle334, mi
     assert emb.relator_residual == checked.relator_residual
 
 
-def test_tangential_sides_are_memoized_read_only():
-    """The polygon sides depend on the orders only: one solve per orders
-    tuple, shared by every build, so nothing may write into them."""
-    sides = _tangential_sides((2, 3, 3, 2))
-    assert _tangential_sides((2, 3, 3, 2)) is sides
-    for side in sides:
-        assert not side.flags.writeable
-        with pytest.raises(ValueError):
-            side[0, 0] = 0.0
-    assert np.array_equal(_tangential_sides.__wrapped__((2, 3, 3, 2)), sides)
+def test_incircle_solve_is_memoized_read_only():
+    """The polygon's inradius and tangent angles depend on its vertex
+    angles only: one solve per angles tuple, shared by every build, so
+    nothing may write into them."""
+    angles = tuple(np.pi / n for n in (2, 3, 3, 2))
+    r, phis = _incircle(angles)
+    assert _incircle(angles)[1] is phis
+    assert not phis.flags.writeable
+    with pytest.raises(ValueError):
+        phis[0] = 0.0
+    again = _incircle.__wrapped__(angles)
+    assert again[0] == r and np.array_equal(again[1], phis)
 
 
-# one signature per builder: polygon, torus with a cone point, genus two,
-# mirrored disc, half-mirrored disc, and the boundary builder on an
-# orientable and a non-orientable group
+# one signature per builder: polygon, surface group (with and without a
+# cone point), mirrored disc, half-mirrored disc, and the boundary builder
+# on an orientable and a non-orientable group
 SEED_FREE = (
     "S2(3,3,4)", "O(g=1;cone=[3])", "O(g=2)", "D(3,3;mirror)", "HD(3)", "D2(3,3)", "N(k=2;b=1;cone=[3])",
 )
