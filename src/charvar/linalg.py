@@ -1,4 +1,4 @@
-"""Rank with an explicit tolerance policy, and the package's seeded draws.
+"""Rank with an explicit tolerance policy.
 
 Float (and complex) matrices go through the SVD.  Every numeric rank
 decision is made against a RankPolicy threaded in by the caller; there
@@ -7,8 +7,6 @@ is no module-level tolerance state.
 
 from __future__ import annotations
 
-import math
-import random
 from typing import NamedTuple
 
 import numpy as np
@@ -16,7 +14,6 @@ import numpy as np
 __all__ = [
     "RankPolicy",
     "LinalgError",
-    "SeededDraws",
     "rank",
     "rank_cut",
 ]
@@ -60,39 +57,3 @@ def rank_cut(s, policy: RankPolicy) -> tuple[int, float]:
 
 def rank(m, policy: RankPolicy) -> int:
     return rank_cut(np.linalg.svd(_as_float_array(m), compute_uv=False), policy)[0]
-
-
-# Box-Muller reads a pair of 32-bit uniforms (u, v) as -u and the angle
-# 2 pi v, scaled in one product; cos(t - pi/2) = sin t, so one cosine
-# call gives both normals of the pair
-_PAIR_SCALE = np.array([[-(2.0**-32)], [2.0 * np.pi * 2.0**-32]])
-_QUARTER_TURN = np.array([[0.0], [0.5 * np.pi]])
-
-
-class SeededDraws:
-    """Seeded uniforms and standard normals: Mersenne Twister bits from the
-    standard library's random.Random(seed) (Matsumoto and Nishimura 1998),
-    turned into normals by the Box-Muller transform (Box and Muller 1958).
-    numpy loads the standard library's generator anyway, so no sampling
-    site imports numpy's random module.  Each call pays a fixed few
-    microseconds, so each site draws all its vectors in one call."""
-
-    def __init__(self, seed: int):
-        self._mt = random.Random(seed)
-
-    def uniform(self) -> float:
-        """One uniform in [0, 1)."""
-        return self._mt.random()
-
-    def normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Standard normals of the given shape from one read of the
-        generator: each pair of 32-bit uniforms (u, v) gives the two
-        normals r cos(2 pi v) and r sin(2 pi v), r = sqrt(-2 log(1 - u))."""
-        size = math.prod(shape)
-        half = (size + 1) // 2
-        bits = np.frombuffer(self._mt.randbytes(8 * half), dtype="<u4").reshape(2, half)
-        scaled = bits * _PAIR_SCALE
-        pairs = np.cos(scaled[1] - _QUARTER_TURN)
-        # 1 - u lies in (0, 1], so the logarithm is finite
-        pairs *= np.sqrt(np.log1p(scaled[0]) * -2.0)
-        return pairs.reshape(-1)[:size].reshape(shape)

@@ -42,6 +42,13 @@ class SignatureError(ValueError):
     pass
 
 
+# a torsion relator x^n is stored and walked as n letters, so time and
+# memory grow with n (presentation_of of S2(2,3,10^8) alone takes
+# seconds), while no float representation meets the relator bound long
+# before this order (the built S2(2,3,1000) misses it by 3e-5)
+MAX_CONE_ORDER = 10_000
+
+
 class PresentationError(ValueError):
     pass
 
@@ -82,6 +89,8 @@ class OrbifoldSignature(Value):
             raise SignatureError("half-mirrored disc HD(n) has exactly one cone point")
         if any(n < 2 for n in cone_orders):
             raise SignatureError("cone orders must be >= 2")
+        if any(n > MAX_CONE_ORDER for n in cone_orders):
+            raise SignatureError(f"cone orders must be <= {MAX_CONE_ORDER}")
         vars(self).update(kind=kind, genus=genus, boundary_circles=boundary_circles, cone_orders=cone_orders)
 
     def _key(self) -> tuple:
@@ -119,18 +128,22 @@ def _parse_orders(body: str, ctx: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in body.split(",") if tok.strip())
 
 
-def _parse_kv(body: str, ctx: str) -> dict:
-    out = {"g": 0, "k": None, "b": 0, "cone": ()}
+_KEY_VALUE = re.compile(r"^(g|k|b)\s*=\s*(\d+)$|^(cone)\s*=\s*\[(.*)\]$")
+
+
+def _parse_kv(body: str, ctx: str, keys: tuple[str, ...]) -> dict:
+    """The key=value parts of O(...) or N(...), each of keys at most once."""
+    out = {}
     for part in filter(None, (p.strip() for p in body.split(";"))):
-        m = re.match(r"^(g|k|b)\s*=\s*(\d+)$", part)
-        if m:
-            out[m.group(1)] = int(m.group(2))
-            continue
-        m = re.match(r"^cone\s*=\s*\[(.*)\]$", part)
-        if m:
-            out["cone"] = _parse_orders(m.group(1), ctx)
-            continue
-        raise SignatureError(f"cannot parse {part!r} in {ctx}")
+        m = _KEY_VALUE.match(part)
+        if not m:
+            raise SignatureError(f"cannot parse {part!r} in {ctx}")
+        key = m.group(1) or m.group(3)
+        if key not in keys:
+            raise SignatureError(f"{key}= does not belong in {ctx}")
+        if key in out:
+            raise SignatureError(f"{key}= given twice in {ctx}")
+        out[key] = int(m.group(2)) if m.group(2) else _parse_orders(m.group(4), ctx)
     return out
 
 
@@ -154,14 +167,14 @@ def parse_signature(text: str) -> OrbifoldSignature:
         return OrbifoldSignature("mirrored", 0, 1, _parse_orders(m.group(1), s))
     m = re.match(r"^O\((.*)\)$", s)
     if m:
-        kv = _parse_kv(m.group(1), s)
-        return OrbifoldSignature("orientable", kv["g"], kv["b"], kv["cone"])
+        kv = _parse_kv(m.group(1), s, ("g", "b", "cone"))
+        return OrbifoldSignature("orientable", kv.get("g", 0), kv.get("b", 0), kv.get("cone", ()))
     m = re.match(r"^N\((.*)\)$", s)
     if m:
-        kv = _parse_kv(m.group(1), s)
-        if kv["k"] is None:
+        kv = _parse_kv(m.group(1), s, ("k", "b", "cone"))
+        if "k" not in kv:
             raise SignatureError(f"N(...) needs k=<crosscaps> in {s!r}")
-        return OrbifoldSignature("nonorientable", kv["k"], kv["b"], kv["cone"])
+        return OrbifoldSignature("nonorientable", kv["k"], kv.get("b", 0), kv.get("cone", ()))
     raise SignatureError(f"cannot parse signature {text!r}")
 
 

@@ -10,7 +10,7 @@ reflections in its sides, and every closed orientable group of genus
 g >= 1 takes the side pairings of a_1 b_1 a_1^-1 b_1^-1 ... x_1 x_1^-1 ....
 HD(n) takes a rotation and a reflection in generic position.  Other
 groups with boundary place their generators from one fixed stream of
-draws and solve the long relator for the last one.  No builder reads a
+random.Random draws and solve the long relator for the last one.  No builder reads a
 seed, so build_representation builds each group once and shares it,
 read-only.  Every builder returns generators that satisfy the relators
 up to a rounding that grows with the entries (8.3e-9 on S2(7^9), 8.4e-9
@@ -31,13 +31,14 @@ C-irreducible representative works.
 from __future__ import annotations
 
 import json
+import random
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from ._record import Frozen, frozen
-from .linalg import RankPolicy, SeededDraws, rank, rank_cut
+from .linalg import RankPolicy, rank, rank_cut
 from .presentation import (
     GroupPresentation,
     OrbifoldSignature,
@@ -69,8 +70,9 @@ J3 = np.diag([1.0, 1.0, -1.0])
 
 RESIDUAL_BOUND = 1e-8  # the relator gate, for built and file representations alike
 
-# the stream the boundary builder places its generators from: the one
-# the seed 0 once fed, so every placement is the one seed 0 gave
+# the seed of the random.Random stream the boundary builder places its
+# generators from: the one the seed 0 once fed, so every placement is
+# the one seed 0 gave.  Nothing else in the package draws.
 BOUNDARY_STREAM = 0
 
 
@@ -405,13 +407,13 @@ def half_mirrored_disc(n: int) -> Representation:
 
 
 def _generic_translation(idx: int, rng) -> np.ndarray:
-    length = 1.1 + 0.23 * idx + 0.1 * rng.uniform()
-    angle = 2.399963 * (idx + 1) + 0.3 * rng.uniform()  # golden-angle spread
+    length = 1.1 + 0.23 * idx + 0.1 * rng.random()
+    angle = 2.399963 * (idx + 1) + 0.3 * rng.random()  # golden-angle spread
     R = rot_origin(angle)
     return R @ trans_x(length) @ np.linalg.inv(R)
 
 
-def _boundary_rep(sig: OrbifoldSignature, rng: SeededDraws) -> Representation:
+def _boundary_rep(sig: OrbifoldSignature, rng: random.Random) -> Representation:
     """Signatures with boundary circles: every generator except the last
     boundary one is placed generically from rng (exact torsion orders),
     and the last boundary generator is solved from the long relator,
@@ -428,13 +430,13 @@ def _boundary_rep(sig: OrbifoldSignature, rng: SeededDraws) -> Representation:
         for _ in range(sig.genus):
             # glide reflection: reflect in a generic geodesic, then
             # translate along it
-            ang = 2.399963 * (k + 1) + 0.3 * rng.uniform()
+            ang = 2.399963 * (k + 1) + 0.3 * rng.random()
             R = rot_origin(ang)
             glide = R @ (trans_x(0.9 + 0.21 * k) @ np.diag([1.0, -1.0, 1.0])) @ np.linalg.inv(R)
             mats.append(glide)
             k += 1
     for j, order in enumerate(sig.cone_orders):
-        center = _point_above_axis(0.7 * j - 0.4, 0.5 + 0.3 * ((j + k) % 3) + 0.2 * rng.uniform())
+        center = _point_above_axis(0.7 * j - 0.4, 0.5 + 0.3 * ((j + k) % 3) + 0.2 * rng.random())
         mats.append(rotation_about(center, 2.0 * np.pi / order))
     for _ in range(sig.boundary_circles - 1):
         mats.append(_generic_translation(k, rng))
@@ -472,7 +474,7 @@ def _build(sig: OrbifoldSignature) -> Representation:
     if sig.kind == "mirrored":
         rep = _mirrored_disc(sig.cone_orders) if sig.closed else half_mirrored_disc(sig.cone_orders[0])
     elif sig.boundary_circles > 0:
-        rep = _boundary_rep(sig, SeededDraws(BOUNDARY_STREAM))
+        rep = _boundary_rep(sig, random.Random(BOUNDARY_STREAM))
     elif sig.kind == "nonorientable":
         raise BuildError(
             f"no builtin construction for closed non-orientable {sig.to_text()}; "

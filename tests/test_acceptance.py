@@ -242,18 +242,33 @@ def test_criterion_08_euler_consistency(analyses):
     report_line(8, True, f"h0 - h1 + h2 equals the cell count on {pairs} module blocks")
 
 
-def test_criterion_09_obstruction_structure(analyses):
+def test_criterion_09_obstruction_structure(analyses, setups):
     report = analyses("S2(3,3,3,3)", checks=("all",))
     obs = report.obstruction
-    assert len(obs["samples"]) >= 10
-    assert obs["rel_std"] <= 1e-6
+    assert obs["residual"] <= 1e-6
+    assert obs["c_n"] == pytest.approx(-1 / 12, abs=1e-6)
     assert obs["g0_max"] <= 1e-8 * obs["scale"]
     assert obs["d_max"] <= 1e-8 * obs["scale"]
+    # a sampled oracle on bases and forms built here: o(z) / q(z) for ten
+    # random z = z_c + z_r, one per column
+    s = setups("S2(3,3,3,3)")
+    basis_c = BlockComplex(s.pres, s.sd.m_c, POLICY).h1_basis
+    basis_r = BlockComplex(s.pres, s.sd.m_r, POLICY).h1_basis
+    bracket = fundamental_form(s.pres, s.sd.full_g, s.sd.full_g, s.sd.bracket_d)
+    cross = fundamental_form(s.pres, s.sd.m_r, s.sd.m_c, s.sd.cross_form)
+    rng = np.random.default_rng(9)
+    zc = basis_c @ rng.standard_normal((basis_c.shape[1], 10))
+    zr = basis_r @ rng.standard_normal((basis_r.shape[1], 10))
+    z = s.sd.lift("m_c", zc) + s.sd.lift("m_r", zr)
+    ratios = (z * (bracket @ z)).sum(axis=0) / (zr * (cross @ zc)).sum(axis=0)
+    assert len(ratios) == 10
+    assert np.abs(ratios - obs["c_n"]).max() <= 1e-6
     report_line(
         9,
         True,
-        f"{len(obs['samples'])} samples: ratio c_n = {obs['c_n']:.6f}, "
-        f"rel std {obs['rel_std']:.1e}, pure parts <= {max(obs['g0_max'], obs['d_max']):.1e}",
+        f"whole form: c_n = {obs['c_n']:.6f}, residual {obs['residual']:.1e}, "
+        f"10 sampled ratios within {np.abs(ratios - obs['c_n']).max():.1e}, "
+        f"pure parts <= {max(obs['g0_max'], obs['d_max']):.1e}",
     )
 
 

@@ -37,7 +37,7 @@ def test_analyze_json(capsys):
     rc, out, _ = run(["analyze", "S2(3,3,4)", "--json"], capsys)
     assert rc == 0
     blob = json.loads(out)
-    assert blob["schema"] == "charvar-report/1"
+    assert blob["schema"] == "charvar-report/2"
     assert blob["dims"] == {"p": 2, "d": 0, "b": 0}
     assert blob["model"]["smooth"] is True
 
@@ -163,6 +163,15 @@ def test_bad_input_exit_one(capsys):
     rc2, _, err2 = run(["analyze", "D(3,3;mirror)"], capsys)
     assert rc2 == 1
     assert "embed" in err2
+
+
+@pytest.mark.parametrize("text", ["O(g=1;g=2)", "O(g=2;k=3)", "N(k=3;g=5;b=1)", "S2(99999999999999999999,3,7)"])
+def test_a_malformed_signature_exits_one(capsys, text):
+    """A signature the parser would once have read as another group, or
+    whose cone order overflowed the word builder, is a named error."""
+    rc, out, err = run(["analyze", text], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_missing_rep_file_exit_one(capsys, tmp_path):

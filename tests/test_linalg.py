@@ -12,12 +12,9 @@ from hypothesis import given, strategies as st
 
 from charvar.linalg import (
     RankPolicy,
-    SeededDraws,
     rank,
     rank_cut,
 )
-from charvar.pipeline import OBSTRUCTION_STREAM, PAIRING_STREAM, WEIL_STREAM
-from charvar.reps import BOUNDARY_STREAM
 from conftest import kernel_basis
 
 POLICY = RankPolicy()
@@ -136,35 +133,3 @@ def test_kernel_basis_on_tall_square_and_wide(shape, dtype):
     assert k.shape == (cols, expect) == (cols, cols - 2)
     np.testing.assert_allclose(k.conj().T @ k, np.eye(expect), atol=1e-12)
     assert np.abs(mat @ k).max() < 1e-12
-
-
-@pytest.mark.parametrize("shape", [(3,), (4, 9), (42, 42), (3, 0)])
-def test_seeded_draws_repeat_at_a_seed(shape):
-    first, second = SeededDraws(5), SeededDraws(5)
-    assert [first.uniform() for _ in range(3)] == [second.uniform() for _ in range(3)]
-    a, b = first.normal(shape), second.normal(shape)
-    assert a.shape == shape and a.dtype == np.float64
-    assert np.array_equal(a, b)
-
-
-def test_seeded_draws_differ_between_the_sites_seeds():
-    """The boundary builder and the three sampled gates draw from their
-    fixed streams, which differ from each other and from another seed;
-    seeds past 2**64 still reach the generator."""
-    seeds = [BOUNDARY_STREAM, 11, OBSTRUCTION_STREAM, PAIRING_STREAM, WEIL_STREAM, 2**70]
-    normals = {SeededDraws(s).normal((2,)).tobytes() for s in seeds}
-    uniforms = {SeededDraws(s).uniform() for s in seeds}
-    assert len(normals) == len(uniforms) == len(seeds)
-
-
-def test_seeded_normals_are_standard():
-    x = SeededDraws(3).normal((10**5,))
-    assert abs(x.mean()) < 0.02 and abs(x.var() - 1.0) < 0.02
-    assert np.isfinite(x).all()
-
-
-def test_seeded_uniforms_lie_in_the_unit_interval():
-    draws = SeededDraws(4)
-    u = np.array([draws.uniform() for _ in range(10**4)])
-    assert (u >= 0.0).all() and (u < 1.0).all()
-    assert 0.45 < u.mean() < 0.55

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import sys
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from charvar.coeffmodules import SlDecomposition, decompose_sl, sl_basis
 from charvar.cohomology import BLOCKS, BlockComplex, cohomology_report, fundamental_form
-from charvar.linalg import RankPolicy, SeededDraws
+from charvar.linalg import RankPolicy
 from charvar.pipeline import (
     HypothesisError,
     LedgerEntry,
@@ -103,7 +104,7 @@ def test_analyze_quadrilateral_frozen(analyses):
     assert all(entry.passed for entry in report.ledger)
     assert report.flags == ()
     assert report.obstruction["c_n"] == pytest.approx(-1.0 / 12.0, abs=1e-6)
-    assert report.obstruction["rel_std"] < 1e-6
+    assert report.obstruction["residual"] < 1e-6
 
 
 def test_analyze_turnover_frozen(analyses):
@@ -273,7 +274,7 @@ def test_verify_suite_clean_fixture():
 
 def test_report_json_shape(analyses):
     blob = report_to_json(analyses("S2(3,3,3,3)"))
-    assert blob["schema"] == "charvar-report/1"
+    assert blob["schema"] == "charvar-report/2"
     assert set(blob) >= {
         "input",
         "n",
@@ -291,7 +292,8 @@ def test_report_json_shape(analyses):
     text = json.dumps(blob, allow_nan=False, sort_keys=True)
     assert json.loads(text) == blob
     assert blob["model"]["display"] == "R^8 x R^0 x Cone(UT(S^1))"
-    assert blob["obstruction"]["num_samples"] >= 10
+    assert set(blob["obstruction"]) == {"boundary_case", "c_n", "residual", "g0_max", "d_max"}
+    assert blob["obstruction"]["residual"] < 1e-6
 
 
 def test_ledger_json_shape(analyses):
@@ -618,7 +620,7 @@ def test_boundary_placements_pass_every_gate_across_seeds(tmp_path, text, embedd
     sig = parse_signature(text)
     path = tmp_path / "placement.json"
     for stream in range(40):
-        path.write_text(json.dumps(representation_to_json(_boundary_rep(sig, SeededDraws(stream)))))
+        path.write_text(json.dumps(representation_to_json(_boundary_rep(sig, random.Random(stream)))))
         ledger = analyze(request_from_text(text, embedding=embedding, rep_path=str(path))).ledger
         assert [e.name for e in ledger if not e.passed] == [], stream
 
@@ -685,31 +687,18 @@ def test_obstruction_gates_need_the_d_component(monkeypatch, mutated):
     assert ("obstruction-g0-vanishing" in failed) == mutated
 
 
-@pytest.mark.parametrize("seed", [9648, 43350])
-def test_obstruction_scan_skips_rounding_level_pairings(seed):
-    """Drawing from SeededDraws(seed + 7), one of the first ten rows on
-    O(g=2) pairs to about 3e-7 (9648) or 7e-8 (43350) of the pairing's
-    norm, where rounding alone moves o/q far enough to lift rel_std over
-    the first ten rows to 1.9e-6 or 2.5e-5; the scan skips it, and the
-    ratios agree far inside 1e-6."""
-    import charvar.pipeline as pipeline
-
-    rep = build_representation(parse_signature("O(g=2)"))
-    pres, sd = rep.presentation, decompose_sl(rep, "standard")
-    table = cohomology_report(pres, sd, RankPolicy())
-    duality = pipeline._duality(table, fundamental_form(pres, sd.m_r, sd.m_c, sd.cross_form))
-    scan = pipeline._obstruction_scan(pres, sd, table, duality, SeededDraws(seed + 7))
-    nr, nc = duality.shape
-    rows = SeededDraws(seed + 7).normal((pipeline.OBSTRUCTION_SAMPLES, nc + nr))
-    q = ((rows[:, nc:] @ duality) * rows[:, :nc]).sum(axis=1)
-    floor = 1e-3 * float(np.linalg.norm(duality))
-    assert (np.abs(q) < floor).any()
-    bracket = fundamental_form(pres, sd.full_g, sd.full_g, sd.bracket_d)
-    o = ((rows @ pipeline._bracket_gram(sd, bracket, table, ("m_c", "m_r"))) * rows).sum(axis=1)
-    assert np.std(o / q) / abs(np.mean(o / q)) > 1e-6
-    assert len(scan["ratios"]) == pipeline.OBSTRUCTION_SAMPLES
-    assert min(abs(qi) for _, qi in scan["samples"]) >= floor
-    assert scan["rel_std"] < 1e-8
+def test_a_zero_obstruction_form_fails_with_a_finite_margin(monkeypatch):
+    """With the bracket's d part zeroed, the obstruction Gram matrix is 0:
+    obstruction-constancy fails at 1.0, not NaN, and the report is still
+    strict JSON."""
+    real = SlDecomposition.bracket_d
+    monkeypatch.setattr(SlDecomposition, "bracket_d", property(lambda sd: np.zeros_like(real.fget(sd))))
+    report = analyze(request_from_text("S2(3,3,3,3)"))
+    entry = next(e for e in report.ledger if e.name == "obstruction-constancy")
+    assert not entry.passed and entry.margin == 1.0
+    assert report.obstruction["residual"] == 1.0 and report.obstruction["c_n"] == 0.0
+    blob = report_to_json(report)
+    assert json.loads(json.dumps(blob, allow_nan=False)) == blob
 
 
 @pytest.mark.parametrize("mutated", [False, True])

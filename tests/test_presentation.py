@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from charvar.presentation import (
+    MAX_CONE_ORDER,
     CellStabilizer,
     GroupPresentation,
     OrbifoldSignature,
@@ -68,6 +69,29 @@ def test_signature_rejects_bad_input():
     for text in ("S2(1,2)", "X(3)", "N(k=0;b=1)", "O(g=-1)", "D(3;mirror;mirror)", "HD(3,4)", "HD()"):
         with pytest.raises(SignatureError):
             parse_signature(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("O(g=1;g=2)", "g= given twice"),
+        ("O(cone=[3];cone=[5];g=1)", "cone= given twice"),
+        ("O(g=2;k=3)", "k= does not belong"),
+        ("N(k=3;g=5;b=1)", "g= does not belong"),
+        ("S2(99999999999999999999,3,7)", f"cone orders must be <= {MAX_CONE_ORDER}"),
+        (f"S2(2,3,{MAX_CONE_ORDER + 1})", f"cone orders must be <= {MAX_CONE_ORDER}"),
+    ],
+)
+def test_signature_refuses_what_it_would_read_another_way(text, message):
+    """A repeated key, a key of the other kind, or a cone order past the
+    cap is refused by name, never read as some other group; no word of
+    the order is built."""
+    with pytest.raises(SignatureError, match=message):
+        parse_signature(text)
+
+
+def test_the_cone_order_cap_is_inclusive():
+    assert parse_signature(f"S2(2,3,{MAX_CONE_ORDER})").cone_orders == (2, 3, MAX_CONE_ORDER)
 
 
 @pytest.mark.parametrize(
