@@ -73,9 +73,7 @@ from .reps import (
     build_representation,
     burnside_irreducible,
     embed,
-    half_mirrored_disc,
     load_representation,
-    polygon_group,
     representation_to_json,
 )
 

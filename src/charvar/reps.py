@@ -3,19 +3,21 @@
 Hyperbolic constructions use the hyperboloid model: SO(2,1) acting on
 {x^2 + y^2 - z^2 = -1, z > 0}.  Rotations about hyperboloid points come
 from a Minkowski Rodrigues formula and reflections fix a geodesic.  The
-closed and mirrored builders are explicit geometry with no optimizer,
-all from one incircle solve of a polygon tangent to a circle about the
-origin: spheres with cone points and mirrored discs take products of
-reflections in its sides, and every closed orientable group of genus
-g >= 1 takes the side pairings of a_1 b_1 a_1^-1 b_1^-1 ... x_1 x_1^-1 ....
+closed and mirrored builders are explicit geometry, all from one incircle
+solve of a polygon tangent to a circle about the origin: spheres and
+mirrored discs take products of reflections in its sides, and closed
+groups of genus >= 1 its side pairings, half turns for a_1 b_1 a_1^-1
+b_1^-1 ... x_1 x_1^-1 ... and glide reflections for crosscaps m_1 m_1.
 HD(n) takes a rotation and a reflection in generic position.  Other
 groups with boundary place their generators from one fixed stream of
-random.Random draws and solve the long relator for the last one.  No builder reads a
-seed, so build_representation builds each group once and shares it,
-read-only.  Every builder returns generators that satisfy the relators
-up to a rounding that grows with the entries (8.3e-9 on S2(7^9), 8.4e-9
-on O(g=4)); past RESIDUAL_BOUND the constructor refuses them, and the
-refusal is a BuildError that names the signature.
+random.Random draws and solve the long relator for the last one.  Each
+builder takes the signature _build has checked, and build_representation
+is the one public builder; it builds each group once and shares it,
+read-only, since no builder reads a seed.  Every builder returns
+generators that satisfy the relators up to a rounding that grows with
+the entries (8.3e-9 on S2(7^9), 8.4e-9 on O(g=4)); past RESIDUAL_BOUND
+the constructor refuses them, and the refusal is a BuildError that
+names the signature.
 
 The constructor checks each torsion order once, on the n x n matrices;
 the cohomology table reads its stabilizer dimensions from their traces.
@@ -54,9 +56,7 @@ __all__ = [
     "Representation",
     "BurnsideReport",
     "RESIDUAL_BOUND",
-    "polygon_group",
     "build_representation",
-    "half_mirrored_disc",
     "EMBEDDINGS",
     "embed",
     "burnside_irreducible",
@@ -285,11 +285,6 @@ def commutant_dim(mats, policy: RankPolicy | None = None) -> int:
 # Fuchsian builders
 
 
-def _require_hyperbolic(sig: OrbifoldSignature):
-    if scaled_euler(sig)[0] >= 0:
-        raise BuildError(f"{sig.to_text()} has Euler characteristic {euler_characteristic(sig)} >= 0, not hyperbolic")
-
-
 def _certified(sig: OrbifoldSignature, mats, lineage: str, group_tag: str = "SL") -> Representation:
     """The built representation of sig; one the constructor refuses is a
     BuildError that names sig."""
@@ -331,79 +326,81 @@ def _incircle(angles: tuple[float, ...]) -> tuple[float, np.ndarray]:
     return r, phis
 
 
+def _side_reflection(r: float, phi: float) -> np.ndarray:
+    """Reflection in the side that touches the circle of radius r about
+    the origin at polar angle phi."""
+    return reflection_in((np.cos(phi) * np.cosh(r), np.sin(phi) * np.cosh(r), np.sinh(r)))
+
+
 def _tangential_sides(orders) -> list[np.ndarray]:
     """Reflections in the sides of the tangential polygon with vertex
     angles pi/n_i: the reflections in sides i - 1 and i compose to the
     rotation by 2 pi/n_i about vertex i."""
     r, phis = _incircle(tuple(np.pi / n for n in orders))
-    return [reflection_in((np.cos(phi) * np.cosh(r), np.sin(phi) * np.cosh(r), np.sinh(r))) for phi in phis]
+    return [_side_reflection(r, phi) for phi in phis]
 
 
-def polygon_group(orders) -> Representation:
-    """Rotation generators of S2(n_1,...,n_c), c >= 3, from the tangential
-    polygon with angles pi/n_i: x_i = s_{i-1} s_i is the rotation by
-    2 pi/n_i about vertex i, and x_1...x_c telescopes to the identity."""
-    orders = tuple(orders)
-    c = len(orders)
-    if c < 3:
-        raise BuildError("polygon builder needs at least 3 cone points")
-    sig = OrbifoldSignature("orientable", 0, 0, orders)
-    _require_hyperbolic(sig)
-    sides = _tangential_sides(orders)
-    return _certified(sig, [sides[i - 1] @ sides[i] for i in range(c)], f"polygon{orders}")
+def _sphere(sig: OrbifoldSignature) -> Representation:
+    """Rotation generators of S2(n_1,...,n_c) from the tangential polygon
+    with angles pi/n_i: x_i = s_{i-1} s_i is the rotation by 2 pi/n_i
+    about vertex i, and x_1...x_c telescopes to the identity."""
+    sides = _tangential_sides(sig.cone_orders)
+    return _certified(sig, [sides[i - 1] @ sides[i] for i in range(len(sides))], f"polygon{sig.cone_orders}")
 
 
-def _surface_group(genus: int, orders: tuple[int, ...]) -> Representation:
-    """Closed orientable genus g >= 1 with cone points of orders n_j, from
-    the side-pairing polygon a_1 b_1 a_1^-1 b_1^-1 ... x_1 x_1^-1 ... with
-    4g + 2c sides tangent to one circle about the origin.  The vertex
+def _surface_group(sig: OrbifoldSignature) -> Representation:
+    """Closed genus g >= 1, orientable or not, with cone points of orders
+    n_j, from the side-pairing polygon a_1 b_1 a_1^-1 b_1^-1 ... (h = 4g
+    sides) or m_1 m_1 ... m_k m_k (h = 2k sides), then x_1 x_1^-1 ...,
+    all h + 2c sides tangent to one circle about the origin.  The vertex
     between the sides x_j and x_j^-1 is a cycle of its own, with angle
-    2 pi/n_j, and the other 4g + c vertices form one cycle, at
-    2 pi/(4g + c) each.  The pairing of side i onto side j turns the
-    circle by phi_j - phi_i, then takes the half turn about side j's
-    tangent point: it carries side i onto side j reversed, and the polygon
-    across side j.  a_h, b_h and x_j pair sides 4h+2 -> 4h, 4h+1 -> 4h+3
-    and 4g+2j+1 -> 4g+2j, the gluing the long relator reads, so by the
-    polygon theorem x_j is the rotation by 2 pi/n_j about its vertex and
-    the long relator holds."""
-    c = len(orders)
-    angles = [2.0 * np.pi / (4 * genus + c)] * (4 * genus + 2 * c)
+    2 pi/n_j, and the other h + c vertices form one cycle, at 2 pi/(h + c)
+    each.  The pairing of side i onto side j turns the circle by phi_j -
+    phi_i, which carries side i onto side j, then carries the polygon
+    across side j: by the half turn about side j's tangent point, which
+    reverses side j, or, for a crosscap, by the reflection in side j, a
+    glide that keeps it.  a_h, b_h, m_i and x_j pair sides 4h+2 -> 4h,
+    4h+1 -> 4h+3, 2i+1 -> 2i and h+2j+1 -> h+2j, the gluing the long
+    relator reads, so by the polygon theorem x_j is the rotation by
+    2 pi/n_j about its vertex and the long relator holds."""
+    orientable, orders = sig.kind == "orientable", sig.cone_orders
+    h, c = (4 if orientable else 2) * sig.genus, len(orders)
+    angles = [2.0 * np.pi / (h + c)] * (h + 2 * c)
     for j, n in enumerate(orders):
-        angles[4 * genus + 2 * j + 1] = 2.0 * np.pi / n
+        angles[h + 2 * j + 1] = 2.0 * np.pi / n
     r, phis = _incircle(tuple(angles))
 
-    def pair(i, j):
-        return rotation_about(hyperboloid_point(phis[j], r), np.pi) @ rot_origin(phis[j] - phis[i])
+    def pair(i, j, glide=False):
+        across = _side_reflection(r, phis[j]) if glide else rotation_about(hyperboloid_point(phis[j], r), np.pi)
+        return across @ rot_origin(phis[j] - phis[i])
 
-    handles = [m for h in range(0, 4 * genus, 4) for m in (pair(h + 2, h), pair(h + 1, h + 3))]
-    cones = [pair(4 * genus + 2 * j + 1, 4 * genus + 2 * j) for j in range(c)]
-    sig = OrbifoldSignature("orientable", genus, 0, orders)
-    return _certified(sig, handles + cones, f"surface(g={genus},cones={orders})")
+    if orientable:
+        gens = [m for t in range(0, h, 4) for m in (pair(t + 2, t), pair(t + 1, t + 3))]
+    else:
+        gens = [pair(t + 1, t, glide=True) for t in range(0, h, 2)]
+    gens += [pair(h + 2 * j + 1, h + 2 * j) for j in range(c)]
+    lineage = f"surface({'g' if orientable else 'k'}={sig.genus},cones={orders})"
+    return _certified(sig, gens, lineage, "SL" if orientable else "SLpm")
 
 
-def _mirrored_disc(orders) -> Representation:
+def _mirrored_disc(sig: OrbifoldSignature) -> Representation:
     """Disc with mirror boundary from the tangential polygon with angles
     (pi/2, pi/n_1, ..., pi/n_c, pi/2): x_i = s_{i-1} s_i at each cone
     vertex and s the reflection in the last side, the mirror.  Sides 0 and
     c meet the mirror at right angles, so their reflections commute with
     s, and so does x_1...x_c = s_0 s_c."""
-    orders = tuple(orders)
-    sig = OrbifoldSignature("mirrored", 0, 0, orders)
-    _require_hyperbolic(sig)
-    c = len(orders)
+    orders, c = sig.cone_orders, len(sig.cone_orders)
     sides = _tangential_sides((2,) + orders + (2,))
     mats = [sides[i] @ sides[i + 1] for i in range(c)] + [sides[c + 1]]
     return _certified(sig, mats, f"mirrored_disc{orders}", "SLpm")
 
 
-def half_mirrored_disc(n: int) -> Representation:
+def _half_mirrored_disc(sig: OrbifoldSignature) -> Representation:
     """HD(n), a free product of a rotation and a reflection, in generic
     position."""
-    sig = OrbifoldSignature("mirrored", 0, 1, (n,))
-    _require_hyperbolic(sig)
-    s = np.diag([1.0, -1.0, 1.0])
+    (n,) = sig.cone_orders
     x = rotation_about(_point_above_axis(0.3, 0.9), 2.0 * np.pi / n)
-    return _certified(sig, (x, s), f"half_mirrored_disc({n})", "SLpm")
+    return _certified(sig, (x, np.diag([1.0, -1.0, 1.0])), f"half_mirrored_disc({n})", "SLpm")
 
 
 def _generic_translation(idx: int, rng) -> np.ndarray:
@@ -442,9 +439,12 @@ def _boundary_rep(sig: OrbifoldSignature, rng: random.Random) -> Representation:
         mats.append(_generic_translation(k, rng))
         k += 1
     prefix = np.eye(3)
-    for x in pres.long_relator[: len(pres.long_relator) - 1]:
-        prefix = prefix @ (mats[x - 1] if x > 0 else np.linalg.inv(mats[-x - 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in pres.long_relator[: len(pres.long_relator) - 1]:
+            prefix = prefix @ (mats[x - 1] if x > 0 else np.linalg.inv(mats[-x - 1]))
     try:
+        if not np.isfinite(prefix).all():
+            raise RepError("its prefix leaves float range")
         mats.append(np.linalg.inv(prefix))
         return Representation(
             pres,
@@ -460,9 +460,9 @@ def _boundary_rep(sig: OrbifoldSignature, rng: random.Random) -> Representation:
 
 
 def build_representation(sig: OrbifoldSignature) -> Representation:
-    """Dispatch to the builder that covers the signature; raises BuildError
-    naming the signature for shapes with no builtin construction and for
-    a built representation the constructor refuses (supply a file
+    """The builtin representation of a hyperbolic signature; raises
+    BuildError naming the signature for a non-hyperbolic one and for a
+    built representation the constructor refuses (supply a file
     instead).  No builder reads a seed, so every group has one
     representation, built on its first request and shared, read-only."""
     return _build(sig)
@@ -470,20 +470,16 @@ def build_representation(sig: OrbifoldSignature) -> Representation:
 
 @lru_cache(maxsize=256)
 def _build(sig: OrbifoldSignature) -> Representation:
-    _require_hyperbolic(sig)
+    if scaled_euler(sig)[0] >= 0:
+        raise BuildError(f"{sig.to_text()} has Euler characteristic {euler_characteristic(sig)} >= 0, not hyperbolic")
     if sig.kind == "mirrored":
-        rep = _mirrored_disc(sig.cone_orders) if sig.closed else half_mirrored_disc(sig.cone_orders[0])
+        rep = (_mirrored_disc if sig.closed else _half_mirrored_disc)(sig)
     elif sig.boundary_circles > 0:
         rep = _boundary_rep(sig, random.Random(BOUNDARY_STREAM))
-    elif sig.kind == "nonorientable":
-        raise BuildError(
-            f"no builtin construction for closed non-orientable {sig.to_text()}; "
-            "supply a representation file"
-        )
     elif sig.genus == 0:
-        rep = polygon_group(sig.cone_orders)
+        rep = _sphere(sig)
     else:
-        rep = _surface_group(sig.genus, sig.cone_orders)
+        rep = _surface_group(sig)
     for m in rep.matrices:
         frozen(m)
     return rep
@@ -503,7 +499,9 @@ def embed(rep: Representation, kind: str) -> Representation:
     and 1 otherwise.  "standard" takes an SL representation; the other
     two take a type-preserving SLpm one.  The checked input fixes every
     determinant, relator residual and torsion order of the result, so
-    the constructor's checks are not repeated."""
+    the constructor's checks are not repeated, and the inverses are
+    diag(A^-1, c) from the input's (c = +-1), so the result's relators
+    round as the input's do."""
     if kind not in EMBEDDINGS:
         raise RepError(f"unknown embedding {kind!r}")
     want = "SL" if kind == "standard" else "SLpm"
@@ -515,9 +513,12 @@ def embed(rep: Representation, kind: str) -> Representation:
     mats = np.zeros((rep.num_generators, rep.n + 1, rep.n + 1))
     mats[:, : rep.n, : rep.n] = rep.matrices
     mats[:, rep.n, rep.n] = corners
+    inverses = np.zeros_like(mats)
+    inverses[:, : rep.n, : rep.n] = rep._inverses
+    inverses[:, rep.n, rep.n] = corners
     tag = "SLpm" if kind == "type_preserving" else "SL"
     return _derived(Representation, presentation=rep.presentation, matrices=tuple(frozen(mats)),
-                    group_tag=tag, lineage=rep.lineage + (f"embed:{kind}",))
+                    _inverses=tuple(frozen(inverses)), group_tag=tag, lineage=rep.lineage + (f"embed:{kind}",))
 
 
 # ---------------------------------------------------------------------------

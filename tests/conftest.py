@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from charvar import analyze, decompose_sl, polygon_group, request_from_text
+from charvar import analyze, decompose_sl, request_from_text
 from charvar.linalg import RankPolicy, rank_cut
 from charvar.presentation import parse_signature, presentation_of
 from charvar.reps import Representation, _build, build_representation, representation_to_json
@@ -102,7 +102,7 @@ def bulged_file(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def triangle334():
-    return polygon_group((3, 3, 4))
+    return build_representation(parse_signature("S2(3,3,4)"))
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,21 @@ def test_a_boundary_group_with_many_handles_is_refused_by_name(capsys, argv):
     assert rc == 1 and out == ""
     assert err.startswith("error: cannot solve the long relator of ")
     assert parse_signature(argv[1]).to_text() in err
+
+
+@pytest.mark.parametrize("text, overflows", [("O(g=0;b=400)", True), ("O(g=0;b=60)", False)])
+def test_a_long_relator_prefix_past_float_range_is_refused_by_name(capsys, text, overflows):
+    """The prefix of O(g=0;b=400)'s long relator overflows: the builder
+    stops there, with no numpy warning, and standard error is one line
+    that names the signature.  O(g=0;b=60)'s prefix stays finite and is
+    refused as singular, as before."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(["dims", text], capsys)
+    assert rc == 1 and out == "" and caught == []
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot solve the long relator of {parse_signature(text).to_text()} ")
+    assert ("(its prefix leaves float range)" in line) == overflows
 
 
 @pytest.mark.parametrize("argv", [["verify", "S2(4,4,4,4,4,4,4,4,4,4)"], ["dims", "O(g=3;cone=[3,3])"]])

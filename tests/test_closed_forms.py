@@ -19,7 +19,7 @@ from charvar.cohomology import BlockComplex, cocycle_from_stack, cocycle_residua
 from charvar.linalg import RankPolicy
 from charvar.pipeline import analyze, request_from_text, verify_suite
 from charvar.presentation import orientation_cover_generators, parse_signature, underlying_euler
-from charvar.reps import build_representation, burnside_irreducible
+from charvar.reps import BuildError, build_representation, burnside_irreducible
 
 # the closed-verify benchmark inputs
 CLOSED_INPUTS = (
@@ -153,8 +153,8 @@ SURFACE_PANEL = (
 def test_surface_groups_get_the_choi_goldman_count(text):
     """p = -8 chi(X) + sum over cone points of 4 (order 2) or 6, d = -3
     chi(X) + 2c and b = 2g, chi(X) = 2 - 2g.  The blocks are read off the
-    table, since analyze refuses O(g=4) (see below); the built group is
-    C-irreducible."""
+    table, so the count holds where verify gates fail (see below); the
+    built group is C-irreducible."""
     sig = parse_signature(text)
     rep = build_representation(sig)
     table = cohomology_report(rep.presentation, decompose_sl(rep, "standard"), RankPolicy())
@@ -167,25 +167,68 @@ def test_surface_groups_get_the_choi_goldman_count(text):
 
 
 # the entries grow with the genus, and these gates have absolute bounds
-# (ROADMAP item 3); analyze refuses O(g=4), its embedding off the relators
+# (ROADMAP item 3)
 PAST_THE_ABSOLUTE_BOUNDS = {
     "O(g=3)": "fox-coboundary-exactness reads 7.0e-11 against 1e-11",
-    "O(g=4)": "relator-residual-embedded reads 2.9e-8 against 1e-8",
+    "O(g=4)": "fox-coboundary-exactness reads 8.2e-10 against 1e-11, weil-slope 0.23, "
+    "transgression-coboundary 2.6e-8",
+    "N(k=6)": "fox-coboundary-exactness reads 3.5e-11 against 1e-11",
+    "N(k=1;cone=[7,7,7,7,7])": "h1-cocycle-residual reads 1.6e-6 against 1e-8",
 }
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
+def past_the_bounds(texts):
+    """texts, each one in PAST_THE_ABSOLUTE_BOUNDS a strict xfail naming its gate."""
+    return [
         pytest.param(
             text, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=PAST_THE_ABSOLUTE_BOUNDS[text])
         )
         if text in PAST_THE_ABSOLUTE_BOUNDS else text
-        for text in SURFACE_PANEL
-    ],
-)
+        for text in texts
+    ]
+
+
+@pytest.mark.parametrize("text", past_the_bounds(SURFACE_PANEL))
 def test_surface_groups_verify(text):
     assert failed(verify_suite(request_from_text(text))) == []
+
+
+# closed non-orientable groups, their crosscaps glide pairings of the same polygon
+CROSSCAP_PANEL = (
+    "N(k=3)", "N(k=4)", "N(k=5)", "N(k=1;cone=[3,3])", "N(k=2;cone=[3])", "N(k=1;cone=[2,3])", "N(k=3;cone=[3,3])",
+)
+
+
+@pytest.mark.parametrize("text", CROSSCAP_PANEL)
+def test_crosscap_groups_get_the_choi_goldman_count(text):
+    """p = -8 chi(X) + sum over cone points of 4 (order 2) or 6, d_oe =
+    d_tp = -3 chi(X) + 2c, b = k - 1 and f = 0, chi(X) = 2 - k, read off
+    the table under each embedding; the built group and its orientation
+    cover are C-irreducible."""
+    sig = parse_signature(text)
+    rep = build_representation(sig)
+    chi, orders = underlying_euler(sig), sig.cone_orders
+    for embedding in ("orientable", "type_preserving"):
+        table = cohomology_report(rep.presentation, decompose_sl(rep, embedding), RankPolicy())
+        assert [table.module(label).dims.h1 for label in ("g0", "m_c", "d")] == [
+            -8 * chi + sum(4 if n == 2 else 6 for n in orders), -3 * chi + 2 * len(orders), sig.genus - 1,
+        ]
+    assert rep.presentation.full_boundary_count == 0
+    cover = [rep.word_image(w) for w in orientation_cover_generators(rep.presentation)]
+    assert burnside_irreducible(rep).algebra_dim == 9
+    assert burnside_irreducible(cover).algebra_dim == 9
+
+
+@pytest.mark.parametrize("text", past_the_bounds(CROSSCAP_PANEL + ("N(k=6)", "N(k=1;cone=[7,7,7,7,7])")))
+@pytest.mark.parametrize("embedding", ["orientable", "type_preserving"])
+def test_crosscap_groups_verify(text, embedding):
+    assert failed(verify_suite(request_from_text(text, embedding=embedding))) == []
+
+
+def test_seven_crosscaps_are_refused_by_name():
+    """N(k=7)'s entries carry its relators 1.27e-8 off, past the bound."""
+    with pytest.raises(BuildError, match=r"N\(k=7;b=0;cone=\[\]\) is refused: relator residual 1\.27"):
+        build_representation(parse_signature("N(k=7)"))
 
 
 def test_batched_cocycle_residual_matches_the_per_cocycle_maximum(quad):

@@ -28,12 +28,13 @@ from charvar.pipeline import (
 from charvar.presentation import OrbifoldSignature, orientation_cover_generators, parse_signature
 from charvar.reps import (
     J3,
+    Representation,
     _boundary_rep,
+    _derived,
     build_representation,
     burnside_irreducible,
     embed,
     load_representation,
-    polygon_group,
     representation_to_json,
     rot_origin,
 )
@@ -160,22 +161,34 @@ def test_hypothesis_gate_rejects_reducible_rep(reducible_rep_file):
 
 @pytest.mark.parametrize("refused", [False, True])
 def test_analyze_fails_closed_on_the_embedded_relators(monkeypatch, refused):
-    """O(g=2;b=2;cone=[3,5]) misses its relators by 1.4e-14 in rank 3 and
-    by 4.4e-14 once embedded, since the 4 x 4 inverses round again.  A
-    bound between the two passes the base and refuses the embedding, with
-    no model emitted; at the default bound both pass."""
+    """The embedding takes the base's inverses, so the embedded relators
+    of O(g=2;b=2;cone=[3,5]) round as the base's do (they read 4.4e-14
+    against 1.4e-14 when the 4 x 4 inverses rounded again).  An embedding
+    with one matrix moved 1e-6 off its relators is refused on the
+    embedded residual alone, with no model emitted."""
+    import charvar.coeffmodules as coeffmodules
     import charvar.pipeline as pipeline
 
     req = request_from_text("O(g=2;b=2;cone=[3,5])")
     if not refused:
         residuals = analyze(req).residuals
-        assert residuals["base"] < 2e-14 < residuals["embedded"] <= pipeline.RESIDUAL_BOUND
+        assert residuals["embedded"] == pytest.approx(residuals["base"], rel=1e-12, abs=0)
         return
-    monkeypatch.setattr(pipeline, "RESIDUAL_BOUND", 2e-14)
+    real = coeffmodules.embed
+
+    def pushed(rep, kind):
+        out = real(rep, kind)
+        mats = [m.copy() for m in out.matrices]
+        mats[0][0, 1] += 1e-6
+        return _derived(Representation, presentation=out.presentation, matrices=tuple(mats),
+                        group_tag=out.group_tag, lineage=out.lineage)
+
+    monkeypatch.setattr(coeffmodules, "embed", pushed)
     with pytest.raises(HypothesisError) as err:
         analyze(req)
     assert [e.name for e in err.value.ledger if not e.passed] == ["relator-residual-embedded"]
     assert err.value.ledger[-1].name == "relator-residual-embedded"
+    assert err.value.ledger[-1].margin > pipeline.RESIDUAL_BOUND
 
 
 def rep_file(directory, signature, mats) -> str:
@@ -716,7 +729,7 @@ def test_pairing_form_reference_catches_a_wrong_form(monkeypatch, mutated):
 
 def conjugated_quad_file(directory, conj) -> str:
     """The S2(3,3,3,3) polygon group with generator i replaced by conj(i, x_i)."""
-    rho = polygon_group((3, 3, 3, 3))
+    rho = build_representation(parse_signature("S2(3,3,3,3)"))
     data = representation_to_json(rho)
     data["matrices"] = [[f"{x:.17g}" for x in conj(i, m).ravel()] for i, m in enumerate(rho.matrices)]
     path = directory / "conjugated.json"
@@ -735,7 +748,7 @@ def test_cup_antisymmetry_takes_the_form_every_generator_keeps(monkeypatch, tmp_
     by 1 + 1e-6 fails it, and no other gate."""
     import charvar.pipeline as pipeline
 
-    x1 = polygon_group((3, 3, 3, 3)).matrices[0]
+    x1 = build_representation(parse_signature("S2(3,3,3,3)")).matrices[0]
     w, v = np.linalg.eig(x1)
     p = np.real(v[:, np.argmin(np.abs(w - 1))])
     p = p / np.sqrt(-(p @ J3 @ p))

@@ -20,7 +20,6 @@ from charvar.reps import (
     burnside_irreducible,
     commutant_dim,
     embed,
-    half_mirrored_disc,
     hyperboloid_point,
     load_representation,
     Representation,
@@ -28,7 +27,6 @@ from charvar.reps import (
     _build,
     _incircle,
     _surface_group,
-    polygon_group,
     representation_from_json,
     representation_to_json,
     rot_origin,
@@ -59,12 +57,9 @@ def test_triangle_group_contract(triangle334):
 
 
 def test_triangle_group_rejects_bad_orders():
-    with pytest.raises(BuildError):
-        polygon_group((2, 3, 5))
-    with pytest.raises(BuildError):
-        polygon_group((2, 2, 2, 2))
-    with pytest.raises(BuildError):
-        polygon_group((3, 3))
+    for text in ("S2(2,3,5)", "S2(2,2,2,2)", "S2(3,3)"):
+        with pytest.raises(BuildError, match="not hyperbolic"):
+            build_representation(parse_signature(text))
 
 
 # the tangential-polygon builder on triangles, quadrilaterals up to
@@ -74,7 +69,7 @@ POLYGON_ORDERS = [(2, 3, 3, 3), *((3,) * c for c in range(4, 9)), (2, 3) * 4, (2
 
 @pytest.mark.parametrize("orders", POLYGON_ORDERS, ids=str)
 def test_polygon_group_contract(orders):
-    rep = polygon_group(orders)
+    rep = build_representation(parse_signature(f"S2({','.join(map(str, orders))})"))
     for mat, order in zip(rep.matrices, orders):
         assert matrix_order_holds(mat, order)
         # a rotation by exactly 2 pi / order, not by a multiple of it
@@ -88,7 +83,7 @@ def test_polygon_group_contract(orders):
     "text",
     [
         "S2(2,3,7)", "S2(3,3,3,3)", "S2(3,3,3,3,3,3,3)", "O(g=2)", "O(g=1;cone=[3])", "D(3,3,3;mirror)",
-        "O(g=2;b=2;cone=[3,5])", "N(k=2;b=1;cone=[3])",
+        "O(g=2;b=2;cone=[3,5])", "N(k=2;b=1;cone=[3])", "N(k=3)", "N(k=2;cone=[3])",
     ],
 )
 def test_builders_are_identical_across_rebuilds(text):
@@ -129,7 +124,7 @@ def test_surface_group_contract(genus, orders):
     """The side pairings of the polygon a_1 b_1 a_1^-1 b_1^-1 ... x_1
     x_1^-1 ...: each x_j a rotation by exactly 2 pi/n_j, each handle
     generator a translation, all in SO(2,1), and the long relator holds."""
-    rep = _surface_group(genus, orders)
+    rep = _surface_group(OrbifoldSignature("orientable", genus, 0, orders))
     assert rep.presentation.signature == OrbifoldSignature("orientable", genus, 0, orders)
     for mat in rep.matrices[: 2 * genus]:
         assert np.trace(mat) > 3.0
@@ -158,7 +153,7 @@ def test_genus_two_is_the_regular_octagon(monkeypatch):
     assert solved_r == pytest.approx(r, rel=1e-15)
     monkeypatch.setattr(reps, "_incircle", lambda angles: (solved_r, phis - phis[0] - np.pi / 2))
     octagon = (np.linalg.inv(h(6)), h(7), np.linalg.inv(h(2)), h(3))
-    for old, new in zip(octagon, _surface_group(2, ()).matrices, strict=True):
+    for old, new in zip(octagon, _surface_group(parse_signature("O(g=2)")).matrices, strict=True):
         assert np.abs(old - new).max() < 1e-13
 
 
@@ -168,13 +163,28 @@ def test_build_representation_rejects_non_hyperbolic():
             build_representation(parse_signature(text))
 
 
-def test_build_representation_rejects_closed_nonorientable_crosscaps():
-    with pytest.raises(BuildError):
-        build_representation(parse_signature("N(k=1;cone=[3,3,3,3])"))
+@pytest.mark.parametrize("text", ["N(k=1;cone=[2,3])", "N(k=1;cone=[3,3,3,3])", "N(k=2;cone=[3])", "N(k=3)", "N(k=5)"])
+def test_crosscap_glide_contract(text):
+    """The side pairings of the polygon m_1 m_1 ... m_k m_k x_1 x_1^-1 ...:
+    each m_i a glide reflection (determinant -1 and trace 2 cosh l - 1 >
+    1, no reflection), each x_j a rotation by exactly 2 pi/n_j, all in
+    O(2,1), and the relators hold within the bound."""
+    sig = parse_signature(text)
+    rep = build_representation(sig)
+    assert rep.group_tag == "SLpm"
+    assert rep.lineage == (f"surface(k={sig.genus},cones={sig.cone_orders})",)
+    for mat in rep.matrices[: sig.genus]:
+        assert abs(np.linalg.det(mat) + 1.0) < 1e-12
+        assert np.trace(mat) > 1.0 + 1e-3
+    for mat, order in zip(rep.matrices[sig.genus :], sig.cone_orders, strict=True):
+        assert abs(np.linalg.det(mat) - 1.0) < 1e-12
+        assert abs(np.trace(mat) - 1.0 - 2.0 * np.cos(2.0 * np.pi / order)) < 1e-12
+    assert max(lorentz_residual(m) for m in rep.matrices) < 1e-12
+    assert rep.relator_residual < RESIDUAL_BOUND
 
 
 def test_half_mirrored_disc_contract():
-    rep = half_mirrored_disc(3)
+    rep = build_representation(parse_signature("HD(3)"))
     assert rep.group_tag == "SLpm"
     assert rep.relator_residual < 1e-10
     dets = [round(float(np.linalg.det(m))) for m in rep.matrices]
@@ -204,8 +214,8 @@ def test_torsion_check_bounds_the_walked_power():
     with pytest.raises(RepError, match="relator residual"):
         Representation(pres, (rot_origin(2.0 * np.pi / 5.0 + 1e-6),))
     assert Representation(pres, (rot_origin(2.0 * np.pi / 5.0),)).n == 3
-    for orders in ((2, 3, 100), (7,) * 9):
-        assert polygon_group(orders).relator_residual < RESIDUAL_BOUND
+    for text in ("S2(2,3,100)", "S2(7,7,7,7,7,7,7,7,7)"):
+        assert build_representation(parse_signature(text)).relator_residual < RESIDUAL_BOUND
 
 
 def test_torsion_marker_needs_its_relator():
