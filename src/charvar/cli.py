@@ -4,6 +4,11 @@ Subcommands: analyze (full report), dims (dimension summary), verify
 (cross-check ledger), examples (the six worked fixtures).  Exit codes:
 0 success, 2 a hypothesis or cross-check failed (the output names it),
 1 usage or IO errors.
+
+For a built group, what analyze, dims and verify print, but the seed,
+and verify's exit code are kept with the shared representation, per
+command, embedding and rank policy, so a later call prints them without
+analyzing again; a --rep file is read and analyzed on every call.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .pipeline import (
     verify_suite,
 )
 from .presentation import PresentationError, SignatureError
-from .reps import BuildError, RepError
+from .reps import BuildError, RepError, build_representation
 
 __all__ = ["main"]
 
@@ -159,73 +164,76 @@ def _dims_line(report: AnalysisReport) -> str:
     return f"p={d['p']} b={d['b']} d_oe={d['d_oe']} d_tp={d['d_tp']} f={d['f']}"
 
 
-def _json_entries(report: AnalysisReport, dims_only: bool, show_model: bool) -> tuple[str | None, ...]:
-    """The report's top-level JSON entries in key order as json.dumps(data,
-    indent=2, sort_keys=True) writes them: nested lines two spaces deeper
-    (no JSON string holds a raw newline), and None for the seed."""
-    data = report_to_json(report)
-    if dims_only:
-        data = {"schema": SCHEMA, "input": data["input"], "dims": data["dims"]}
-    elif not show_model:
-        data["model"] = None
-    return tuple(
-        None if key == "seed"
-        else f"  {json.dumps(key)}: " + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        for key, value in sorted(data.items())
-    )
-
-
-def _print_report(report: AnalysisReport, as_json: bool, dims_only: bool, show_model: bool = True):
+def _report_text(report: AnalysisReport, as_json: bool, dims_only: bool) -> tuple[str, ...]:
+    """What analyze or dims prints for the report, split where its seed goes."""
     if as_json:
-        # the table fixes the representation, the embedding and the policy
-        req = report.request
-        key = ("json", req.rep_path is None, req.checks, dims_only, show_model)
-        entries = kept(report.cohomology, key, lambda: _json_entries(report, dims_only, show_model))
-        print("{\n" + ",\n".join(f'  "seed": {req.seed}' if e is None else e for e in entries) + "\n}")
-        return
-    print(f"input      {report.request.input_text}  {report.group['description']}")
-    print(f"embedding  {report.embedding}  (SL_{report.n} -> SL_{report.n + 1})")
-    print(f"dims       {_dims_line(report)}")
+        data = report_to_json(report)
+        if dims_only:
+            data = {"schema": SCHEMA, "input": data["input"], "dims": data["dims"]}
+        text = json.dumps(data, indent=2, sort_keys=True)
+        # the one line two spaces deep that names the seed: no JSON string holds a raw newline
+        head, mark, rest = text.partition('\n  "seed": ')
+        return (head + mark, rest[len(str(report.request.seed)):]) if mark else (text,)
+    lines = [
+        f"input      {report.request.input_text}  {report.group['description']}",
+        f"embedding  {report.embedding}  (SL_{report.n} -> SL_{report.n + 1})",
+        f"dims       {_dims_line(report)}",
+    ]
     if dims_only:
-        return
-    if show_model and report.model is not None:
-        print(f"model      {report.model.display}  [{'smooth' if report.model.smooth else 'singular'}]")
+        return ("\n".join(lines),)
+    if report.model is not None:
+        lines.append(f"model      {report.model.display}  [{'smooth' if report.model.smooth else 'singular'}]")
         if report.model.flags:
-            print(f"flags      {'; '.join(report.model.flags)}")
+            lines.append(f"flags      {'; '.join(report.model.flags)}")
     base = report.irreducibility["base"]
-    print(
+    lines.append(
         f"checks     residual base {report.residuals['base']:.2e}, embedded "
         f"{report.residuals['embedded']:.2e}; base algebra {base.algebra_dim}"
     )
     if report.obstruction and report.obstruction.get("c_n") is not None:
-        print(f"obstruction c_n ~ {report.obstruction['c_n']:.6f}")
+        lines.append(f"obstruction c_n ~ {report.obstruction['c_n']:.6f}")
     failed = [e for e in report.ledger if not e.passed]
-    print(f"ledger     {len(report.ledger)} checks, {len(failed)} failed")
-    for e in failed:
-        print("  " + e.line())
+    lines.append(f"ledger     {len(report.ledger)} checks, {len(failed)} failed")
+    lines.extend("  " + e.line() for e in failed)
+    return ("\n".join(lines),)
+
+
+def _ledger_text(ledger, as_json: bool) -> tuple[int, tuple[str]]:
+    """verify's exit code and what it prints for the ledger."""
+    code = 0 if all(e.passed for e in ledger) else 2
+    if as_json:
+        return code, (json.dumps({"schema": SCHEMA, "ledger": ledger_to_json(ledger)}, indent=2, sort_keys=True),)
+    failed = sum(1 for e in ledger if not e.passed)
+    return code, ("\n".join([*(e.line() for e in ledger), f"{len(ledger)} checks, {failed} failed"]),)
+
+
+def _print_kept(args, req, make) -> int:
+    """Print what make() returns, an exit code and the output split where
+    the seed goes, and return the code.  A built group's output depends on
+    the command, the embedding and the rank policy but on no seed, so it is
+    kept with the shared representation and a later call prints it without
+    analyzing; a file is read and analyzed on every call, and a call that
+    raises keeps nothing."""
+    if req.rep_path is None:
+        key = (args.command, req.embedding, req.policy, args.json)
+        code, pieces = kept(build_representation(req.signature), key, make)
+    else:
+        code, pieces = make()
+    print(str(req.seed).join(pieces))
+    return code
 
 
 def _cmd_analyze(args, dims_only: bool) -> int:
     req = _request(args)
-    # dims reports d_oe and d_tp under either embedding, so it picks one
-    show_model = not (dims_only and req.embedding is None and not req.signature.orientable)
-    if not show_model:
+    if dims_only and req.embedding is None and not req.signature.orientable:
+        # dims prints d_oe and d_tp, and no model, under either embedding, so it picks one
         req = req.replace(embedding="orientable")
-    report = analyze(req)
-    _print_report(report, args.json, dims_only, show_model)
-    return 0
+    return _print_kept(args, req, lambda: (0, _report_text(analyze(req), args.json, dims_only)))
 
 
 def _cmd_verify(args) -> int:
-    ledger = verify_suite(_request(args))
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "ledger": ledger_to_json(ledger)}, indent=2, sort_keys=True))
-    else:
-        for e in ledger:
-            print(e.line())
-        failed = sum(1 for e in ledger if not e.passed)
-        print(f"{len(ledger)} checks, {failed} failed")
-    return 0 if all(e.passed for e in ledger) else 2
+    req = _request(args)
+    return _print_kept(args, req, lambda: _ledger_text(verify_suite(req), args.json))
 
 
 def _cmd_examples(args) -> int:

@@ -581,4 +581,10 @@ def representation_from_json(data: dict, sig: OrbifoldSignature | None = None) -
 
 def load_representation(path, sig: OrbifoldSignature | None = None) -> Representation:
     with open(path, "r", encoding="utf-8") as fh:
-        return representation_from_json(json.load(fh), sig)
+        try:
+            data = json.load(fh)
+        except UnicodeDecodeError as err:
+            raise RepError(f"representation file is not UTF-8 text: {err.reason} at byte {err.start}") from None
+        except RecursionError:
+            raise RepError("representation file nests its JSON too deeply to read") from None
+    return representation_from_json(data, sig)

@@ -401,6 +401,23 @@ def test_malformed_rep_file_exit_one(capsys, tmp_path, blob):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"\xff\xfe", "is not UTF-8 text"), (b"[" * 100000, "nests its JSON too deeply")],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+def test_undecodable_rep_file_exit_one(capsys, tmp_path, triangle334, content, reason):
+    """A file that cannot be decoded is a named RepError: exit 1 and one
+    error line, no traceback; a valid file still loads."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc, out, err = run(["analyze", "S2(3,3,4)", "--rep", str(path)], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: representation file {reason}") and err.count("\n") == 1
+    path.write_text(json.dumps(representation_to_json(triangle334)))
+    assert run(["analyze", "S2(3,3,4)", "--rep", str(path)], capsys)[0] == 0
+
+
 def test_parser_carries_no_state_between_calls(capsys):
     """dims fills in the embedding of a non-orientable input on its own
     arguments; a later analyze of the same input must still ask for one."""

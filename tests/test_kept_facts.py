@@ -2,12 +2,14 @@
 
 analyze computes what depends on the representation, the embedding and
 the rank policy once, and keeps it with the representation, its
-decomposition or its table, and the CLI keeps each report's JSON text
-with its table; no step reads the seed, so a call at a new seed on a
-built group recomputes nothing.  These tests hold that reuse to the
-bytes a fresh process and json.dumps print, keep it from crossing
-policies or embeddings, and check that kept facts are read-only and die
-with a representation read from a file.
+decomposition or its table, and the CLI keeps what each command prints
+for a built group with the shared representation; no step reads the
+seed, so a call at a new seed on a built group recomputes nothing.
+These tests hold that reuse to the bytes a fresh process and json.dumps
+print, keep it from crossing commands, policies or embeddings, check
+that a file representation and a refused call keep nothing, and that
+kept facts are read-only and die with a representation read from a
+file.
 """
 
 from __future__ import annotations
@@ -371,3 +373,90 @@ def test_a_failed_hypothesis_is_raised_on_every_call(tmp_path):
             ledgers.append([(e.name, e.passed) for e in err.value.ledger])
         assert ledgers[0] == ledgers[1] == ledgers[2] and not all(passed for _, passed in ledgers[0])
     assert analyze(request_from_text("S2(3,3,3,3)")).dims["p"] == 8
+
+
+def test_dims_with_and_without_an_embedding_prints_the_library_json():
+    """dims of a non-orientable input with no --embed analyzes under the
+    orientable embedding and prints no model, as dims --embed orientable
+    does, so the two print the same bytes, the library's, whichever ran
+    first; analyze of the same group and embedding, kept beside them, still
+    prints its own report with its model."""
+    text = "N(k=2;b=1;cone=[3])"
+    bare = ["dims", "--json", text]
+    embedded = ["dims", "--json", text, "--embed", "orientable"]
+    full = ["analyze", "--json", text, "--embed", "orientable"]
+    for order in ((bare, embedded, full), (full, embedded, bare)):
+        _build.cache_clear()
+        for argv in order:
+            library = library_json(argv, "orientable", 0)
+            assert cli(argv) == [0, library], argv
+            assert ('"model"' in library) == (argv[0] == "analyze"), argv
+
+
+def test_a_warm_command_of_a_built_group_analyzes_nothing(monkeypatch):
+    """A second call of analyze, dims (text and --json) and verify at a new
+    seed on a built group prints the first call's output, its seed
+    written anew, and calls neither analyze nor verify_suite; once the
+    built representation is gone, each is called again."""
+    import charvar.cli as cli_module
+
+    argvs = [
+        [command, *json_flag, "S2(3,3,3,3)"]
+        for command in ("analyze", "dims", "verify")
+        for json_flag in ((), ("--json",))
+    ]
+    firsts = [cli([*argv, "--seed", "0"]) for argv in argvs]
+    calls = []
+    for name in ("analyze", "verify_suite"):
+        monkeypatch.setattr(cli_module, name, counted(getattr(cli_module, name), name, calls))
+    for argv, first in zip(argvs, firsts):
+        assert cli([*argv, "--seed", "9"]) == [0, first[1].replace('"seed": 0', '"seed": 9')], argv
+    assert calls == []
+    _build.cache_clear()
+    for argv, first in zip(argvs, firsts):
+        assert cli([*argv, "--seed", "0"]) == first, argv
+    assert calls == ["analyze"] * 4 + ["verify_suite"] * 2
+
+
+def test_a_file_representation_is_read_on_every_call(capsys, tmp_path):
+    """A --rep file is read and analyzed on every call: rewritten between
+    two calls to a representation that fails a hypothesis, the second
+    call exits 2, and rewritten back, the third prints the first's
+    output."""
+    path = tmp_path / "rep.json"
+    good = json.dumps(representation_to_json(build_representation(parse_signature("HD(4)"))))
+    argv = ["analyze", "--json", "HD(4)", "--embed", "orientable", "--rep", str(path)]
+    path.write_text(good)
+    first = cli(argv)
+    assert first[0] == 0
+    # rank-2 HD(4): x the quarter turn, s = diag(1, -1); the cover is reducible
+    path.write_text(json.dumps(
+        {"signature": "HD(4)", "n": 2, "group_tag": "SLpm", "matrices": [["0", "-1", "1", "0"], ["1", "0", "0", "-1"]]}
+    ))
+    assert cli(argv) == [2, ""]
+    assert "FAIL  irreducible-cover" in capsys.readouterr().err
+    path.write_text(good)
+    assert cli(argv) == first
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "S2(3,3,3,3)", "--embed", "orientable"], 1),
+        (["analyze", "S2(3,3,3,3)", "--tol", "0.5"], 2),
+        (["analyze", "--json", "S2(3,3,3,3)", "--tol", "0.5"], 2),
+    ],
+    ids=["pipeline-error", "hypothesis-error", "hypothesis-error-json"],
+)
+def test_a_refused_command_is_refused_on_every_call(capsys, argv, code):
+    """A command that raises keeps nothing: an embedding the pipeline
+    refuses, and a tolerance under which Burnside's criterion fails, are
+    refused with the same error on every call, and a later call at the
+    default --tol still prints the model."""
+    errors = []
+    for seed in ("0", "0", "5"):
+        assert cli([*argv, "--seed", seed]) == [code, ""]
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2] != ""
+    code, out = cli(["analyze", "S2(3,3,3,3)"])
+    assert code == 0 and "model      R^8 x R^0 x Cone(UT(S^1))" in out
