@@ -56,7 +56,6 @@ from .pipeline import (
     analyze,
     report_to_json,
     request_from_text,
-    run_examples,
     verify_suite,
 )
 from .presentation import (

@@ -24,17 +24,17 @@ from .linalg import RankPolicy
 from .pipeline import (
     SCHEMA,
     AnalysisReport,
+    AnalysisRequest,
     HypothesisError,
     PipelineError,
     analyze,
     example_requests,
     ledger_to_json,
     report_to_json,
-    request_from_text,
     verify_suite,
 )
-from .presentation import PresentationError, SignatureError
-from .reps import BuildError, RepError, build_representation
+from .presentation import PresentationError, SignatureError, parse_signature
+from .reps import BuildError, RepError, build_representation, embedding_name
 
 __all__ = ["main"]
 
@@ -56,6 +56,7 @@ arguments:
   --rep FILE  representation file, which fixes the rank (default: built-in)
   --embed {standard,orientable,type-preserving}
               embedding into the ambient group; required for non-orientable input
+              (type_preserving is the same choice as type-preserving)
   --tol T     relative rank tolerance, in (0, 1) (default 1e-9)
   --json      machine-readable output
   --seed N    echoed in JSON; no step reads it (default 0)
@@ -84,8 +85,7 @@ def _tolerance(text: str) -> float:
 # takes no value
 _EXAMPLES_OPTIONS = {"--tol": (_tolerance, "must be a number in (0, 1), got"), "--seed": (int, "invalid int value:"),
                      "--json": None, "-h": None, "--help": None}
-_EMBEDDINGS = {e: e for e in ("standard", "orientable", "type-preserving")}
-_OPTIONS = {"--rep": (str, ""), "--embed": (_EMBEDDINGS.__getitem__, "invalid choice:"), **_EXAMPLES_OPTIONS}
+_OPTIONS = {"--rep": (str, ""), "--embed": (embedding_name, "invalid choice:"), **_EXAMPLES_OPTIONS}
 
 
 def _option(name: str, options) -> str | None:
@@ -147,14 +147,13 @@ def _policy(args) -> RankPolicy:
     return RankPolicy(args.tol, args.tol / 1000)
 
 
-def _request(args):
-    return request_from_text(
-        args.signature,
-        rep_path=args.rep,
-        embedding=args.embed,
-        policy=_policy(args),
-        seed=args.seed,
-    )
+def _request(args, dims_only: bool = False) -> AnalysisRequest:
+    signature = parse_signature(args.signature)
+    embedding = args.embed
+    if dims_only and embedding is None and not signature.orientable:
+        # dims prints d_oe and d_tp, and no model, under either embedding, so it picks one
+        embedding = "orientable"
+    return AnalysisRequest(signature, rep_path=args.rep, embedding=embedding, policy=_policy(args), seed=args.seed)
 
 
 def _dims_line(report: AnalysisReport) -> str:
@@ -176,7 +175,7 @@ def _report_text(report: AnalysisReport, as_json: bool, dims_only: bool) -> tupl
         return (head + mark, rest[len(str(report.request.seed)):]) if mark else (text,)
     lines = [
         f"input      {report.request.input_text}  {report.group['description']}",
-        f"embedding  {report.embedding}  (SL_{report.n} -> SL_{report.n + 1})",
+        f"embedding  {report.request.embedding}  (SL_{report.n} -> SL_{report.n + 1})",
         f"dims       {_dims_line(report)}",
     ]
     if dims_only:
@@ -224,10 +223,7 @@ def _print_kept(args, req, make) -> int:
 
 
 def _cmd_analyze(args, dims_only: bool) -> int:
-    req = _request(args)
-    if dims_only and req.embedding is None and not req.signature.orientable:
-        # dims prints d_oe and d_tp, and no model, under either embedding, so it picks one
-        req = req.replace(embedding="orientable")
+    req = _request(args, dims_only)
     return _print_kept(args, req, lambda: (0, _report_text(analyze(req), args.json, dims_only)))
 
 
@@ -257,7 +253,7 @@ def _cmd_examples(args) -> int:
         dtxt = str(d["d"]) if "d" in d else f"oe={d['d_oe']} tp={d['d_tp']}"
         model = r.model.display if r.model else "-"
         print(
-            f"{r.request.input_text:<{w}}{r.embedding:<18}{d['p']:>3}{d['b']:>3}  {dtxt:<12}{model}"
+            f"{r.request.input_text:<{w}}{r.request.embedding:<18}{d['p']:>3}{d['b']:>3}  {dtxt:<12}{model}"
         )
     return 0
 

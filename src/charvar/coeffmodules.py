@@ -205,7 +205,6 @@ class SlDecomposition(Frozen):
     def __init__(
         self,
         n: int,
-        embedding: str,
         embedded: Representation,
         g0: CoefficientModule,
         m_c: CoefficientModule,
@@ -215,7 +214,7 @@ class SlDecomposition(Frozen):
         killing_multiplier: float,
     ):
         vars(self).update(
-            n=n, embedding=embedding, embedded=embedded, g0=g0, m_c=m_c, m_r=m_r, d=d,
+            n=n, embedded=embedded, g0=g0, m_c=m_c, m_r=m_r, d=d,
             full_g=full_g, killing_multiplier=killing_multiplier,
         )
 
@@ -275,7 +274,6 @@ def decompose_sl(rep: Representation, embedding: str = "standard") -> SlDecompos
     m_c = _module("m_c", (H[n, n] * H[:n, :n] for H in embedded.matrices))
     return SlDecomposition(
         n=n,
-        embedding=embedding,
         embedded=embedded,
         g0=adjoint_module(rep, label="g0"),
         m_c=m_c,

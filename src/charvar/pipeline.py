@@ -42,15 +42,15 @@ from .coeffmodules import decompose_sl, twist_by_character
 from .cohomology import BLOCKS, BlockComplex, CohomologyReport, cocycle_from_stack, cohomology_report, cup
 from .cohomology import cocycle_residual, fundamental_form, pair_fundamental_class, weil_slope
 from .linalg import RankPolicy
-from .presentation import GroupPresentation, OrbifoldSignature, orientation_cover_generators, parse_signature
+from .presentation import OrbifoldSignature, orientation_cover_generators, parse_signature
 from .reps import (
-    EMBEDDINGS,
     RESIDUAL_BOUND,
     BurnsideReport,
     Representation,
     build_representation,
     burnside_irreducible,
     commutant_dim,
+    embedding_name,
     load_representation,
 )
 
@@ -66,7 +66,6 @@ __all__ = [
     "report_to_json",
     "ledger_to_json",
     "example_requests",
-    "run_examples",
     "SCHEMA",
 ]
 
@@ -115,6 +114,15 @@ class AnalysisRequest(Value):
         unknown = set(checks) - {"core", "all"}
         if unknown:
             raise PipelineError(f"unknown checks {sorted(unknown)}: choose 'core' or 'all'")
+        # the embedding is resolved here, once: every later reader sees the
+        # EMBEDDINGS name that fits the signature
+        if embedding is None and not signature.orientable:
+            raise PipelineError("non-orientable input: choose the embedding explicitly (orientable or type_preserving)")
+        embedding = "standard" if embedding is None else embedding_name(embedding)
+        if signature.orientable and embedding != "standard":
+            raise PipelineError("orientable input uses the standard embedding")
+        if not signature.orientable and embedding == "standard":
+            raise PipelineError("non-orientable input cannot use the standard embedding")
         vars(self).update(
             signature=signature, rep_path=rep_path, embedding=embedding, policy=policy,
             seed=seed, checks=tuple(checks),
@@ -141,7 +149,6 @@ def request_from_text(text: str, **kwargs) -> AnalysisRequest:
 class AnalysisReport(NamedTuple):
     request: AnalysisRequest
     n: int
-    embedding: str
     group: dict
     residuals: dict
     irreducibility: dict
@@ -151,29 +158,6 @@ class AnalysisReport(NamedTuple):
     model: LocalModel | None
     ledger: tuple[LedgerEntry, ...]
     flags: tuple[str, ...]
-
-
-# ---------------------------------------------------------------------------
-# request resolution
-
-
-def _resolve_embedding(req: AnalysisRequest, pres: GroupPresentation) -> str:
-    emb = req.embedding
-    if emb is None:
-        if pres.orientable:
-            return "standard"
-        raise PipelineError(
-            "non-orientable input: choose the embedding explicitly "
-            "(orientable or type_preserving)"
-        )
-    emb = emb.replace("-", "_")
-    if emb not in EMBEDDINGS:
-        raise PipelineError(f"unknown embedding {req.embedding!r}")
-    if pres.orientable and emb != "standard":
-        raise PipelineError("orientable input uses the standard embedding")
-    if not pres.orientable and emb == "standard":
-        raise PipelineError("non-orientable input cannot use the standard embedding")
-    return emb
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +263,7 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
         rep = build_representation(req.signature)
     pres = rep.presentation
 
-    emb = _resolve_embedding(req, pres)
+    emb = req.embedding
     orientable = pres.orientable
     topology = "closed" if pres.closed else "boundary"
     policy = req.policy
@@ -375,7 +359,6 @@ def analyze(req: AnalysisRequest) -> AnalysisReport:
     return AnalysisReport(
         request=req,
         n=rep.n,
-        embedding=emb,
         group=group_info,
         residuals={"base": res_base, "embedded": res_emb},
         irreducibility={
@@ -559,7 +542,7 @@ def report_to_json(report: AnalysisReport) -> dict:
         "schema": SCHEMA,
         "input": req.input_text,
         "n": report.n,
-        "embedding": report.embedding,
+        "embedding": req.embedding,
         "rep_source": "auto" if req.rep_path is None else "file",
         "seed": req.seed,
         "policy": {"relative": req.policy.relative, "absolute": req.policy.absolute},
@@ -595,7 +578,3 @@ def example_requests(seed: int = 0) -> list[AnalysisRequest]:
     return [
         request_from_text(text, embedding=emb, seed=seed) for text, emb in specs
     ]
-
-
-def run_examples(seed: int = 0) -> list[AnalysisReport]:
-    return [analyze(req) for req in example_requests(seed)]

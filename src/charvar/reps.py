@@ -58,6 +58,7 @@ __all__ = [
     "RESIDUAL_BOUND",
     "build_representation",
     "EMBEDDINGS",
+    "embedding_name",
     "embed",
     "burnside_irreducible",
     "commutant_dim",
@@ -81,7 +82,8 @@ class RepError(ValueError):
 
 
 class BuildError(RepError):
-    """A numerical builder could not certify its output."""
+    """A numerical builder could not certify its output, or the signature
+    of a built or read representation is not hyperbolic."""
 
 
 def _ldot(u, v) -> float:
@@ -468,10 +470,16 @@ def build_representation(sig: OrbifoldSignature) -> Representation:
     return _build(sig)
 
 
-@lru_cache(maxsize=256)
-def _build(sig: OrbifoldSignature) -> Representation:
+def _require_hyperbolic(sig: OrbifoldSignature) -> None:
+    """Refuse a signature that is not hyperbolic, by name, before any
+    representation of it is built or read."""
     if scaled_euler(sig)[0] >= 0:
         raise BuildError(f"{sig.to_text()} has Euler characteristic {euler_characteristic(sig)} >= 0, not hyperbolic")
+
+
+@lru_cache(maxsize=256)
+def _build(sig: OrbifoldSignature) -> Representation:
+    _require_hyperbolic(sig)
     if sig.kind == "mirrored":
         rep = (_mirrored_disc if sig.closed else _half_mirrored_disc)(sig)
     elif sig.boundary_circles > 0:
@@ -493,17 +501,26 @@ def _build(sig: OrbifoldSignature) -> Representation:
 EMBEDDINGS = ("standard", "orientable", "type_preserving")
 
 
+def embedding_name(text: str) -> str:
+    """The EMBEDDINGS name that text spells: "type-preserving" is a
+    spelling of "type_preserving", and any other text outside EMBEDDINGS
+    is refused."""
+    name = "type_preserving" if text == "type-preserving" else text
+    if name not in EMBEDDINGS:
+        raise RepError(f"unknown embedding {text!r}")
+    return name
+
+
 def embed(rep: Representation, kind: str) -> Representation:
     """A -> diag(A, c) in rank n + 1.  The corner c is the orientation
     character (= det A) for the orientable embedding, which lands in SL,
-    and 1 otherwise.  "standard" takes an SL representation; the other
-    two take a type-preserving SLpm one.  The checked input fixes every
-    determinant, relator residual and torsion order of the result, so
-    the constructor's checks are not repeated, and the inverses are
-    diag(A^-1, c) from the input's (c = +-1), so the result's relators
-    round as the input's do."""
-    if kind not in EMBEDDINGS:
-        raise RepError(f"unknown embedding {kind!r}")
+    and 1 otherwise; kind is read by embedding_name.  "standard" takes an
+    SL representation; the other two take a type-preserving SLpm one.
+    The checked input fixes every determinant, relator residual and
+    torsion order of the result, so the constructor's checks are not
+    repeated, and the inverses are diag(A^-1, c) from the input's
+    (c = +-1), so the result's relators round as the input's do."""
+    kind = embedding_name(kind)
     want = "SL" if kind == "standard" else "SLpm"
     if rep.group_tag != want:
         raise RepError(f"{kind} embedding needs an {want} representation, got {rep.group_tag}")
@@ -540,7 +557,8 @@ def representation_to_json(rep: Representation) -> dict:
 
 def representation_from_json(data: dict, sig: OrbifoldSignature | None = None) -> Representation:
     """The file names its group by "signature"; a caller that names the
-    group too may leave that out, but a file that has it must agree."""
+    group too may leave that out, but a file that has it must agree.  A
+    group that is not hyperbolic is refused as the builder refuses it."""
     if not isinstance(data, dict):
         raise RepError(f"representation file must hold a JSON object, not a {type(data).__name__}")
     required = ("n", "matrices") + (() if sig is not None else ("signature",))
@@ -564,6 +582,7 @@ def representation_from_json(data: dict, sig: OrbifoldSignature | None = None) -
         raise RepError(f"representation file has a malformed entry: {err}") from None
     if sig is not None and named != sig:
         raise RepError(f"file is for {named.to_text()}, not {sig.to_text()}")
+    _require_hyperbolic(named)
     if n < 1:
         raise RepError(f"representation rank n={n} must be positive")
     for m in mats:

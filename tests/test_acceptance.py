@@ -305,7 +305,7 @@ def test_embedded_commutant_matches_oracle(analyses, setups, text, embedding):
     """The embedded-commutant gate reads commutant_dim alone; it must agree
     with the Sylvester-system oracle and with the full Burnside report."""
     report = analyses(text, embedding, checks=("all",))
-    embedded = list(setups(text, report.embedding).sd.embedded.matrices)
+    embedded = list(setups(text, report.request.embedding).sd.embedded.matrices)
     assert report.irreducibility["embedded_commutant"] == commutation_system_nullity(embedded) == 2
     assert commutant_dim(embedded, POLICY) == burnside_irreducible(embedded, POLICY).commutant_dim
 

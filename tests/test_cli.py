@@ -514,3 +514,24 @@ def test_non_hyperbolic_half_mirrored_disc_exit_one(capsys):
     assert rc == 1
     assert err.startswith("error: HD(2) has Euler characteristic 0 >= 0, not hyperbolic")
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "text, matrices, chi",
+    [
+        # the tetrahedral rotations: x1 a half turn, x2 the 3-cycle, x3 = (x1 x2)^-1
+        ("S2(2,3,3)", [np.diag([-1.0, -1.0, 1.0]), np.eye(3)[[2, 0, 1]]], "1/6"),
+        ("S2()", [], "2"),
+    ],
+)
+def test_rep_file_for_a_non_hyperbolic_signature_exit_one(capsys, tmp_path, text, matrices, chi):
+    """A file is refused as the builder refuses the built group: by name,
+    before the constructor reads a matrix."""
+    if matrices:
+        matrices.append(np.linalg.inv(matrices[0] @ matrices[1]))
+    data = {"signature": text, "n": 3, "matrices": [[repr(float(x)) for x in m.ravel()] for m in matrices]}
+    path = tmp_path / "spherical.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(["analyze", text, "--rep", str(path)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {text} has Euler characteristic {chi} >= 0, not hyperbolic\n"

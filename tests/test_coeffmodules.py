@@ -226,7 +226,7 @@ def test_block_equivariance_catches_the_wrong_twist(reps_by_text, text, embeddin
     rep = reps_by_text(text)
     sd = decompose_sl(rep, embedding)
     wrong = SlDecomposition(
-        sd.n, sd.embedding, sd.embedded, sd.g0, decompose_sl(rep, other).m_c, sd.m_r, sd.d, sd.full_g,
+        sd.n, sd.embedded, sd.g0, decompose_sl(rep, other).m_c, sd.m_r, sd.d, sd.full_g,
         sd.killing_multiplier,
     )
     value, bound = wrong.block_equivariance()

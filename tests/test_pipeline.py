@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from charvar.cli import main
 from charvar.coeffmodules import SlDecomposition, decompose_sl, sl_basis
 from charvar.cohomology import BLOCKS, BlockComplex, cohomology_report, fundamental_form
 from charvar.linalg import RankPolicy
@@ -28,6 +29,7 @@ from charvar.pipeline import (
 from charvar.presentation import OrbifoldSignature, orientation_cover_generators, parse_signature
 from charvar.reps import (
     J3,
+    RepError,
     Representation,
     _boundary_rep,
     _derived,
@@ -50,7 +52,9 @@ def reducible_rep_file(tmp_path_factory, triangle334):
 
 
 def test_request_parsing():
-    req = request_from_text("HD(4)")
+    with pytest.raises(PipelineError, match="choose the embedding explicitly"):
+        request_from_text("HD(4)")
+    req = request_from_text("HD(4)", embedding="orientable")
     assert req.signature == OrbifoldSignature("mirrored", 0, 1, (4,))
     assert req.input_text == "HD(4)"
     req2 = request_from_text("D2(3,3)")
@@ -70,7 +74,7 @@ def test_unknown_check_names_are_refused(checks):
 
 
 def test_embedding_resolution():
-    assert analyze(request_from_text("S2(2,3,7)")).embedding == "standard"
+    assert analyze(request_from_text("S2(2,3,7)")).request.embedding == "standard"
     with pytest.raises(PipelineError):
         analyze(request_from_text("D(3,3;mirror)"))
     with pytest.raises(PipelineError):
@@ -90,10 +94,45 @@ def test_analyze_decomposes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_embedding_spelling_normalization(analyses):
+def test_embedding_spelling_normalization(analyses, capsys):
+    """The request resolves its embedding once, to one EMBEDDINGS name:
+    requests that differ only in the spelling are equal, the CLI prints
+    the same bytes under either spelling, each refusal names spellings
+    that both the CLI and the library accept, and a mismatched or unknown
+    embedding is refused."""
     a = analyses("D(3,3;mirror)", "type-preserving")
     b = analyses("D(3,3;mirror)", "type_preserving")
-    assert a.embedding == b.embedding == "type_preserving"
+    assert a.request.embedding == b.request.embedding == "type_preserving"
+    for text, spellings in (("D(3,3;mirror)", ("type-preserving", "type_preserving")), ("S2(2,3,7)", (None, "standard"))):
+        first, second = (request_from_text(text, embedding=e) for e in spellings)
+        assert first == second and hash(first) == hash(second)
+
+    printed = []
+    for spelling in ("type_preserving", "type-preserving"):
+        assert main(["analyze", "--json", "N(k=2;b=1;cone=[3])", "--embed", spelling]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+    # a refusal and the spellings it tells the user to choose from
+    for text, given, named in (("D(3,3;mirror)", None, ("orientable", "type_preserving")),
+                               ("S2(2,3,7)", "type-preserving", ("standard",))):
+        with pytest.raises(PipelineError) as refusal:
+            request_from_text(text, embedding=given)
+        assert main(["analyze", text, *(("--embed", given) if given else ())]) == 1
+        assert capsys.readouterr().err == f"error: {refusal.value}\n"
+        for spelling in named:
+            assert spelling in str(refusal.value)
+            assert request_from_text(text, embedding=spelling).embedding == spelling
+            assert main(["dims", text, "--embed", spelling]) == 0
+        capsys.readouterr()
+
+    for text, given in (("D(3,3;mirror)", "standard"), ("S2(2,3,7)", "orientable"), ("D(3,3;mirror)", "Orientable"),
+                        ("D(3,3;mirror)", "type preserving"), ("HD(3)", "")):
+        with pytest.raises((PipelineError, RepError), match="embedding"):
+            request_from_text(text, embedding=given)
+        assert main(["analyze", text, "--embed", given]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "embed" in err.splitlines()[-1] and "Traceback" not in err
 
 
 def test_analyze_quadrilateral_frozen(analyses):
@@ -325,10 +364,10 @@ def test_analysis_is_deterministic():
 def test_example_requests_frozen():
     labels = [(req.input_text, req.embedding) for req in example_requests()]
     assert labels == [
-        ("S2(3,3,3,3)", None),
+        ("S2(3,3,3,3)", "standard"),
         ("D(3,3;mirror)", "orientable"),
         ("D(3,3;mirror)", "type_preserving"),
-        ("O(g=0;b=1;cone=[3,3])", None),
+        ("O(g=0;b=1;cone=[3,3])", "standard"),
         ("HD(3)", "orientable"),
         ("HD(3)", "type_preserving"),
     ]
@@ -374,7 +413,7 @@ def test_full_g_direct_sum_gate_catches_the_wrong_twist(
     def swapped(rep, emb):
         wrong, sd = real(rep, other), real(rep, emb)
         return SlDecomposition(
-            sd.n, sd.embedding, sd.embedded, sd.g0, wrong.m_c, wrong.m_r, sd.d, sd.full_g, sd.killing_multiplier
+            sd.n, sd.embedded, sd.g0, wrong.m_c, wrong.m_r, sd.d, sd.full_g, sd.killing_multiplier
         )
 
     monkeypatch.setattr(pipeline, "decompose_sl", swapped)
